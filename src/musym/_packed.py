@@ -1,13 +1,20 @@
-"""Packed-monomial workspace shared by the reduction and Groebner engines.
+"""Packed-monomial kernel shared by multiplication, reduction and the
+Groebner engine.
 
 Monomials become integers with one 16-bit field per variable, most
 significant field first, so that integer comparison realizes a
 lexicographic(-product) term order, multiplication is addition, and
 divisibility is a borrow check against the guard bits.  Exponents must
 stay below 2^15.
+
+A packed polynomial is a dict from monomial to nonzero coefficient.
+Every product, reduction and S-polynomial is built from one primitive,
+``submul``: work -= q * x^shift * g.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .polys import Lex, Polynomial, ProductOrder, TermOrder, Var, term_from_exps
 
@@ -70,18 +77,60 @@ class Ring:
         return Polynomial(coeffs)
 
 
+def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: int | None = None) -> None:
+    """work -= q * x^shift * g, in place; cancelled terms are dropped.
+
+    Monomials new to ``work`` are pushed onto ``heap``, a max-heap of
+    negated monomials, when one is given.  The term of g at monomial
+    ``skip`` is left out: a caller cancelling a term of work removes it
+    itself rather than pay for the exact arithmetic that would zero it.
+    """
+    nq = -q
+    for m, c in g.items():
+        if m == skip:
+            continue
+        mm = m + shift
+        s = work.get(mm)
+        if s is None:
+            work[mm] = nq * c
+            if heap is not None:
+                heapq.heappush(heap, -mm)
+        else:
+            s += nq * c
+            if s:
+                work[mm] = s
+            else:
+                del work[mm]
+
+
 def mul(d1: dict, d2: dict) -> dict:
     """Product of packed polynomials (monomial product = integer add)."""
     out: dict = {}
     for m1, a in d1.items():
-        for m2, b in d2.items():
-            m = m1 + m2
-            s = out.get(m, 0) + a * b
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        submul(out, -a, m1, d2)
     return out
+
+
+class Basis:
+    """Parallel arrays: leading monomial, leading coefficient, polynomial."""
+
+    __slots__ = ("lts", "lcs", "polys")
+
+    def __init__(self):
+        self.lts: list[int] = []
+        self.lcs: list = []
+        self.polys: list[dict] = []
+
+    def insert(self, pos: int, d: dict, lt: int) -> None:
+        self.lts.insert(pos, lt)
+        self.lcs.insert(pos, d[lt])
+        self.polys.insert(pos, d)
+
+    def add(self, d: dict, lt: int | None = None) -> None:
+        self.insert(len(self.lts), d, max(d) if lt is None else lt)
+
+    def __len__(self):
+        return len(self.lts)
 
 
 def check_lex_like(order: TermOrder) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symfun
-from .polys import Polynomial, format_rat, rat
+from .polys import Polynomial, rat
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class GistResult:
             pieces = []
             for alpha, c in self.mcombo:
                 name = "m[" + ",".join(str(a) for a in alpha) + "]"
-                body = name if c == 1 else f"{format_rat(c)}*{name}"
+                body = name if c == 1 else f"{c}*{name}"
                 pieces.append(body)
             return " + ".join(pieces).replace("+ -", "- ")
         return str(self.gist)

@@ -14,7 +14,6 @@ def compute_gist(
     mu: symfun.Partition,
     kind: str = "e",
     algo: str = "ls",
-    use_cache: bool = True,
 ) -> GistResult:
     """Check mu-symmetry of any F in K[r] and compute a gist if one exists.
 
@@ -34,8 +33,8 @@ def compute_gist(
         raise ValueError("input must be a polynomial in the r variables")
     parts = homogeneous_parts(F)
     if len(parts) <= 1:
-        return _single(F, mu, kind, algo, use_cache)
-    results = [_single(part, mu, kind, algo, use_cache) for _, part in parts]
+        return _single(F, mu, kind, algo)
+    results = [_single(part, mu, kind, algo) for _, part in parts]
     if not all(res.symmetric for res in results):
         return GistResult.not_symmetric(mu, kind)
     if kind == "m":
@@ -47,9 +46,9 @@ def compute_gist(
     return GistResult.from_poly(mu, kind, total)
 
 
-def _single(F, mu, kind, algo, use_cache) -> GistResult:
+def _single(F, mu, kind, algo) -> GistResult:
     if algo == "groebner":
-        return groebner.ggist(F, mu, kind, use_cache=use_cache)
+        return groebner.ggist(F, mu, kind)
     if algo == "cr":
-        return reduction.crgist(F, mu, kind, use_cache=use_cache)
+        return reduction.crgist(F, mu, kind)
     return linsys.lsgist(F, mu, kind)

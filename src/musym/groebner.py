@@ -16,14 +16,6 @@ degree <= d has been treated, the basis is complete for all inputs of
 weighted degree <= d.  Normal forms of such inputs are therefore taken
 against a basis extended exactly that far; computing relations of
 unbounded degree runs the engine to exhaustion.
-
-Internally monomials are exponent vectors packed into a single integer,
-one 16-bit field per variable, most significant field first.  Integer
-comparison then realizes the term order directly, multiplication is
-addition, and divisibility is a borrow check against the guard bits.
-That encoding is valid precisely for the lexicographic(-product) orders
-this module accepts; exponents must stay below 2^15, far beyond the
-degrees that arise here.
 """
 
 from __future__ import annotations
@@ -32,9 +24,10 @@ import heapq
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import symfun
-from ._packed import Ring as _Ring, ring_for as _ring_for
+from ._packed import Basis, Ring, ring_for, submul
 from .gistresult import GistResult
 from .polys import ORDER_RZ, Polynomial, TermOrder, rat
 
@@ -42,6 +35,7 @@ try:
     from gmpy2 import gcd as _gcd, lcm as _lcm
 except ImportError:  # pragma: no cover
     _gcd, _lcm = math.gcd, math.lcm
+
 
 def _make_primitive(d: dict, lt: int) -> dict:
     """Scale to integer coefficients with content 1 and positive lead."""
@@ -55,53 +49,20 @@ def _make_primitive(d: dict, lt: int) -> dict:
     return {m: c * scale for m, c in d.items()}
 
 
-class _Basis:
-    """Parallel arrays: leading monomial, leading coefficient, polynomial."""
-
-    __slots__ = ("lts", "lcs", "polys")
-
-    def __init__(self):
-        self.lts: list[int] = []
-        self.lcs: list = []
-        self.polys: list[dict] = []
-
-    def add(self, d: dict, lt: int) -> int:
-        self.lts.append(lt)
-        self.lcs.append(d[lt])
-        self.polys.append(d)
-        return len(self.lts) - 1
-
-    def __len__(self):
-        return len(self.lts)
-
-
-def _find_reducer(t: int, basis: _Basis, guard: int, skip: int = -1) -> int:
+def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
     for idx, lt in enumerate(basis.lts):
         if idx != skip and lt <= t and not (t - lt) & guard:
             return idx
     return -1
 
 
-def _subtract_aligned(work: dict, t: int, c, idx: int, basis: _Basis, pushies=None) -> None:
-    """work -= (c / lc) * (t / lt) * basis[idx]; cancels term t exactly."""
-    g = basis.polys[idx]
-    glt = basis.lts[idx]
-    q = c / basis.lcs[idx]
-    shift = t - glt
-    for m, gc in g.items():
-        if m == glt:
-            continue
-        mm = m + shift
-        s = work.get(mm, 0) - q * gc
-        if s == 0:
-            work.pop(mm, None)
-        else:
-            if pushies is not None and mm not in work:
-                heapq.heappush(pushies, -mm)
-            work[mm] = s
+def _cancel(work: dict, t: int, idx: int, basis: Basis, heap: list) -> None:
+    """Cancel term t of work with a multiple of basis[idx]."""
+    lt = basis.lts[idx]
+    submul(work, work.pop(t) / basis.lcs[idx], t - lt, basis.polys[idx], heap, skip=lt)
 
 
-def _top_reduce(f: dict, basis: _Basis, guard: int) -> tuple[dict, int]:
+def _top_reduce(f: dict, basis: Basis, guard: int) -> tuple[dict, int]:
     """Reduce until zero or the leading monomial has no reducer.
 
     Returns (poly, lt); tails stay as they are.
@@ -110,20 +71,18 @@ def _top_reduce(f: dict, basis: _Basis, guard: int) -> tuple[dict, int]:
     heapq.heapify(heap)
     while heap:
         t = -heap[0]
-        c = f.get(t)
-        if c is None or c == 0:
+        if t not in f:
             heapq.heappop(heap)
             continue
         idx = _find_reducer(t, basis, guard)
         if idx < 0:
             return f, t
         heapq.heappop(heap)
-        del f[t]
-        _subtract_aligned(f, t, c, idx, basis, pushies=heap)
+        _cancel(f, t, idx, basis, heap)
     return {}, -1
 
 
-def _full_reduce(f: dict, basis: _Basis, guard: int, skip: int = -1) -> dict:
+def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> dict:
     """Full normal form: no remaining term divisible by a basis lead."""
     work = dict(f)
     out: dict = {}
@@ -131,29 +90,20 @@ def _full_reduce(f: dict, basis: _Basis, guard: int, skip: int = -1) -> dict:
     heapq.heapify(heap)
     while heap:
         t = -heapq.heappop(heap)
-        c = work.pop(t, None)
-        if c is None or c == 0:
+        if t not in work:
             continue
         idx = _find_reducer(t, basis, guard, skip)
         if idx < 0:
-            out[t] = c
-            continue
-        _subtract_aligned(work, t, c, idx, basis, pushies=heap)
+            out[t] = work.pop(t)
+        else:
+            _cancel(work, t, idx, basis, heap)
     return out
 
 
-def _spoly(i: int, j: int, lcm: int, basis: _Basis) -> dict:
+def _spoly(i: int, j: int, lcm: int, basis: Basis) -> dict:
     out: dict = {}
-    for idx, sign in ((i, 1), (j, -1)):
-        shift = lcm - basis.lts[idx]
-        q = sign / basis.lcs[idx]
-        for m, c in basis.polys[idx].items():
-            mm = m + shift
-            s = out.get(mm, 0) + q * c
-            if s == 0:
-                out.pop(mm, None)
-            else:
-                out[mm] = s
+    submul(out, -1 / basis.lcs[i], lcm - basis.lts[i], basis.polys[i])
+    submul(out, 1 / basis.lcs[j], lcm - basis.lts[j], basis.polys[j])
     return out
 
 
@@ -167,10 +117,10 @@ class _GradedEngine:
     that degree.
     """
 
-    def __init__(self, gens: list[dict], ring: _Ring):
+    def __init__(self, gens: list[dict], ring: Ring):
         self.ring = ring
         self.guard = ring.guard_mask
-        self.basis = _Basis()
+        self.basis = Basis()
         self.pairs: dict[tuple[int, int], int] = {}
         self.heap: list = []
         self.exhausted = False
@@ -267,7 +217,7 @@ class _GradedEngine:
                 for k in minimal
             ):
                 minimal.append(idx)
-        reduced = _Basis()
+        reduced = Basis()
         for idx in minimal:
             reduced.add(self.basis.polys[idx], self.basis.lts[idx])
         out = []
@@ -291,7 +241,7 @@ def buchberger(gens: list[Polynomial], order: TermOrder = ORDER_RZ) -> list[Poly
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
-    ring = _ring_for(set().union(*(g.variables() for g in nonzero)), order)
+    ring = ring_for(set().union(*(g.variables() for g in nonzero)), order)
     engine = _GradedEngine([ring.densify(g) for g in nonzero], ring)
     engine.extend(None)
     return [ring.undensify(d) for d in engine.reduced_snapshot(None)]
@@ -302,20 +252,18 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder = ORDER
     if f.is_zero:
         return f
     all_vars = set(f.variables()).union(*(g.variables() for g in basis))
-    ring = _ring_for(all_vars, order)
-    dense = _Basis()
+    ring = ring_for(all_vars, order)
+    dense = Basis()
     for g in basis:
-        d = ring.densify(g)
-        dense.add(d, max(d))
+        dense.add(ring.densify(g))
     return ring.undensify(_full_reduce(ring.densify(f), dense, ring.guard_mask))
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder = ORDER_RZ) -> Polynomial:
-    ring = _ring_for(set(f.variables()) | set(g.variables()), order)
-    basis = _Basis()
+    ring = ring_for(set(f.variables()) | set(g.variables()), order)
+    basis = Basis()
     for p in (f, g):
-        d = ring.densify(p)
-        basis.add(d, max(d))
+        basis.add(ring.densify(p))
     lcm = ring.lcm(basis.lts[0], basis.lts[1])
     return ring.undensify(_spoly(0, 1, lcm, basis))
 
@@ -353,80 +301,49 @@ class EliminationSystem:
     degree: int | None
     basis: list[Polynomial]
     zonly: list[Polynomial]
-    ring: _Ring
-    dense: _Basis
+    ring: Ring
+    dense: Basis
 
 
-class _ElimCache:
+@lru_cache(maxsize=None)
+def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
     """One graded engine per (mu, kind), advanced on demand."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.engines: dict = {}
-        self.snapshots: dict = {}
-
-    def engine(self, mu: symfun.Partition, kind: str) -> tuple[_GradedEngine, _Ring]:
-        key = (mu.parts, kind)
-        with self.lock:
-            hit = self.engines.get(key)
-        if hit is not None:
-            return hit
-        gens = mu_ideal_basis(mu, kind)
-        vars_ = [("r", i) for i in range(mu.m, 0, -1)] + [("z", i) for i in range(1, mu.n + 1)]
-        weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
-        ring = _Ring(vars_, weights)
-        engine = _GradedEngine([ring.densify(g) for g in gens], ring)
-        with self.lock:
-            return self.engines.setdefault(key, (engine, ring))
-
-    def clear(self):
-        with self.lock:
-            self.engines.clear()
-            self.snapshots.clear()
+    vars_ = [("r", i) for i in range(mu.m, 0, -1)] + [("z", i) for i in range(1, mu.n + 1)]
+    weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
+    ring = Ring(vars_, weights)
+    return _GradedEngine([ring.densify(g) for g in mu_ideal_basis(mu, kind)], ring)
 
 
-_cache = _ElimCache()
-
-
-def clear_memo() -> None:
-    _cache.clear()
+@lru_cache(maxsize=None)
+def _elimination_system(mu: symfun.Partition, kind: str, degree: int | None) -> EliminationSystem:
+    engine = _engine(mu, kind)
+    engine.extend(degree)
+    dense = Basis()
+    for d in engine.reduced_snapshot(degree):
+        dense.add(d)
+    basis = [engine.ring.undensify(d) for d in dense.polys]
+    zonly = [p for p in basis if "r" not in p.spaces()]
+    return EliminationSystem(mu, kind, degree, basis, zonly, engine.ring, dense)
 
 
 def elimination_system(
-    mu: symfun.Partition,
-    kind: str = "e",
-    degree: int | None = None,
-    use_cache: bool = True,
+    mu: symfun.Partition, kind: str = "e", degree: int | None = None
 ) -> EliminationSystem:
     """Reduced elimination basis, complete for inputs up to ``degree``.
 
     ``degree=None`` runs the engine to exhaustion and yields the full
-    reduced Groebner basis.
+    reduced Groebner basis.  Results are memoized per process;
+    ``cache_info()`` reports on that memo and ``clear_memo()`` empties it.
     """
-    if use_cache:
-        snap_key = (mu.parts, kind, degree)
-        hit = _cache.snapshots.get(snap_key)
-        if hit is not None:
-            return hit
-        engine, ring = _cache.engine(mu, kind)
-    else:
-        gens = mu_ideal_basis(mu, kind)
-        vars_ = [("r", i) for i in range(mu.m, 0, -1)] + [("z", i) for i in range(1, mu.n + 1)]
-        weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
-        ring = _Ring(vars_, weights)
-        engine = _GradedEngine([ring.densify(g) for g in gens], ring)
-    engine.extend(degree)
-    dense_out = engine.reduced_snapshot(degree)
-    basis = [ring.undensify(d) for d in dense_out]
-    zonly = [p for p in basis if "r" not in p.spaces()]
-    dense = _Basis()
-    for d in dense_out:
-        dense.add(d, max(d))
-    system = EliminationSystem(mu, kind, degree, basis, zonly, ring, dense)
-    if use_cache:
-        with _cache.lock:
-            return _cache.snapshots.setdefault((mu.parts, kind, degree), system)
-    return system
+    return _elimination_system(mu, kind, degree)
+
+
+elimination_system.cache_info = _elimination_system.cache_info
+
+
+def clear_memo() -> None:
+    _engine.cache_clear()
+    _elimination_system.cache_clear()
 
 
 def mu_ideal_generators(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
@@ -436,7 +353,7 @@ def mu_ideal_generators(mu: symfun.Partition, kind: str = "e") -> list[Polynomia
     return elimination_system(mu, kind).zonly
 
 
-def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e", use_cache: bool = True) -> GistResult:
+def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     """Check mu-symmetry via the normal form against the elimination basis.
 
     An r-free normal form is a gist of minimal weighted degree; any
@@ -447,7 +364,7 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e", use_cache: bool 
         raise ValueError("ggist expects a polynomial in the r variables")
     if F.is_zero:
         return GistResult.from_poly(mu, kind, Polynomial.zero())
-    system = elimination_system(mu, kind, degree=F.total_degree(), use_cache=use_cache)
+    system = elimination_system(mu, kind, degree=F.total_degree())
     r = _full_reduce(system.ring.densify(F), system.dense, system.ring.guard_mask)
     result = system.ring.undensify(r)
     if "r" in result.spaces():

@@ -9,7 +9,6 @@ solvability decides symmetry and any solution assembles a gist.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import symfun
@@ -97,12 +96,21 @@ def degree_terms(m: int, delta: int) -> list[Term]:
     The ordering puts r1^delta first and r_m^delta last, matching how
     coefficient vectors are conventionally written out.
     """
-    out = []
-    for exps in itertools.product(range(delta + 1), repeat=m):
-        if sum(exps) == delta:
-            out.append(exps)
-    out.sort(reverse=True)
-    return [term_from_exps({("r", i + 1): e for i, e in enumerate(exps) if e}) for exps in out]
+    return [
+        term_from_exps({("r", i + 1): e for i, e in enumerate(exps) if e})
+        for exps in _compositions(delta, m)
+    ]
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of ``parts`` >= 1 nonnegative integers summing to
+    ``total``, in descending lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e", delta: int | None = None) -> LinearSystem:

@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over the rationals.
 
 Variables live in named spaces: ``x`` (formal roots), ``r`` (distinct
-roots), ``z`` (generator symbols), ``k`` (indeterminate coefficients)
-and ``y`` (generic gist symbols).  A variable is a pair ``(space,
+roots) and ``z`` (generator symbols).  A variable is a pair ``(space,
 index)`` with a 1-based index.  A term is a sorted tuple of ``(space,
 index, exponent)`` entries with all exponents positive; the empty tuple
 is the constant term 1.  A polynomial is an immutable mapping from
@@ -33,7 +32,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
     Rational = _Fraction
 
-SPACES = ("x", "r", "z", "k", "y")
+SPACES = ("x", "r", "z")
 
 Var = tuple[str, int]
 Term = tuple[tuple[str, int, int], ...]
@@ -228,9 +227,16 @@ class Polynomial:
             k = self.constant_value()
             return Polynomial({t: c * k for t, c in other._c.items()})
         if len(self._c) * len(other._c) >= 64:
-            packed = _mul_packed(self._c, other._c)
-            if packed is not None:
-                return _raw(packed)
+            # large operands: term products become integer additions
+            from . import _packed
+
+            ring = _packed.Ring(sorted(self.variables() | other.variables()))
+            try:
+                d1, d2 = ring.densify(self), ring.densify(other)
+            except OverflowError:
+                pass  # an exponent beyond _packed.MAX_EXP
+            else:
+                return ring.undensify(_packed.mul(d1, d2))
         out: dict[Term, object] = {}
         for t1, c1 in self._c.items():
             for t2, c2 in other._c.items():
@@ -319,56 +325,6 @@ def _coerce(value):
     return NotImplemented
 
 
-_PACK_FIELD = 24
-_PACK_MASK = (1 << _PACK_FIELD) - 1
-
-
-def _mul_packed(c1: dict, c2: dict) -> dict | None:
-    """Multiply by packing exponent vectors into integers.
-
-    Term products become integer additions, which beats merging sorted
-    exponent tuples once the operands are large.  Falls back (returns
-    None) when exponents could overflow a field.
-    """
-    vars_ = sorted({(s, i) for t in c1 for s, i, _ in t} | {(s, i) for t in c2 for s, i, _ in t})
-    pos = {v: k for k, v in enumerate(vars_)}
-    width = len(vars_)
-    shifts = [(width - 1 - k) * _PACK_FIELD for k in range(width)]
-
-    def pack(coeffs):
-        top = 0
-        packed = {}
-        for t, c in coeffs.items():
-            mon = 0
-            for s, i, e in t:
-                top = max(top, e)
-                mon |= e << shifts[pos[(s, i)]]
-            packed[mon] = c
-        return packed, top
-
-    p1, top1 = pack(c1)
-    p2, top2 = pack(c2)
-    if top1 + top2 > _PACK_MASK:
-        return None
-    out: dict[int, object] = {}
-    for m1, a in p1.items():
-        for m2, b in p2.items():
-            m = m1 + m2
-            s = out.get(m, 0) + a * b
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    result: dict[Term, object] = {}
-    for mon, c in out.items():
-        result[tuple(
-            (v[0], v[1], (mon >> sh) & _PACK_MASK)
-            for v, sh in zip(vars_, shifts)
-            if (mon >> sh) & _PACK_MASK
-        )] = c
-    return result
-
-
 # -- term orders ------------------------------------------------------
 
 
@@ -400,17 +356,11 @@ class Lex(TermOrder):
             raise ValueError(f"unknown variable space {space!r}")
         self.space = space
         self.ascending = ascending
-        self._memo: dict = {}
 
     def key(self, term: Term):
-        k = self._memo.get(term)
-        if k is None:
-            if self.ascending:
-                k = tuple((i, e) for s, i, e in reversed(term) if s == self.space)
-            else:
-                k = tuple((-i, e) for s, i, e in term if s == self.space)
-            self._memo[term] = k
-        return k
+        if self.ascending:
+            return tuple((i, e) for s, i, e in reversed(term) if s == self.space)
+        return tuple((-i, e) for s, i, e in term if s == self.space)
 
     def __repr__(self):
         direction = "asc" if self.ascending else "desc"
@@ -423,14 +373,9 @@ class ProductOrder(TermOrder):
     def __init__(self, first: TermOrder, second: TermOrder):
         self.first = first
         self.second = second
-        self._memo: dict = {}
 
     def key(self, term: Term):
-        k = self._memo.get(term)
-        if k is None:
-            k = (self.first.key(term), self.second.key(term))
-            self._memo[term] = k
-        return k
+        return (self.first.key(term), self.second.key(term))
 
     def __repr__(self):
         return f"ProductOrder({self.first!r}, {self.second!r})"
@@ -444,8 +389,6 @@ ORDER_R = Lex("r")
 # is tested against.
 ORDER_Z_ELIM = Lex("z", ascending=False)
 ORDER_RZ = ProductOrder(ORDER_R, ORDER_Z_ELIM)
-ORDER_Y_ELIM = Lex("y", ascending=False)
-ORDER_RY = ProductOrder(ORDER_R, ORDER_Y_ELIM)
 
 
 def leading(p: Polynomial, order: TermOrder) -> tuple[Term, object]:
@@ -471,7 +414,7 @@ def gist_weight(space: str, index: int) -> int:
     Under this weighting the degree of a z-polynomial equals the total
     degree of the symmetric polynomial it denotes.
     """
-    return index if space in ("z", "y") else 1
+    return index if space == "z" else 1
 
 
 def term_wdeg(t: Term, w: WeightFn = unit_weight) -> int:
@@ -502,10 +445,6 @@ def is_homogeneous(p: Polynomial, w: WeightFn = unit_weight) -> bool:
 # -- text form ---------------------------------------------------------
 
 
-def format_rat(q) -> str:
-    return str(q)
-
-
 def format_poly(p: Polynomial) -> str:
     """Canonical text form, e.g. ``z1^2 - z2`` or ``-27/2*z3``."""
     if p.is_zero:
@@ -515,11 +454,11 @@ def format_poly(p: Polynomial) -> str:
         neg = c < 0
         mag = -c if neg else c
         if not t:
-            body = format_rat(mag)
+            body = str(mag)
         elif mag == 1:
             body = term_to_str(t)
         else:
-            body = f"{format_rat(mag)}*{term_to_str(t)}"
+            body = f"{mag}*{term_to_str(t)}"
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:
@@ -593,7 +532,7 @@ def poly_to_obj(p: Polynomial) -> list[dict]:
     out = []
     for t, c in p.terms():
         out.append({
-            "coeff": format_rat(c),
+            "coeff": str(c),
             "exps": {f"{s}{i}": e for s, i, e in t},
         })
     return out

@@ -16,15 +16,16 @@ count included, rather than any shortcut through Gaussian elimination.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import ring_for
+from ._packed import Basis, ring_for, submul
 from .gistresult import GistResult
 from .polys import (
     ORDER_R,
@@ -52,34 +53,37 @@ class CanonizeResult:
     qmatrix: list[list]    # len(input) x len(sequence); C = B . Q
 
 
-def _reduce_packed(work: dict, lts: list[int], lcs: list, polys: list[dict]):
+def _reduce_packed(work: dict, seq: Basis):
     """The reduction sweep on packed dicts.
 
     Terms of the work polynomial above the current sequence member move
     to the remainder; a matching leading term triggers one cancellation;
     otherwise the sweep advances down the sequence.  Each member is used
-    at most once.  Returns (remainder, coeffs, loops).
+    at most once.  The largest term of ``work`` comes from a lazy
+    max-heap that may hold monomials already cancelled.  Returns
+    (remainder, coeffs, loops).
     """
     remainder: dict = {}
-    coeffs = [rat(0)] * len(lts)
-    i = len(lts)
+    coeffs = [rat(0)] * len(seq)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    i = len(seq)
     loops = 0
     while work and i > 0:
         loops += 1
-        t = max(work)
-        lt_i = lts[i - 1]
+        while -heap[0] not in work:
+            heapq.heappop(heap)
+        t = -heap[0]
+        lt_i = seq.lts[i - 1]
         if t > lt_i:
+            heapq.heappop(heap)
             remainder[t] = work.pop(t)
         else:
             if t == lt_i:
-                q = work[t] / lcs[i - 1]
+                heapq.heappop(heap)
+                q = work.pop(t) / seq.lcs[i - 1]
                 coeffs[i - 1] = q
-                for m, gc in polys[i - 1].items():
-                    s = work.get(m, 0) - q * gc
-                    if s == 0:
-                        work.pop(m, None)
-                    else:
-                        work[m] = s
+                submul(work, q, 0, seq.polys[i - 1], heap, skip=t)
             i -= 1
     remainder.update(work)
     return remainder, coeffs, loops
@@ -93,10 +97,10 @@ def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -
     """
     all_vars = set(F.variables()).union(*(c.variables() for c in C)) if C else set(F.variables())
     ring = ring_for(all_vars, order)
-    cdense = [ring.densify(c) for c in C]
-    lts = [max(d) for d in cdense]
-    lcs = [d[lt] for d, lt in zip(cdense, lts)]
-    remainder, coeffs, loops = _reduce_packed(ring.densify(F), lts, lcs, cdense)
+    seq = Basis()
+    for c in C:
+        seq.add(ring.densify(c))
+    remainder, coeffs, loops = _reduce_packed(ring.densify(F), seq)
     return ReduceResult(ring.undensify(remainder), tuple(coeffs), loops)
 
 
@@ -119,29 +123,22 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
     if not B:
         return CanonizeResult([], [])
     ring = ring_for(set().union(*(b.variables() for b in B)), order)
-    seq: list[dict] = []
-    lts: list[int] = []
-    lcs: list = []
-    combos: list[list] = []     # expression of each member over B
+    seq = Basis()
+    combos: list[dict] = []     # expression of each member over B: index -> coeff
     for idx, b in enumerate(B):
-        remainder, coeffs, _ = _reduce_packed(ring.densify(b), lts, lcs, seq)
+        remainder, coeffs, _ = _reduce_packed(ring.densify(b), seq)
         if not remainder:
             continue
-        combo = [rat(0)] * len(B)
-        combo[idx] = rat(1)
+        combo = {idx: rat(1)}
         for j, c in enumerate(coeffs):
             if c != 0:
-                for t, v in enumerate(combos[j]):
-                    if v != 0:
-                        combo[t] -= c * v
+                submul(combo, c, 0, combos[j])
         lt = max(remainder)
-        pos = bisect_left(lts, lt)
-        seq.insert(pos, remainder)
-        lts.insert(pos, lt)
-        lcs.insert(pos, remainder[lt])
+        pos = bisect_left(seq.lts, lt)
+        seq.insert(pos, remainder, lt)
         combos.insert(pos, combo)
-    qmatrix = [[combos[j][i] for j in range(len(seq))] for i in range(len(B))]
-    return CanonizeResult([ring.undensify(d) for d in seq], qmatrix)
+    qmatrix = [[combo.get(i, rat(0)) for combo in combos] for i in range(len(B))]
+    return CanonizeResult([ring.undensify(d) for d in seq.polys], qmatrix)
 
 
 # -- nondeterministic reduction -----------------------------------------
@@ -209,10 +206,6 @@ class CanonicalSystem:
     qmatrix: list[list]
 
 
-_memo: dict = {}
-_memo_lock = threading.Lock()
-
-
 def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
     root = os.environ.get("MUSYM_CACHE_DIR")
     if not root:
@@ -221,36 +214,32 @@ def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
     return os.path.join(root, name)
 
 
-def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e", use_cache: bool = True) -> CanonicalSystem:
-    """Canonical sequence and quotients for the specialized degree-delta
-    basis of the given kind, memoized in process and, when
-    MUSYM_CACHE_DIR is set, on disk."""
-    key = (mu.parts, delta, kind)
-    if use_cache:
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-        path = _cache_path(mu, delta, kind)
-        if path and os.path.exists(path):
-            system = _load_system(path, mu, delta, kind)
-            with _memo_lock:
-                _memo.setdefault(key, system)
-            return system
+@lru_cache(maxsize=None)
+def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
+    path = _cache_path(mu, delta, kind)
+    if path and os.path.exists(path):
+        return _load_system(path, mu, delta, kind)
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     result = canonize(basis, ORDER_R)
     system = CanonicalSystem(mu, delta, kind, alphas, basis, result.sequence, result.qmatrix)
-    if use_cache:
-        with _memo_lock:
-            _memo.setdefault(key, system)
-        path = _cache_path(mu, delta, kind)
-        if path:
-            _store_system(path, system)
+    if path:
+        _store_system(path, system)
     return system
 
 
+def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> CanonicalSystem:
+    """Canonical sequence and quotients for the specialized degree-delta
+    basis of the given kind, memoized in process and, when
+    MUSYM_CACHE_DIR is set, on disk.  ``cache_info()`` reports on the
+    in-process memo and ``clear_memo()`` empties it."""
+    return _canonical_system(mu, delta, kind)
+
+
+canonical_system.cache_info = _canonical_system.cache_info
+
+
 def clear_memo() -> None:
-    with _memo_lock:
-        _memo.clear()
+    _canonical_system.cache_clear()
 
 
 def _store_system(path: str, system: CanonicalSystem) -> None:
@@ -287,7 +276,7 @@ def _load_system(path: str, mu: symfun.Partition, delta: int, kind: str) -> Cano
 # -- the canonize+reduce gist algorithm ----------------------------------
 
 
-def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e", use_cache: bool = True) -> GistResult:
+def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     """Check mu-symmetry of a homogeneous F by reduction.
 
     Canonize the specialized basis for deg(F), reduce F against it; a
@@ -301,7 +290,7 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e", use_cache: bool
     if F.spaces() - {"r"}:
         raise ValueError("crgist expects a polynomial in the r variables")
     delta = F.total_degree()
-    system = canonical_system(mu, delta, kind, use_cache=use_cache)
+    system = canonical_system(mu, delta, kind)
     res = reduce(F, system.sequence, ORDER_R)
     if not res.remainder.is_zero:
         return GistResult.not_symmetric(mu, kind)

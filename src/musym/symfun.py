@@ -379,6 +379,7 @@ def clear_caches() -> None:
     spec_generator.cache_clear()
     _spec_product.cache_clear()
     _spec_product_packed.cache_clear()
+    _root_ring.cache_clear()
     subdiscriminant.cache_clear()
 
 

@@ -360,8 +360,8 @@ def test_criterion_9_performance_ordering():
                 times.append(time.perf_counter() - t0)
             return statistics.median(times)
 
-        t_g = timed(lambda: ggist(F, mu, use_cache=False))
-        t_c = timed(lambda: crgist(F, mu, use_cache=False))
+        t_g = timed(lambda: ggist(F, mu))
+        t_c = timed(lambda: crgist(F, mu))
         t_l = timed(lambda: lsgist(F, mu))
         assert t_l * 10 <= t_g, f"lsgist {t_l:.4f}s vs ggist {t_g:.4f}s"
         assert t_c * 10 <= t_g, f"crgist {t_c:.4f}s vs ggist {t_g:.4f}s"

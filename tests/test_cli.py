@@ -185,3 +185,25 @@ def test_dims_bad_range(capsys):
     assert code == 2 and err.strip()
     code, _, err = run(capsys, "dims", "--mu", "2,1", "--delta", "0..2")
     assert code == 2
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    import musym.cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(musym.cli, "compute_gist", boom)
+    code, out, err = run(capsys, "gist", "r1+r2", "--mu", "2,1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError('kernel fault')\n"
+
+
+def test_deep_input_never_reads_as_not_symmetric(capsys):
+    # r1^600 is mu-symmetric for mu=1; a crash must not exit 1
+    for algo in ("groebner", "cr", "ls"):
+        code, out, err = run(capsys, "gist", "r1^600", "--mu", "1", "--algo", algo)
+        assert code != 1, (algo, err)
+        if code == 0:
+            assert out.strip() == "z1^600"

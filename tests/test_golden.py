@@ -1,0 +1,56 @@
+"""Byte-identical CLI output on the acceptance inputs.
+
+``golden_cli.json`` holds the stdout and exit code of every call in
+CALLS, recorded before the kernels and caches were consolidated.  A
+change that alters any of them must be deliberate; regenerate with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from musym.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+NEGATIVE = "r1^2*r2 - r1*r2^2"
+CALLS = [
+    ["gist", f, "--mu", mu, "--algo", algo]
+    for mu in ("2,1", "2,2", "3,1", "2,2,1", "3,1,1")
+    for f in ("dplus", "delta", NEGATIVE)
+    for algo in ("groebner", "cr", "ls")
+] + [
+    ["gist", "dplus", "--mu", "2,2", "--basis", basis, "--algo", algo]
+    for basis in ("p", "c", "m")
+    for algo in ("groebner", "cr", "ls")
+    if not (basis == "m" and algo == "groebner")
+] + [
+    ["gist", "dplus", "--mu", "2,2,1", "--eval", "3,1,-3,-1,1"],
+    ["gist", "dplus", "--mu", "2,1", "--algo", "cr", "--eval", "1,2,3", "--json"],
+    ["dims", "--mu", "2,2", "--delta", "1..6"],
+    ["ideal", "--mu", "2,2"],
+    ["canonize", "--mu", "2,2,1", "--delta", "4", "--json"],
+]
+
+
+def run_calls() -> list[dict]:
+    out = []
+    for argv in CALLS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        out.append({"argv": argv, "code": code, "stdout": buf.getvalue()})
+    return out
+
+
+def test_cli_output_matches_golden():
+    expected = json.loads(GOLDEN.read_text())
+    assert [e["argv"] for e in expected] == CALLS
+    for got, want in zip(run_calls(), expected):
+        assert (got["code"], got["stdout"]) == (want["code"], want["stdout"]), got["argv"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(run_calls(), indent=1) + "\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from musym.groebner import mu_ideal_generators, normal_form
@@ -49,6 +51,17 @@ def test_degree_terms_order():
         term_from_exps({("r", 1): 1, ("r", 2): 1}),
         term_from_exps({("r", 2): 2}),
     ]
+    for m in range(1, 5):
+        for delta in range(7):
+            brute = sorted(
+                (e for e in itertools.product(range(delta + 1), repeat=m) if sum(e) == delta),
+                reverse=True,
+            )
+            expected = [
+                term_from_exps({("r", i + 1): e for i, e in enumerate(exps) if e})
+                for exps in brute
+            ]
+            assert degree_terms(m, delta) == expected, (m, delta)
 
 
 def test_build_system_worked_example():
