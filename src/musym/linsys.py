@@ -9,6 +9,7 @@ solvability decides symmetry and any solution assembles a gist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import symfun
@@ -41,24 +42,76 @@ def rref(matrix: list[list]) -> tuple[list[list], list[int]]:
     return m, pivots
 
 
+def _integer_rows(matrix: list[list]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators; the row space,
+    and so every solution set, is unchanged."""
+    out = []
+    for row in matrix:
+        row = [rat(v) for v in row]
+        scale = math.lcm(*(int(v.denominator) for v in row))
+        out.append([int(v.numerator) * (scale // int(v.denominator)) for v in row])
+    return out
+
+
+def _bareiss(m: list[list[int]]) -> list[int]:
+    """Fraction-free row echelon form, in place, and the pivot columns.
+
+    Bareiss elimination (Math. Comp. 22, 1968): every entry stays an
+    integer minor of the input, so each division below is exact and no
+    rational arithmetic is needed.  The pivot columns are those of
+    ``rref``, since both pick the first nonzero column at every step.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        a = top[c]
+        for i in range(r + 1, rows):
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(a * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                m[i] = [a * x // prev for x in row]
+        prev = a
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
 def matrix_rank(matrix: list[list]) -> int:
     if not matrix:
         return 0
-    return len(rref(matrix)[1])
+    return len(_bareiss(_integer_rows(matrix)))
 
 
 def solve_particular(A: list[list], b: list) -> list | None:
-    """A solution of A x = b with free variables pinned to 0, or None."""
+    """A solution of A x = b with free variables pinned to 0, or None.
+
+    The free variables fix the solution, so it is the one ``rref``
+    gives; only the back-substitution divides.
+    """
     if not A:
         return []
     cols = len(A[0])
-    aug = [row + [bv] for row, bv in zip(A, b)]
-    red, pivots = rref(aug)
+    aug = _integer_rows([row + [bv] for row, bv in zip(A, b)])
+    pivots = _bareiss(aug)
     if cols in pivots:
         return None  # pivot in the constants column: inconsistent
     x = [rat(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+    for r in range(len(pivots) - 1, -1, -1):
+        row = aug[r]
+        rhs = rat(row[cols]) - sum((row[c] * x[c] for c in pivots[r + 1:]), rat(0))
+        x[pivots[r]] = rhs / row[pivots[r]]
     return x
 
 

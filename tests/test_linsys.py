@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -34,6 +35,32 @@ def test_rref_pivots_and_rank():
     assert pivots == [0, 2]
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([]) == 0
+
+
+def test_fraction_free_solve_matches_rref():
+    # rank-deficient or sparse rational systems, half of them inconsistent: the
+    # integer elimination must give rref's solution and rank exactly
+    rng = random.Random(7)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 7)
+        rank = rng.randint(0, min(rows, cols))
+        B = [[rat(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(rank)] for _ in range(rows)]
+        C = [[rat(rng.randint(-4, 4), rng.choice([1, 5])) for _ in range(cols)] for _ in range(rank)]
+        A = [[sum((B[i][k] * C[k][j] for k in range(rank)), rat(0)) for j in range(cols)] for i in range(rows)]
+        if rng.random() < 0.3:  # sparse rows, as in the gist systems
+            A = [[0 if rng.random() < 0.4 else v for v in row] for row in A]
+        b = [sum((a * rng.randint(-2, 2) for a in row), rat(0)) for row in A]
+        if rng.random() < 0.5:
+            b[rng.randrange(rows)] += 1
+        red, pivots = rref([row + [bv] for row, bv in zip(A, b)])
+        if cols in pivots:
+            expected = None
+        else:
+            expected = [rat(0)] * cols
+            for r, c in enumerate(pivots):
+                expected[c] = red[r][cols]
+        assert solve_particular(A, b) == expected
+        assert matrix_rank(A) == len(rref(A)[1])
 
 
 def test_nullspace_vectors_solve():
