@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 
-from .polys import Lex, Polynomial, ProductOrder, TermOrder, Var, term_from_exps
+from .polys import Lex, Polynomial, ProductOrder, Term, TermOrder, Var, term_from_exps
 
 FIELD = 16
 GUARD_BIT = 1 << (FIELD - 1)
@@ -58,16 +58,14 @@ class Ring:
     def wdeg(self, mon: int) -> int:
         return sum(((mon >> s) & FIELD_MASK) * w for s, w in zip(self.shifts, self.weights))
 
+    def pack_term(self, t: Term) -> int:
+        exps = [0] * self.width
+        for sp, i, e in t:
+            exps[self.pos[(sp, i)]] = e
+        return self.pack(exps)
+
     def densify(self, p: Polynomial) -> dict:
-        out = {}
-        pos = self.pos
-        width = self.width
-        for t, c in p.items():
-            exps = [0] * width
-            for sp, i, e in t:
-                exps[pos[(sp, i)]] = e
-            out[self.pack(exps)] = c
-        return out
+        return {self.pack_term(t): c for t, c in p.items()}
 
     def undensify(self, d: dict) -> Polynomial:
         coeffs = {}

@@ -195,20 +195,21 @@ def cmd_canonize(args) -> int:
     if delta < 1:
         raise UsageError("delta must be positive")
     system = reduction.canonical_system(mu, delta, args.basis)
+    sequence = system.sequence
     payload = {
         "mu": list(mu.parts),
         "delta": delta,
         "basis": args.basis,
         "alphas": [list(a) for a in system.alphas],
-        "sequence": [poly_to_obj(p) for p in system.sequence],
+        "sequence": [poly_to_obj(p) for p in sequence],
         "qmatrix": [[str(q) for q in row] for row in system.qmatrix],
     }
     if args.json:
         print(json.dumps(payload))
         return 0
     print(f"mu={mu} delta={delta} basis={args.basis}")
-    print(f"rank {len(system.sequence)} of {len(system.basis)} basis elements")
-    for p in system.sequence:
+    print(f"rank {len(sequence)} of {len(system.alphas)} basis elements")
+    for p in sequence:
         print(format_poly(p))
     print("qmatrix:")
     for row in system.qmatrix:
@@ -219,10 +220,11 @@ def cmd_canonize(args) -> int:
 # -- benchmark harness ---------------------------------------------------
 
 
+# subdisc:{n-m} is the first subdiscriminant that does not vanish at mu
 DEFAULT_SUITE = [
-    {"id": f"{name}/{mu}", "f": name, "mu": mu, "algos": ["groebner", "cr", "ls"], "bases": ["e"]}
-    for mu in ("2,1", "2,2", "3,1", "2,2,1", "1,1,1")
-    for name in ("dplus", "delta", "subdisc:1", "dplus~p")
+    {"id": f"{name}/{mu}", "f": name, "mu": str(mu), "algos": ["groebner", "cr", "ls"], "bases": ["e"]}
+    for mu in map(Partition.parse, ("2,1", "2,2", "3,1", "2,2,1", "1,1,1"))
+    for name in ("dplus", "delta", f"subdisc:{mu.n - mu.m}", "dplus~p")
 ]
 
 

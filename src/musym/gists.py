@@ -29,8 +29,7 @@ def compute_gist(
             "the monomial basis has no n-generator presentation, so the "
             "elimination route does not apply; use the cr or ls algorithm"
         )
-    if F.spaces() - {"r"}:
-        raise ValueError("input must be a polynomial in the r variables")
+    symfun.check_root_input(F, mu)
     parts = homogeneous_parts(F)
     if len(parts) <= 1:
         return _single(F, mu, kind, algo)

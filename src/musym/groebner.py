@@ -308,7 +308,7 @@ class EliminationSystem:
 @lru_cache(maxsize=None)
 def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
     """One graded engine per (mu, kind), advanced on demand."""
-    vars_ = [("r", i) for i in range(mu.m, 0, -1)] + [("z", i) for i in range(1, mu.n + 1)]
+    vars_ = symfun._root_ring(mu.m).vars + [("z", i) for i in range(1, mu.n + 1)]
     weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
     ring = Ring(vars_, weights)
     return _GradedEngine([ring.densify(g) for g in mu_ideal_basis(mu, kind)], ring)
@@ -360,8 +360,7 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     residual r variable certifies that no gist exists.  The basis only
     needs to be complete up to the degree of F.
     """
-    if F.spaces() - {"r"}:
-        raise ValueError("ggist expects a polynomial in the r variables")
+    symfun.check_root_input(F, mu)
     if F.is_zero:
         return GistResult.from_poly(mu, kind, Polynomial.zero())
     system = elimination_system(mu, kind, degree=F.total_degree())

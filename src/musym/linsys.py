@@ -172,10 +172,9 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e", delta: in
     The degree is taken from F; the zero polynomial carries none, so it
     needs an explicit ``delta`` (and then b is the zero vector).
     """
+    symfun.check_root_input(F, mu)
     if not is_homogeneous(F):
         raise ValueError("build_system expects a homogeneous polynomial")
-    if F.spaces() - {"r"}:
-        raise ValueError("build_system expects a polynomial in the r variables")
     if delta is None:
         if F.is_zero:
             raise ValueError("build_system needs an explicit delta when F=0")
@@ -184,7 +183,9 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e", delta: in
         raise ValueError("delta does not match the degree of F")
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     rows = degree_terms(mu.m, delta)
-    A = [[g.coeff(t) for g in basis] for t in rows]
+    ring = symfun._root_ring(mu.m)
+    zero = rat(0)
+    A = [[g.get(mon, zero) for g in basis] for mon in map(ring.pack_term, rows)]
     b = [F.coeff(t) for t in rows]
     return LinearSystem(A, b, alphas, rows)
 

@@ -120,13 +120,18 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
     leading term) when nonzero.  The quotient matrix expresses the
     output in terms of the input.
     """
-    if not B:
-        return CanonizeResult([], [])
     ring = ring_for(set().union(*(b.variables() for b in B)), order)
+    seq, qmatrix = _canonize_packed([ring.densify(b) for b in B])
+    return CanonizeResult([ring.undensify(d) for d in seq.polys], qmatrix)
+
+
+def _canonize_packed(B: Sequence[dict]) -> tuple[Basis, list[list]]:
+    """canonize on packed dicts, which are left unchanged: (sequence,
+    qmatrix)."""
     seq = Basis()
     combos: list[dict] = []     # expression of each member over B: index -> coeff
     for idx, b in enumerate(B):
-        remainder, coeffs, _ = _reduce_packed(ring.densify(b), seq)
+        remainder, coeffs, _ = _reduce_packed(dict(b), seq)
         if not remainder:
             continue
         combo = {idx: rat(1)}
@@ -138,7 +143,7 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
         seq.insert(pos, remainder, lt)
         combos.insert(pos, combo)
     qmatrix = [[combo.get(i, rat(0)) for combo in combos] for i in range(len(B))]
-    return CanonizeResult([ring.undensify(d) for d in seq.polys], qmatrix)
+    return seq, qmatrix
 
 
 # -- nondeterministic reduction -----------------------------------------
@@ -195,15 +200,23 @@ def nreduce(
 
 @dataclass(frozen=True)
 class CanonicalSystem:
-    """Canonize output for one (mu, delta, kind), reusable across inputs."""
+    """Canonize output for one (mu, delta, kind), reusable across inputs.
+
+    ``dense`` holds the canonical sequence packed in the root ring
+    ``symfun._root_ring(mu.m)``.
+    """
 
     mu: symfun.Partition
     delta: int
     kind: str
     alphas: list[tuple[int, ...]]
-    basis: list[Polynomial]
-    sequence: list[Polynomial]
+    dense: Basis
     qmatrix: list[list]
+
+    @property
+    def sequence(self) -> list[Polynomial]:
+        ring = symfun._root_ring(self.mu.m)
+        return [ring.undensify(d) for d in self.dense.polys]
 
 
 def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
@@ -220,8 +233,7 @@ def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalS
     if path and os.path.exists(path):
         return _load_system(path, mu, delta, kind)
     alphas, basis = symfun.spec_basis(kind, delta, mu)
-    result = canonize(basis, ORDER_R)
-    system = CanonicalSystem(mu, delta, kind, alphas, basis, result.sequence, result.qmatrix)
+    system = CanonicalSystem(mu, delta, kind, alphas, *_canonize_packed(basis))
     if path:
         _store_system(path, system)
     return system
@@ -249,7 +261,6 @@ def _store_system(path: str, system: CanonicalSystem) -> None:
         "delta": system.delta,
         "kind": system.kind,
         "alphas": [list(a) for a in system.alphas],
-        "basis": [poly_to_obj(p) for p in system.basis],
         "sequence": [poly_to_obj(p) for p in system.sequence],
         "qmatrix": [[str(q) for q in row] for row in system.qmatrix],
     }
@@ -262,13 +273,16 @@ def _store_system(path: str, system: CanonicalSystem) -> None:
 def _load_system(path: str, mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
     with open(path) as fh:
         payload = json.load(fh)
+    ring = symfun._root_ring(mu.m)
+    dense = Basis()
+    for obj in payload["sequence"]:
+        dense.add(ring.densify(poly_from_obj(obj)))
     return CanonicalSystem(
         mu,
         delta,
         kind,
         [tuple(a) for a in payload["alphas"]],
-        [poly_from_obj(obj) for obj in payload["basis"]],
-        [poly_from_obj(obj) for obj in payload["sequence"]],
+        dense,
         [[rat_from_str(q) for q in row] for row in payload["qmatrix"]],
     )
 
@@ -283,21 +297,19 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     zero remainder means F lies in the span and the tracked quotients
     assemble the gist as Z . Q . q.
     """
+    symfun.check_root_input(F, mu)
     if F.is_constant:
         return GistResult.constant(mu, kind, F)
     if not is_homogeneous(F):
         raise ValueError("crgist expects a homogeneous polynomial")
-    if F.spaces() - {"r"}:
-        raise ValueError("crgist expects a polynomial in the r variables")
-    delta = F.total_degree()
-    system = canonical_system(mu, delta, kind)
-    res = reduce(F, system.sequence, ORDER_R)
-    if not res.remainder.is_zero:
+    system = canonical_system(mu, F.total_degree(), kind)
+    remainder, reduced, _ = _reduce_packed(symfun._root_ring(mu.m).densify(F), system.dense)
+    if remainder:
         return GistResult.not_symmetric(mu, kind)
     coeffs = []
     for row in system.qmatrix:
         total = rat(0)
-        for q, c in zip(row, res.coeffs):
+        for q, c in zip(row, reduced):
             if q != 0 and c != 0:
                 total += q * c
         coeffs.append(total)

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _packed
 from .polys import (
     Polynomial,
     Term,
@@ -74,15 +75,16 @@ class Partition:
 
 
 def _partitions_bounded(total: int, max_part: int, max_len: int):
-    """Weakly decreasing positive tuples summing to total."""
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions_bounded(total - first, first, max_len - 1):
-            yield (first,) + rest
+    """Weakly decreasing positive tuples summing to total, with at most
+    max_len parts, none above max_part.  Depth-first on an explicit
+    stack, so a long partition costs no recursion depth."""
+    stack = [((), total, max_part)]
+    while stack:
+        head, rest, cap = stack.pop()
+        if not rest:
+            yield head
+        elif len(head) < max_len:
+            stack.extend((head + (part,), rest - part, part) for part in range(1, min(rest, cap) + 1))
 
 
 def weak_partitions(delta: int, n: int, flavor: str = "capped") -> list[tuple[int, ...]]:
@@ -216,40 +218,68 @@ def spec_generator(kind: str, i: int, mu: Partition) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _root_ring(m: int):
-    from ._packed import Ring
-
-    return Ring([("r", i) for i in range(1, m + 1)])
+def _root_ring(m: int) -> _packed.Ring:
+    """Packed ring of r1..rm with r_m most significant, so that integer
+    order on packed monomials is ORDER_R."""
+    return _packed.Ring([("r", i) for i in range(m, 0, -1)])
 
 
 @lru_cache(maxsize=None)
-def _spec_product_packed(kind: str, parts: tuple[int, ...], mu: Partition):
-    # parts weakly decreasing, so prefixes are shared across index sets;
-    # products run in the packed root ring
-    from . import _packed
+def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> dict:
+    """prod_i spec_generator(kind, i, mu)^counts[i-1], packed in the root ring.
 
-    ring = _root_ring(mu.m)
-    if not parts:
+    Built from its prefix, the product with one factor of the lowest
+    index fewer, which ``_spec_packed`` has memoized one step before.
+    Keyed by counts rather than by the parts, so the keys of a chain of
+    L factors hold O(L n) entries, not O(L^2).
+    """
+    low = next((i for i, c in enumerate(counts) if c), None)
+    if low is None:
         return {0: rat(1)}
-    prev = _spec_product_packed(kind, parts[:-1], mu)
-    return _packed.mul(prev, ring.densify(spec_generator(kind, parts[-1], mu)))
+    prefix = counts[:low] + (counts[low] - 1,) + counts[low + 1:]
+    gen = _root_ring(mu.m).densify(spec_generator(kind, low + 1, mu))
+    return _packed.mul(_spec_product_packed(kind, prefix, mu), gen)
 
 
-@lru_cache(maxsize=None)
-def _spec_product(kind: str, parts: tuple[int, ...], mu: Partition) -> Polynomial:
-    return _root_ring(mu.m).undensify(_spec_product_packed(kind, parts, mu))
+def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
+    if kind == "m":
+        return _root_ring(mu.m).densify(specialize(monomial_generator(tuple(alpha), mu.n), mu))
+    # alpha is weakly decreasing: each step's prefix is the step before,
+    # so the memoized product recurses one level, however long alpha is
+    counts = [0] * mu.n
+    out = _spec_product_packed(kind, tuple(counts), mu)
+    for a in alpha:
+        if a:
+            counts[a - 1] += 1
+            out = _spec_product_packed(kind, tuple(counts), mu)
+    return out
 
 
 def spec_basis_element(kind: str, alpha: tuple[int, ...], mu: Partition) -> Polynomial:
-    if kind == "m":
-        return specialize(monomial_generator(tuple(alpha), mu.n), mu)
-    return _spec_product(kind, tuple(a for a in alpha if a), mu)
+    return _root_ring(mu.m).undensify(_spec_packed(kind, alpha, mu))
 
 
-def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[Polynomial]]:
-    """Index set and specialized basis for degree delta, in index order."""
+def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """Index set and specialized basis for degree delta, in index order.
+
+    The basis members are packed dicts in the root ring ``_root_ring(mu.m)``.
+    For the e/p/c kinds they are the memoized products themselves, shared
+    by every caller: do not mutate them.
+    """
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
-    return alphas, [spec_basis_element(kind, alpha, mu) for alpha in alphas]
+    return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
+
+
+def check_root_input(F: Polynomial, mu: Partition) -> None:
+    """Reject an input the algorithms cannot decide: a variable other
+    than r_1..r_m, or a degree beyond the packed exponent limit."""
+    if F.spaces() - {"r"}:
+        raise ValueError("input must be a polynomial in the r variables")
+    top = max((i for _, i in F.variables()), default=0)
+    if top > mu.m:
+        raise ValueError(f"r{top} exceeds m={mu.m} distinct roots for mu={mu}")
+    if not F.is_zero and F.total_degree() > _packed.MAX_EXP:
+        raise ValueError(f"degree {F.total_degree()} exceeds the limit {_packed.MAX_EXP}")
 
 
 def z_term_for(alpha: tuple[int, ...]) -> Term:
@@ -377,7 +407,6 @@ def clear_caches() -> None:
     generator.cache_clear()
     monomial_generator.cache_clear()
     spec_generator.cache_clear()
-    _spec_product.cache_clear()
     _spec_product_packed.cache_clear()
     _root_ring.cache_clear()
     subdiscriminant.cache_clear()
@@ -388,6 +417,5 @@ def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int
     from . import reduction  # local import; reduction builds on this module
 
     alphas, basis = spec_basis(kind, delta, mu)
-    dim_sym = len(alphas)
-    dim_mu = len(reduction.canonize(basis).sequence)
-    return dim_sym, dim_mu
+    sequence, _ = reduction._canonize_packed(basis)
+    return len(alphas), len(sequence)

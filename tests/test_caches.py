@@ -1,11 +1,14 @@
 """The per-process memo layer: functools.lru_cache builders, emptied by
-groebner.clear_memo, reduction.clear_memo and symfun.clear_caches."""
+groebner.clear_memo, reduction.clear_memo and symfun.clear_caches, and
+the packed specialized basis that cr, ls and dims share."""
 
 import importlib
 import pkgutil
 
+import pytest
+
 import musym
-from musym import groebner, reduction, symfun
+from musym import _packed, groebner, linsys, reduction, symfun
 from musym.gists import compute_gist
 from musym.symfun import Partition, dplus
 
@@ -27,13 +30,13 @@ def test_warm_canonical_system_skips_canonize(monkeypatch):
     reduction.clear_memo()
     reduction.canonical_system(mu, 10)
     calls = []
-    real = reduction.canonize
+    real = reduction._canonize_packed
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "canonize", counting)
+    monkeypatch.setattr(reduction, "_canonize_packed", counting)
     assert reduction.crgist(dplus(mu), mu).symmetric
     assert calls == []
     reduction.clear_memo()
@@ -51,3 +54,35 @@ def test_clear_functions_empty_every_memo():
     reduction.clear_memo()
     symfun.clear_caches()
     assert [name for name, fn in memos.items() if fn.cache_info().currsize] == []
+
+
+def test_shared_spec_basis_is_never_mutated():
+    mu = Partition.of(2, 2, 1)
+    symfun.clear_caches()
+    reduction.clear_memo()
+    _, basis = symfun.spec_basis("e", 10, mu)
+    before = [dict(d) for d in basis]
+    reduction.canonical_system(mu, 10)
+    linsys.build_system(dplus(mu), mu)
+    symfun.sym_dimensions(mu, 10)
+    _, again = symfun.spec_basis("e", 10, mu)
+    assert all(a is b for a, b in zip(again, basis))  # the memoized dicts themselves
+    assert basis == before
+    reduction.clear_memo()
+
+
+@pytest.mark.parametrize("algo", ["cr", "ls"])
+def test_warm_gist_and_dims_never_unpack(monkeypatch, algo):
+    mu = Partition.of(2, 2, 1)
+    F = dplus(mu)
+    symfun.clear_caches()
+    reduction.clear_memo()
+    compute_gist(F, mu, "e", algo)  # warm
+
+    def unpack(self, d):
+        raise AssertionError("the packed basis was unpacked")
+
+    monkeypatch.setattr(_packed.Ring, "undensify", unpack)
+    assert compute_gist(F, mu, "e", algo).symmetric
+    assert symfun.sym_dimensions(mu, 9) == (23, 21)
+    reduction.clear_memo()

@@ -64,6 +64,12 @@ def test_gist_usage_errors(capsys):
         ("gist", "r1+r2", "--mu", "2,1", "--eval", "1,2,3"),     # not symmetric
         ("gist", "dplus", "--mu", "2,1", "--basis", "m", "--eval", "1,2,3"),
     ]
+    for algo in ("groebner", "cr", "ls"):
+        cases += [
+            ("gist", "x1+r1", "--mu", "2,1", "--algo", algo),     # not in the r space
+            ("gist", "r3", "--mu", "2,1", "--algo", algo),        # only m=2 roots
+            ("gist", "r1^40000", "--mu", "1", "--algo", algo),    # beyond packed exponents
+        ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -201,9 +207,16 @@ def test_internal_error_exit_three(capsys, monkeypatch):
 
 
 def test_deep_input_never_reads_as_not_symmetric(capsys):
-    # r1^600 is mu-symmetric for mu=1; a crash must not exit 1
+    # r1^600 is mu-symmetric for mu=1: 600 parts, far past the recursion limit
     for algo in ("groebner", "cr", "ls"):
         code, out, err = run(capsys, "gist", "r1^600", "--mu", "1", "--algo", algo)
-        assert code != 1, (algo, err)
-        if code == 0:
-            assert out.strip() == "z1^600"
+        assert code == 0, (algo, err)
+        assert out.strip() == "z1^600"
+
+
+def test_default_bench_suite_inputs_are_nonzero():
+    from musym.cli import DEFAULT_SUITE, _suite_input
+    from musym.symfun import Partition
+
+    for entry in DEFAULT_SUITE:
+        assert not _suite_input(entry["f"], Partition.parse(entry["mu"])).is_zero, entry["id"]

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from musym.linsys import matrix_rank
-from musym.polys import ORDER_R, Polynomial, parse_poly, rat, term_from_exps
+from musym.polys import ORDER_R, Polynomial, parse_poly, poly_to_obj, rat, term_from_exps
 from musym.reduction import (
     adversarial_chooser,
     canonical_system,
@@ -16,7 +17,7 @@ from musym.reduction import (
     random_chooser,
     reduce,
 )
-from musym.symfun import Partition, spec_generator
+from musym.symfun import Partition, spec_basis_element, spec_generator
 
 P = parse_poly
 
@@ -291,4 +292,14 @@ def test_canonical_system_memo(tmp_path, monkeypatch):
     assert d.sequence == c.sequence
     assert d.qmatrix == c.qmatrix
     assert d.alphas == c.alphas
+    # files written by earlier versions also hold the basis; it is ignored
+    payload = json.loads(files[0].read_text())
+    assert "basis" not in payload
+    payload["basis"] = [poly_to_obj(spec_basis_element("e", a, mu)) for a in c.alphas]
+    files[0].write_text(json.dumps(payload))
+    clear_memo()
+    e = canonical_system(mu, 2)
+    assert e.sequence == c.sequence
+    assert e.qmatrix == c.qmatrix
+    assert e.alphas == c.alphas
     clear_memo()
