@@ -141,8 +141,8 @@ def check_lex_like(order: TermOrder) -> None:
     raise TypeError("packed kernel supports lexicographic(-product) orders only")
 
 
-def ring_for(variables: set[Var], order: TermOrder, weights=None) -> Ring:
+def ring_for(variables: set[Var], order: TermOrder) -> Ring:
     check_lex_like(order)
     unit = {v: order.key(term_from_exps({v: 1})) for v in variables}
     vars_ = sorted(variables, key=unit.get, reverse=True)
-    return Ring(vars_, weights)
+    return Ring(vars_)

@@ -81,9 +81,16 @@ def _parse_values(text: str) -> list:
         raise UsageError(f"bad value list {text!r}") from None
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from None
+
+
 def _dump_system(path: str, system: linsys.LinearSystem) -> None:
     """A|b as exact fractions, one row per degree-delta monomial."""
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         header = ["term"] + [
             "k[" + ",".join(str(a) for a in alpha) + "]" for alpha in system.column_index
@@ -356,7 +363,7 @@ def cmd_bench(args) -> int:
     for r in rows:
         print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in _BENCH_COLUMNS))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_output(args.csv) as fh:
             writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
             writer.writeheader()
             writer.writerows({c: r.get(c, "") for c in _CSV_COLUMNS} for r in rows)

@@ -2,11 +2,12 @@
 
 The mu-ideal <z_1 - g_1, ..., z_n - g_n> (g_i the specialized
 generators) is processed with a product order that ranks any term
-containing an r variable above every r-free term.  A reduced Groebner
-basis then decides everything at once: its r-free members generate the
-ideal of relations among the g_i, and the normal form of F(r) is r-free
-exactly when F is mu-symmetric, in which case the normal form is a gist
-of minimal weighted degree.
+containing an r variable above every r-free term.  Any Groebner basis
+of this ideal then decides everything at once: its r-free members
+generate the ideal of relations among the g_i, and the normal form of
+F(r), which is the same modulo every Groebner basis, is r-free exactly
+when F is mu-symmetric, in which case it is a gist of minimal weighted
+degree.
 
 The generators are homogeneous for the weighting that gives z_i weight
 i and every r variable weight 1, and pairs are selected by the weighted
@@ -14,8 +15,10 @@ degree of their lcm.  New pairs never fall below the degree currently
 being processed, so the computation is graded: once every pair of
 degree <= d has been treated, the basis is complete for all inputs of
 weighted degree <= d.  Normal forms of such inputs are therefore taken
-against a basis extended exactly that far; computing relations of
-unbounded degree runs the engine to exhaustion.
+against the engine's own primitive integer basis once it has been
+extended at least that far; computing relations of unbounded degree
+runs the engine to exhaustion.  The reduced, monic basis is built only
+when a caller reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import heapq
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import symfun
 from ._packed import Basis, Ring, ring_for, submul
@@ -123,8 +126,6 @@ class _GradedEngine:
         self.basis = Basis()
         self.pairs: dict[tuple[int, int], int] = {}
         self.heap: list = []
-        self.exhausted = False
-        self.reached = 0             # all pairs of wdeg <= reached are done
         self.lock = threading.Lock()  # cached engines may be shared
         for d in gens:
             if d:
@@ -169,66 +170,54 @@ class _GradedEngine:
     def extend(self, bound: int | None = None) -> None:
         """Treat every pair of weighted degree <= bound (all, if None)."""
         with self.lock:
-            self._extend(bound)
-
-    def _extend(self, bound: int | None) -> None:
-        if self.exhausted:
-            return
-        basis, guard = self.basis, self.guard
-        while self.pairs:
-            wd, i, j = self.heap[0]
-            if (i, j) not in self.pairs:
+            basis, guard = self.basis, self.guard
+            while self.pairs:
+                wd, i, j = self.heap[0]
+                if (i, j) not in self.pairs:
+                    heapq.heappop(self.heap)
+                    continue
+                if bound is not None and wd > bound:
+                    return
                 heapq.heappop(self.heap)
-                continue
-            if bound is not None and wd > bound:
-                self.reached = max(self.reached, bound)
-                return
-            heapq.heappop(self.heap)
-            lcm = self.pairs.pop((i, j))
-            self.reached = max(self.reached, wd)
-            r, lt = _top_reduce(_spoly(i, j, lcm, basis), basis, guard)
-            if not r:
-                continue
-            basis.add(_make_primitive(r, lt), lt)
-            self._update(len(basis) - 1)
-        self.exhausted = True
-        if bound is not None:
-            self.reached = max(self.reached, bound)
+                lcm = self.pairs.pop((i, j))
+                r, lt = _top_reduce(_spoly(i, j, lcm, basis), basis, guard)
+                if not r:
+                    continue
+                basis.add(_make_primitive(r, lt), lt)
+                self._update(len(basis) - 1)
+
+    def normal_form(self, f: dict) -> dict:
+        """Full normal form of f against the basis as extended so far."""
+        with self.lock:
+            return _full_reduce(f, self.basis, self.guard)
 
     def reduced_snapshot(self, bound: int | None = None) -> list[dict]:
         """Reduced basis of the elements at weighted degree <= bound."""
+        ring, guard, basis = self.ring, self.guard, self.basis
         with self.lock:
-            return self._snapshot(bound)
-
-    def _snapshot(self, bound: int | None) -> list[dict]:
-        ring, guard = self.ring, self.guard
-        if bound is None:
-            chosen = list(range(len(self.basis)))
-        else:
             chosen = [
-                idx for idx in range(len(self.basis))
-                if ring.wdeg(self.basis.lts[idx]) <= bound
+                idx for idx in range(len(basis))
+                if bound is None or ring.wdeg(basis.lts[idx]) <= bound
             ]
-        minimal: list[int] = []
-        for idx in sorted(chosen, key=lambda k: self.basis.lts[k]):
-            lt = self.basis.lts[idx]
-            if not any(
-                self.basis.lts[k] <= lt and not (lt - self.basis.lts[k]) & guard
-                for k in minimal
-            ):
-                minimal.append(idx)
-        reduced = Basis()
-        for idx in minimal:
-            reduced.add(self.basis.polys[idx], self.basis.lts[idx])
-        out = []
-        for pos in range(len(reduced)):
-            d = _full_reduce(reduced.polys[pos], reduced, guard, skip=pos)
-            lt = max(d)
-            lc = d[lt]
-            monic = {m: c / lc for m, c in d.items()}
-            out.append(monic)
-            reduced.polys[pos] = monic
-            reduced.lcs[pos] = rat(1)
+            minimal: list[int] = []
+            for idx in sorted(chosen, key=lambda k: basis.lts[k]):
+                lt = basis.lts[idx]
+                if not any(
+                    basis.lts[k] <= lt and not (lt - basis.lts[k]) & guard for k in minimal
+                ):
+                    minimal.append(idx)
+            reduced = Basis()
+            for idx in minimal:
+                reduced.add(basis.polys[idx], basis.lts[idx])
+            out = []
+            for pos in range(len(reduced)):
+                d = _full_reduce(reduced.polys[pos], reduced, guard, skip=pos)
+                lt = max(d)
+                lc = d[lt]
+                monic = {m: c / lc for m, c in d.items()}
+                out.append(monic)
+                reduced.polys[pos] = monic
+                reduced.lcs[pos] = rat(1)
         out.sort(key=max)
         return out
 
@@ -293,16 +282,24 @@ def mu_ideal_basis(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class EliminationSystem:
-    """Reduced Groebner data for one (mu, kind), complete up to ``degree``
-    (complete outright when ``degree`` is None)."""
+    """The graded engine for one (mu, kind), extended so that its basis is
+    complete for inputs up to ``degree`` (complete outright when ``degree``
+    is None).  ``basis`` and ``zonly`` unpack the reduced Groebner basis on
+    first read; gists reduce against the engine itself."""
 
     mu: symfun.Partition
     kind: str
     degree: int | None
-    basis: list[Polynomial]
-    zonly: list[Polynomial]
-    ring: Ring
-    dense: Basis
+    engine: _GradedEngine
+
+    @cached_property
+    def basis(self) -> list[Polynomial]:
+        ring = self.engine.ring
+        return [ring.undensify(d) for d in self.engine.reduced_snapshot(self.degree)]
+
+    @cached_property
+    def zonly(self) -> list[Polynomial]:
+        return [p for p in self.basis if "r" not in p.spaces()]
 
 
 @lru_cache(maxsize=None)
@@ -318,21 +315,16 @@ def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
 def _elimination_system(mu: symfun.Partition, kind: str, degree: int | None) -> EliminationSystem:
     engine = _engine(mu, kind)
     engine.extend(degree)
-    dense = Basis()
-    for d in engine.reduced_snapshot(degree):
-        dense.add(d)
-    basis = [engine.ring.undensify(d) for d in dense.polys]
-    zonly = [p for p in basis if "r" not in p.spaces()]
-    return EliminationSystem(mu, kind, degree, basis, zonly, engine.ring, dense)
+    return EliminationSystem(mu, kind, degree, engine)
 
 
 def elimination_system(
     mu: symfun.Partition, kind: str = "e", degree: int | None = None
 ) -> EliminationSystem:
-    """Reduced elimination basis, complete for inputs up to ``degree``.
+    """Elimination system for (mu, kind), complete for inputs up to ``degree``.
 
-    ``degree=None`` runs the engine to exhaustion and yields the full
-    reduced Groebner basis.  Results are memoized per process;
+    ``degree=None`` runs the engine to exhaustion, and ``basis`` is then
+    the full reduced Groebner basis.  Results are memoized per process;
     ``cache_info()`` reports on that memo and ``clear_memo()`` empties it.
     """
     return _elimination_system(mu, kind, degree)
@@ -363,9 +355,8 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     symfun.check_root_input(F, mu)
     if F.is_zero:
         return GistResult.from_poly(mu, kind, Polynomial.zero())
-    system = elimination_system(mu, kind, degree=F.total_degree())
-    r = _full_reduce(system.ring.densify(F), system.dense, system.ring.guard_mask)
-    result = system.ring.undensify(r)
+    engine = elimination_system(mu, kind, degree=F.total_degree()).engine
+    result = engine.ring.undensify(engine.normal_form(engine.ring.densify(F)))
     if "r" in result.spaces():
         return GistResult.not_symmetric(mu, kind)
     return GistResult.from_poly(mu, kind, result)

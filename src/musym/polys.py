@@ -43,6 +43,8 @@ def rat_from_str(text: str):
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return rat(int(num), int(den))
     return rat(int(text))
 
@@ -337,10 +339,6 @@ class TermOrder:
     def max_term(self, terms: Iterable[Term]) -> Term:
         return max(terms, key=self.key)
 
-    def compare(self, t1: Term, t2: Term) -> int:
-        k1, k2 = self.key(t1), self.key(t2)
-        return (k1 > k2) - (k1 < k2)
-
 
 class Lex(TermOrder):
     """Lexicographic order within one variable space.
@@ -519,6 +517,8 @@ def _poly_from_ast(node, original: str) -> Polynomial:
         if isinstance(op, ast.Div):
             if not right.is_constant:
                 raise ValueError(f"division by a non-constant in {original!r}")
+            if right.is_zero:
+                raise ValueError(f"division by zero in {original!r}")
             return left / right.constant_value()
         raise ValueError(f"unsupported operator in {original!r}")
     raise ValueError(f"cannot parse polynomial: {original!r}")
@@ -551,8 +551,3 @@ def poly_from_obj(obj: list[dict]) -> Polynomial:
         c = rat_from_str(str(entry["coeff"]))
         coeffs[term] = coeffs.get(term, rat(0)) + c
     return Polynomial(coeffs)
-
-
-def variables(space: str, count: int) -> list[Polynomial]:
-    """The polynomials ``space1 .. spacecount``."""
-    return [Polynomial.variable(space, i) for i in range(1, count + 1)]

@@ -55,8 +55,11 @@ def test_gist_nonhomogeneous_decomposition(capsys):
     assert P(out.strip()) == P("z1^2 - z2 + z1")
 
 
-def test_gist_usage_errors(capsys):
+def test_gist_usage_errors(tmp_path, capsys):
     cases = [
+        ("gist", "r1/0", "--mu", "1"),
+        ("gist", "r1+r2", "--mu", "1,1", "--eval", "1/0,1"),
+        ("gist", "dplus", "--mu", "2,1", "--dump-system", str(tmp_path / "missing" / "x.csv")),
         ("gist", "dplus", "--mu", "2,1", "--algo", "groebner", "--basis", "m"),
         ("gist", "dplus", "--mu", "0,1"),
         ("gist", "bogus~poly", "--mu", "2,1"),
@@ -73,7 +76,7 @@ def test_gist_usage_errors(capsys):
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.strip()
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_gist_reads_polynomial_from_file(tmp_path, capsys):
@@ -184,6 +187,9 @@ def test_bench_empty_suite(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(path))
     assert code == 0
     assert out.strip().splitlines()[0].startswith("id")
+    code, _, err = run(capsys, "bench", str(path), "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_dims_bad_range(capsys):

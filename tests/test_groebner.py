@@ -1,7 +1,10 @@
 import pytest
 
+from musym.gists import compute_gist
 from musym.groebner import (
+    _GradedEngine,
     buchberger,
+    clear_memo,
     elimination_system,
     ggist,
     is_groebner,
@@ -20,7 +23,7 @@ from musym.polys import (
     parse_poly,
     wdeg,
 )
-from musym.symfun import Partition, spec_generator, weak_partitions, z_term_for
+from musym.symfun import Partition, dplus, spec_generator, weak_partitions, z_term_for
 
 P = parse_poly
 
@@ -184,10 +187,51 @@ def test_ggist_worked_examples():
 
 def test_ggist_truncated_matches_full():
     mu = Partition.of(2, 2)
-    F = spec_generator("e", 2, mu) ** 2
-    truncated = ggist(F, mu)
-    full_basis = elimination_system(mu).basis
-    assert truncated.gist == normal_form(F, full_basis, ORDER_RZ)
+    for kind in ("e", "p", "c"):
+        clear_memo()
+        F = spec_generator(kind, 2, mu) ** 2
+        truncated = ggist(F, mu, kind)
+        full_basis = elimination_system(mu, kind).basis
+        assert truncated.gist == normal_form(F, full_basis, ORDER_RZ)
+
+
+def test_ggist_never_builds_the_reduced_basis(monkeypatch):
+    # gists reduce against the engine's own basis; the reduced snapshot
+    # is only an output view
+    mu = Partition.of(2, 2, 1)
+    positive = dplus(mu)
+    negative = positive + P("r1^10 - r2^10")  # not fixed by swapping r1, r2
+
+    def boom(*args, **kwargs):
+        raise AssertionError("reduced_snapshot called")
+
+    monkeypatch.setattr(_GradedEngine, "reduced_snapshot", boom)
+    clear_memo()
+    results = []
+    for _ in ("cold", "warm"):
+        results.append((positive, compute_gist(positive, mu, "e", "groebner")))
+        results.append((negative, compute_gist(negative, mu, "e", "groebner")))
+    monkeypatch.undo()
+    assert [r.symmetric for _, r in results] == [True, False, True, False]
+    basis = elimination_system(mu, "e", 10).basis
+    for F, r in results:
+        nf = normal_form(F, basis, ORDER_RZ)
+        if r.symmetric:
+            assert r.gist == nf
+        else:
+            assert "r" in nf.spaces()
+    clear_memo()
+
+
+def test_elimination_basis_unpacked_once_on_first_read():
+    mu = Partition.of(2, 2)
+    clear_memo()
+    system = elimination_system(mu, "e", 6)
+    assert "basis" not in vars(system) and "zonly" not in vars(system)
+    basis = system.basis
+    assert elimination_system(mu, "e", 6).basis is basis
+    assert all(any(p is q for q in basis) for p in system.zonly)
+    clear_memo()
 
 
 def test_ggist_zero():
@@ -218,9 +262,6 @@ def test_ggist_other_generator_families():
 def test_ggist_concurrent_same_structure():
     # a cached engine may be shared; concurrent extension must be safe
     import threading
-
-    from musym.groebner import clear_memo
-    from musym.symfun import dplus
 
     clear_memo()
     mu = Partition.of(2, 2, 1)

@@ -31,6 +31,8 @@ def test_rational_invariants():
     assert rat(0, 7) == 0 and rat(0, 7).denominator == 1
     assert rat_from_str("9/6") == rat(3, 2)
     assert rat_from_str("-5") == rat(-5)
+    with pytest.raises(ValueError):
+        rat_from_str("1/0")
 
 
 def test_add_cancellation():
@@ -136,7 +138,7 @@ def test_format_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q1 + 1", "r1 +", "r0", "r1^x", "(r1", "r1/r2", "1.5*r1"):
+    for bad in ("", "q1 + 1", "r1 +", "r0", "r1^x", "(r1", "r1/r2", "1.5*r1", "r1/0", "r1/(r1-r1)"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 
