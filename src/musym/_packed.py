@@ -15,6 +15,7 @@ Every product, reduction and S-polynomial is built from one primitive,
 from __future__ import annotations
 
 import heapq
+import math
 
 from .polys import Lex, Polynomial, ProductOrder, Term, TermOrder, Var, term_from_exps
 
@@ -99,6 +100,16 @@ def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: i
                 work[mm] = s
             else:
                 del work[mm]
+
+
+def content(values) -> int:
+    """gcd of the integers ``values``; the scan stops once it reaches 1."""
+    g = 0
+    for v in values:
+        g = math.gcd(g, v)
+        if g == 1:
+            break
+    return g
 
 
 def mul(d1: dict, d2: dict) -> dict:

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import Basis, Ring, ring_for, submul
+from ._packed import Basis, Ring, content, ring_for, submul
 from .gistresult import GistResult
 from .polys import ORDER_RZ, Polynomial, TermOrder, rat
 
 try:
-    from gmpy2 import gcd as _gcd, lcm as _lcm
-except ImportError:  # pragma: no cover
-    _gcd, _lcm = math.gcd, math.lcm
+    from gmpy2 import lcm as _lcm
+except ImportError:
+    _lcm = math.lcm
 
 
 def _make_primitive(d: dict, lt: int) -> dict:
@@ -45,9 +45,7 @@ def _make_primitive(d: dict, lt: int) -> dict:
     den = 1
     for c in d.values():
         den = _lcm(den, c.denominator)
-    num = 0
-    for c in d.values():
-        num = _gcd(num, c.numerator * (den // c.denominator))
+    num = content(c.numerator * (den // c.denominator) for c in d.values())
     scale = rat(den, num) if d[lt] > 0 else rat(-den, num)
     return {m: c * scale for m, c in d.items()}
 

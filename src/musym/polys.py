@@ -9,7 +9,10 @@ terms to nonzero rational coefficients.
 
 All arithmetic is exact.  Coefficients are ``gmpy2.mpq`` when gmpy2 is
 available and ``fractions.Fraction`` otherwise; both store reduced
-fractions with positive denominator.
+fractions with positive denominator.  The packed kernels behind the cr,
+ls and dims routes (``symfun.spec_basis``, the canonical sequences and
+the reduce sweep in ``reduction``, and ``linsys``'s elimination) hold
+Python ints internally and meet these rationals only at their edges.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ try:
         return _mpq(num, den)
 
     Rational = type(_mpq(0))
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
     from fractions import Fraction as _Fraction
 
     def rat(num, den=1):

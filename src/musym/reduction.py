@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, ring_for, submul
+from ._packed import Basis, content, ring_for, submul
 from .gistresult import GistResult
 from .polys import (
     ORDER_R,
@@ -53,15 +55,54 @@ class CanonizeResult:
     qmatrix: list[list]    # len(input) x len(sequence); C = B . Q
 
 
-def _reduce_packed(work: dict, seq: Basis):
-    """The reduction sweep on packed dicts.
+def _integer_form(d: dict) -> tuple[dict, int]:
+    """A packed dict with rational coefficients as (ints, den), d = ints/den."""
+    den = math.lcm(*(int(c.denominator) for c in d.values()))
+    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in d.items()}, den
 
+
+def _primitive(d: dict, den: int, lt: int) -> tuple[dict, object]:
+    """d/den, with d an integer dict led by lt, as (P, s): P has content 1
+    and a positive lead, and d/den = s*P.  A primitive d with a positive
+    lead is returned as it is."""
+    c = content(d.values())
+    if d[lt] < 0:
+        c = -c
+    if c != 1:
+        d = {m: v // c for m, v in d.items()}
+    return d, rat(c, den)
+
+
+def _unpack(ring, d: dict, scale) -> Polynomial:
+    """The Polynomial scale * d."""
+    return ring.undensify({m: c * scale for m, c in d.items()})
+
+
+def _add_member(seq: Basis, scales: list, d: dict) -> None:
+    """Append the rational packed dict d to a sequence in integer form."""
+    ints, den = _integer_form(d)
+    lt = max(ints)
+    p, s = _primitive(ints, den, lt)
+    seq.add(p, lt)
+    scales.append(s)
+
+
+def _reduce_packed(work: dict, seq: Basis, scales: list, den: int):
+    """The reduction sweep on packed integer dicts, fraction-free.
+
+    The polynomial reduced is work/den, and sequence member i is
+    scales[i] * seq.polys[i], stored primitive with a positive lead.
     Terms of the work polynomial above the current sequence member move
     to the remainder; a matching leading term triggers one cancellation;
     otherwise the sweep advances down the sequence.  Each member is used
-    at most once.  The largest term of ``work`` comes from a lazy
-    max-heap that may hold monomials already cancelled.  Returns
-    (remainder, coeffs, loops).
+    at most once.  To cancel a coefficient a against a lead lc, the work
+    dict, the remainder and den are first scaled by lc/gcd(a, lc), so that
+    the multiple of the member subtracted is an integer; the common
+    content of the three is then stripped.  The largest term of ``work``
+    comes from a lazy max-heap that may hold monomials already
+    cancelled.  Returns (remainder, den, coeffs, loops): the remainder
+    is remainder/den, and coeffs[i] is the exact rational taken of
+    member i.
     """
     remainder: dict = {}
     coeffs = [rat(0)] * len(seq)
@@ -81,12 +122,27 @@ def _reduce_packed(work: dict, seq: Basis):
         else:
             if t == lt_i:
                 heapq.heappop(heap)
-                q = work.pop(t) / seq.lcs[i - 1]
-                coeffs[i - 1] = q
-                submul(work, q, 0, seq.polys[i - 1], heap, skip=t)
+                a = work.pop(t)
+                lc = seq.lcs[i - 1]
+                g = math.gcd(a, lc)
+                scale = lc // g
+                if scale != 1:
+                    for part in (work, remainder):
+                        for m in part:
+                            part[m] *= scale
+                    den *= scale
+                coeffs[i - 1] = rat(a // g, den) / scales[i - 1]
+                submul(work, a // g, 0, seq.polys[i - 1], heap, skip=t)
+                if scale != 1:
+                    g = content(chain((den,), work.values(), remainder.values()))
+                    if g != 1:
+                        for part in (work, remainder):
+                            for m in part:
+                                part[m] //= g
+                        den //= g
             i -= 1
     remainder.update(work)
-    return remainder, coeffs, loops
+    return remainder, den, coeffs, loops
 
 
 def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> ReduceResult:
@@ -97,11 +153,12 @@ def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -
     """
     all_vars = set(F.variables()).union(*(c.variables() for c in C)) if C else set(F.variables())
     ring = ring_for(all_vars, order)
-    seq = Basis()
+    seq, scales = Basis(), []
     for c in C:
-        seq.add(ring.densify(c))
-    remainder, coeffs, loops = _reduce_packed(ring.densify(F), seq)
-    return ReduceResult(ring.undensify(remainder), tuple(coeffs), loops)
+        _add_member(seq, scales, ring.densify(c))
+    work, den = _integer_form(ring.densify(F))
+    remainder, den, coeffs, loops = _reduce_packed(work, seq, scales, den)
+    return ReduceResult(_unpack(ring, remainder, rat(1, den)), tuple(coeffs), loops)
 
 
 def is_canonical(C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> bool:
@@ -121,17 +178,25 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
     output in terms of the input.
     """
     ring = ring_for(set().union(*(b.variables() for b in B)), order)
-    seq, qmatrix = _canonize_packed([ring.densify(b) for b in B])
-    return CanonizeResult([ring.undensify(d) for d in seq.polys], qmatrix)
+    forms = [_integer_form(ring.densify(b)) for b in B]
+    seq, scales, qmatrix = _canonize_packed([d for d, _ in forms], [den for _, den in forms])
+    return CanonizeResult([_unpack(ring, d, s) for d, s in zip(seq.polys, scales)], qmatrix)
 
 
-def _canonize_packed(B: Sequence[dict]) -> tuple[Basis, list[list]]:
-    """canonize on packed dicts, which are left unchanged: (sequence,
-    qmatrix)."""
+def _canonize_packed(
+    B: Sequence[dict], dens: Sequence[int] | None = None
+) -> tuple[Basis, list, list[list]]:
+    """canonize on packed integer dicts, which are left unchanged.
+
+    Input member idx is B[idx]/dens[idx] (dens default to 1).  Returns
+    (sequence, scales, qmatrix), where the canonical member i is
+    scales[i] * sequence.polys[i].
+    """
     seq = Basis()
+    scales: list = []
     combos: list[dict] = []     # expression of each member over B: index -> coeff
     for idx, b in enumerate(B):
-        remainder, coeffs, _ = _reduce_packed(dict(b), seq)
+        remainder, den, coeffs, _ = _reduce_packed(dict(b), seq, scales, dens[idx] if dens else 1)
         if not remainder:
             continue
         combo = {idx: rat(1)}
@@ -139,11 +204,14 @@ def _canonize_packed(B: Sequence[dict]) -> tuple[Basis, list[list]]:
             if c != 0:
                 submul(combo, c, 0, combos[j])
         lt = max(remainder)
+        remainder, s = _primitive(remainder, den, lt)
         pos = bisect_left(seq.lts, lt)
         seq.insert(pos, remainder, lt)
+        scales.insert(pos, s)
         combos.insert(pos, combo)
-    qmatrix = [[combo.get(i, rat(0)) for combo in combos] for i in range(len(B))]
-    return seq, qmatrix
+    zero = rat(0)
+    qmatrix = [[combo.get(i, zero) for combo in combos] for i in range(len(B))]
+    return seq, scales, qmatrix
 
 
 # -- nondeterministic reduction -----------------------------------------
@@ -203,7 +271,8 @@ class CanonicalSystem:
     """Canonize output for one (mu, delta, kind), reusable across inputs.
 
     ``dense`` holds the canonical sequence packed in the root ring
-    ``symfun._root_ring(mu.m)``.
+    ``symfun._root_ring(mu.m)`` as primitive integer dicts with positive
+    leads; member i is scales[i] * dense.polys[i].
     """
 
     mu: symfun.Partition
@@ -211,12 +280,13 @@ class CanonicalSystem:
     kind: str
     alphas: list[tuple[int, ...]]
     dense: Basis
+    scales: list
     qmatrix: list[list]
 
     @property
     def sequence(self) -> list[Polynomial]:
         ring = symfun._root_ring(self.mu.m)
-        return [ring.undensify(d) for d in self.dense.polys]
+        return [_unpack(ring, d, s) for d, s in zip(self.dense.polys, self.scales)]
 
 
 def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
@@ -274,15 +344,16 @@ def _load_system(path: str, mu: symfun.Partition, delta: int, kind: str) -> Cano
     with open(path) as fh:
         payload = json.load(fh)
     ring = symfun._root_ring(mu.m)
-    dense = Basis()
+    dense, scales = Basis(), []
     for obj in payload["sequence"]:
-        dense.add(ring.densify(poly_from_obj(obj)))
+        _add_member(dense, scales, ring.densify(poly_from_obj(obj)))
     return CanonicalSystem(
         mu,
         delta,
         kind,
         [tuple(a) for a in payload["alphas"]],
         dense,
+        scales,
         [[rat_from_str(q) for q in row] for row in payload["qmatrix"]],
     )
 
@@ -303,7 +374,8 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     if not is_homogeneous(F):
         raise ValueError("crgist expects a homogeneous polynomial")
     system = canonical_system(mu, F.total_degree(), kind)
-    remainder, reduced, _ = _reduce_packed(symfun._root_ring(mu.m).densify(F), system.dense)
+    work, den = _integer_form(symfun._root_ring(mu.m).densify(F))
+    remainder, _, reduced, _ = _reduce_packed(work, system.dense, system.scales, den)
     if remainder:
         return GistResult.not_symmetric(mu, kind)
     coeffs = []

@@ -224,9 +224,16 @@ def _root_ring(m: int) -> _packed.Ring:
     return _packed.Ring([("r", i) for i in range(m, 0, -1)])
 
 
+def _int_packed(p: Polynomial, mu: Partition) -> dict:
+    """An integer-coefficient polynomial packed in the root ring, with
+    Python int coefficients."""
+    return {mon: int(c) for mon, c in _root_ring(mu.m).densify(p).items()}
+
+
 @lru_cache(maxsize=None)
 def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> dict:
-    """prod_i spec_generator(kind, i, mu)^counts[i-1], packed in the root ring.
+    """prod_i spec_generator(kind, i, mu)^counts[i-1], packed in the root
+    ring with int coefficients.
 
     Built from its prefix, the product with one factor of the lowest
     index fewer, which ``_spec_packed`` has memoized one step before.
@@ -235,15 +242,15 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
     """
     low = next((i for i, c in enumerate(counts) if c), None)
     if low is None:
-        return {0: rat(1)}
+        return {0: 1}
     prefix = counts[:low] + (counts[low] - 1,) + counts[low + 1:]
-    gen = _root_ring(mu.m).densify(spec_generator(kind, low + 1, mu))
+    gen = _int_packed(spec_generator(kind, low + 1, mu), mu)
     return _packed.mul(_spec_product_packed(kind, prefix, mu), gen)
 
 
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
     if kind == "m":
-        return _root_ring(mu.m).densify(specialize(monomial_generator(tuple(alpha), mu.n), mu))
+        return _int_packed(specialize(monomial_generator(tuple(alpha), mu.n), mu), mu)
     # alpha is weakly decreasing: each step's prefix is the step before,
     # so the memoized product recurses one level, however long alpha is
     counts = [0] * mu.n
@@ -262,9 +269,11 @@ def spec_basis_element(kind: str, alpha: tuple[int, ...], mu: Partition) -> Poly
 def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict]]:
     """Index set and specialized basis for degree delta, in index order.
 
-    The basis members are packed dicts in the root ring ``_root_ring(mu.m)``.
-    For the e/p/c kinds they are the memoized products themselves, shared
-    by every caller: do not mutate them.
+    The basis members are packed dicts in the root ring ``_root_ring(mu.m)``
+    with Python int coefficients: every generator family here has integer
+    coefficients, and so does its specialization.  For the e/p/c kinds
+    they are the memoized products themselves, shared by every caller: do
+    not mutate them.
     """
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
@@ -417,5 +426,4 @@ def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int
     from . import reduction  # local import; reduction builds on this module
 
     alphas, basis = spec_basis(kind, delta, mu)
-    sequence, _ = reduction._canonize_packed(basis)
-    return len(alphas), len(sequence)
+    return len(alphas), len(reduction._canonize_packed(basis)[0])

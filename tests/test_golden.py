@@ -1,7 +1,7 @@
 """Byte-identical CLI output on the acceptance inputs.
 
 ``golden_cli.json`` holds the stdout and exit code of every call in
-CALLS, recorded before the kernels and caches were consolidated.  A
+CALLS, each recorded before the kernel change it guards.  A
 change that alters any of them must be deliberate; regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -32,6 +32,12 @@ CALLS = [
     ["dims", "--mu", "2,2", "--delta", "1..6"],
     ["ideal", "--mu", "2,2"],
     ["canonize", "--mu", "2,2,1", "--delta", "4", "--json"],
+    # non-unit leads and rational quotient matrices
+    ["canonize", "--mu", "3,1,1", "--basis", "p", "--delta", "10", "--json"],
+    ["canonize", "--mu", "2,2,2", "--delta", "8", "--json"],
+    ["canonize", "--mu", "2,2,1", "--basis", "m", "--delta", "8", "--json"],
+    ["dims", "--mu", "1,1,1,1,1", "--delta", "1..9"],
+    ["gist", "dplus", "--mu", "3,2,1", "--algo", "cr", "--basis", "p"],
 ]
 
 

@@ -1,11 +1,23 @@
 import json
+import math
 import random
 
 import pytest
 
+from musym import cli, gists, reduction, symfun
 from musym.linsys import matrix_rank
-from musym.polys import ORDER_R, Polynomial, parse_poly, poly_to_obj, rat, term_from_exps
+from musym.polys import (
+    ORDER_R,
+    Polynomial,
+    Rational,
+    leading,
+    parse_poly,
+    poly_to_obj,
+    rat,
+    term_from_exps,
+)
 from musym.reduction import (
+    ReduceResult,
     adversarial_chooser,
     canonical_system,
     canonize,
@@ -17,7 +29,7 @@ from musym.reduction import (
     random_chooser,
     reduce,
 )
-from musym.symfun import Partition, spec_basis_element, spec_generator
+from musym.symfun import Partition, dplus, spec_basis_element, spec_generator
 
 P = parse_poly
 
@@ -303,3 +315,183 @@ def test_canonical_system_memo(tmp_path, monkeypatch):
     assert e.qmatrix == c.qmatrix
     assert e.alphas == c.alphas
     clear_memo()
+
+
+# -- the integer sweep against a rational reference -----------------------
+
+
+def _reference_reduce(F, C):
+    """The single sweep over rational coefficients, on Polynomials."""
+    key = ORDER_R.key
+    lts = [leading(c, ORDER_R) for c in C]
+    work, remainder = F, Polynomial.zero()
+    coeffs = [rat(0)] * len(C)
+    i, loops = len(C), 0
+    while not work.is_zero and i > 0:
+        loops += 1
+        t, a = leading(work, ORDER_R)
+        lt, lc = lts[i - 1]
+        if key(t) > key(lt):
+            remainder = remainder + Polynomial.monomial(t, a)
+            work = work - Polynomial.monomial(t, a)
+        else:
+            if t == lt:
+                coeffs[i - 1] = a / lc
+                work = work - coeffs[i - 1] * C[i - 1]
+            i -= 1
+    return ReduceResult(remainder + work, tuple(coeffs), loops)
+
+
+def _reference_canonize(B):
+    key = ORDER_R.key
+    seq, combos = [], []
+    for idx, b in enumerate(B):
+        res = _reference_reduce(b, seq)
+        if res.remainder.is_zero:
+            continue
+        combo = {idx: rat(1)}
+        for j, c in enumerate(res.coeffs):
+            for k, q in combos[j].items():
+                combo[k] = combo.get(k, rat(0)) - c * q
+        lt = key(leading(res.remainder, ORDER_R)[0])
+        pos = sum(1 for s in seq if key(leading(s, ORDER_R)[0]) < lt)
+        seq.insert(pos, res.remainder)
+        combos.insert(pos, combo)
+    return seq, [[combo.get(i, rat(0)) for combo in combos] for i in range(len(B))]
+
+
+def _random_rational_poly(rng, terms=4):
+    coeffs = {}
+    for _ in range(rng.randint(1, terms)):
+        exps = {("r", i): rng.randint(0, 2) for i in (1, 2, 3)}
+        num = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5])
+        coeffs[term_from_exps(exps)] = rat(num, rng.randint(1, 4))
+    return Polynomial(coeffs)
+
+
+def test_integer_sweep_matches_rational_reference():
+    rng = random.Random(51)
+    seen = {"rank_deficient": 0, "negative_lead": 0, "non_unit_lead": 0,
+            "zero_remainder": 0, "nonzero_remainder": 0}
+    for _ in range(80):
+        base = [_random_rational_poly(rng) for _ in range(rng.randint(1, 5))]
+        extra = [rat(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(base) + rng.choice(base)
+                 for _ in range(rng.randint(0, 2))]
+        B = [b for b in base + extra if not b.is_zero]
+        rng.shuffle(B)
+        ref_seq, ref_q = _reference_canonize(B)
+        got = canonize(B)
+        assert got.sequence == ref_seq
+        assert got.qmatrix == ref_q
+        seen["rank_deficient"] += len(ref_seq) < len(B)
+        for c in ref_seq:
+            lc = leading(c, ORDER_R)[1]
+            seen["negative_lead"] += lc < 0
+            seen["non_unit_lead"] += abs(lc) != 1
+        for _ in range(3):
+            F = sum((rat(rng.randint(-5, 5), rng.randint(1, 6)) * c for c in ref_seq),
+                    Polynomial.zero())
+            if rng.random() < 0.5:
+                F = F + _random_rational_poly(rng, 2)
+            want = _reference_reduce(F, ref_seq)
+            assert reduce(F, got.sequence) == want
+            seen["zero_remainder" if want.remainder.is_zero else "nonzero_remainder"] += 1
+    assert all(seen.values()), seen
+
+
+def test_integer_kernels_keep_rationals_at_the_edges():
+    mu = Partition.of(2, 2, 1)
+    F = dplus(mu)
+    for kind in symfun.BASIS_KINDS:
+        _, basis = symfun.spec_basis(kind, 6, mu)
+        assert all(type(c) is int for d in basis for c in d.values())
+    clear_memo()
+    for kind in ("e", "p"):
+        system = canonical_system(mu, 8, kind)
+        # the documented integer form: primitive members with positive leads
+        assert all(lc > 0 for lc in system.dense.lcs)
+        assert all(math.gcd(*d.values()) == 1 for d in system.dense.polys)
+        assert all(isinstance(c, Rational) for p in system.sequence for _, c in p.items())
+        assert all(isinstance(q, Rational) for row in system.qmatrix for q in row)
+        res = reduce(P("r1^5*r2^3/3 - 2*r3^8"), system.sequence)
+        assert all(isinstance(c, Rational) for _, c in res.remainder.items())
+        assert res.coeffs and all(isinstance(c, Rational) for c in res.coeffs)
+        assert isinstance(res.loops, int)
+    for algo in ("groebner", "cr", "ls"):
+        for kind in ("e", "m"):
+            if algo == "groebner" and kind == "m":
+                continue
+            res = gists.compute_gist(F / 3, mu, kind, algo)
+            values = [c for _, c in res.mcombo] if kind == "m" else [c for _, c in res.gist.items()]
+            assert values and all(isinstance(c, Rational) for c in values), (algo, kind)
+    clear_memo()
+
+
+def _cli_stdout(argv):
+    import contextlib
+    import io
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return buf.getvalue()
+
+
+def _fresh_process_state():
+    reduction.clear_memo()
+    symfun.clear_caches()
+
+
+def test_disk_cache_round_trip(tmp_path, monkeypatch):
+    mu = Partition.of(3, 1, 1)
+    inputs = [dplus(mu), dplus(mu) / 7, P("r1^10 - r2^10"), spec_generator("p", 2, mu) ** 5]
+    argv = ["canonize", "--mu", "3,1,1", "--basis", "p", "--delta", "10", "--json"]
+    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
+    _fresh_process_state()
+    fresh = [crgist(F, mu, "p") for F in inputs]
+    fresh_json = _cli_stdout(argv)
+    monkeypatch.setenv("MUSYM_CACHE_DIR", str(tmp_path))
+    _fresh_process_state()
+    canonical_system(mu, 10, "p")  # built and stored
+    assert len(list(tmp_path.glob("canonize_*.json"))) == 1
+    _fresh_process_state()
+    calls = []
+    real = reduction._canonize_packed
+    monkeypatch.setattr(reduction, "_canonize_packed", lambda *a: calls.append(a) or real(*a))
+    assert [crgist(F, mu, "p") for F in inputs] == fresh
+    assert _cli_stdout(argv) == fresh_json
+    assert calls == []  # every system above came back from disk
+    _fresh_process_state()
+
+
+# written by the rational sweep, before canonical systems were held in
+# integer form; it has negative and non-unit leads and a rational qmatrix
+EARLIER_FILE = (
+    '{"mu": [2, 1], "delta": 4, "kind": "p", "alphas": [[1, 1, 1, 1], [2, 1, 1, 0], '
+    '[2, 2, 0, 0], [3, 1, 0, 0]], "sequence": [[{"coeff": "-3/4", "exps": {"r1": 4}}, '
+    '{"coeff": "3", "exps": {"r1": 3, "r2": 1}}], [{"coeff": "4", "exps": {"r1": 4}}, '
+    '{"coeff": "16", "exps": {"r1": 3, "r2": 1}}, {"coeff": "16", "exps": {"r1": 2, "r2": 2}}], '
+    '[{"coeff": "-8", "exps": {"r1": 4}}, {"coeff": "-24", "exps": {"r1": 3, "r2": 1}}, '
+    '{"coeff": "-18", "exps": {"r1": 2, "r2": 2}}, {"coeff": "-4", "exps": {"r1": 1, "r2": 3}}], '
+    '[{"coeff": "16", "exps": {"r1": 4}}, {"coeff": "32", "exps": {"r1": 3, "r2": 1}}, '
+    '{"coeff": "24", "exps": {"r1": 2, "r2": 2}}, {"coeff": "8", "exps": {"r1": 1, "r2": 3}}, '
+    '{"coeff": "1", "exps": {"r2": 4}}]], "qmatrix": [["5/16", "1", "-1", "1"], '
+    '["-9/8", "-2", "1", "0"], ["-3/16", "1", "0", "0"], ["1", "0", "0", "0"]]}'
+)
+
+
+def test_disk_cache_loads_earlier_file(tmp_path, monkeypatch):
+    mu = Partition.of(2, 1)
+    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
+    _fresh_process_state()
+    fresh = canonical_system(mu, 4, "p")
+    inputs = [dplus(mu) ** 2 / 5, P("r1^4 + 2*r2^4"), P("r1^3*r2")]
+    want = [crgist(F, mu, "p") for F in inputs]
+    (tmp_path / "canonize_p_2-1_d4.json").write_text(EARLIER_FILE)
+    monkeypatch.setenv("MUSYM_CACHE_DIR", str(tmp_path))
+    _fresh_process_state()
+    loaded = canonical_system(mu, 4, "p")
+    assert loaded.sequence == fresh.sequence
+    assert loaded.qmatrix == fresh.qmatrix
+    assert [crgist(F, mu, "p") for F in inputs] == want
+    _fresh_process_state()
