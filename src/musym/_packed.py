@@ -112,6 +112,22 @@ def content(values) -> int:
     return g
 
 
+def integer_form(d: dict) -> tuple[dict, int]:
+    """A packed dict with rational coefficients as (ints, den), d = ints/den."""
+    den = math.lcm(*(int(c.denominator) for c in d.values()))
+    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in d.items()}, den
+
+
+def primitive(d: dict) -> dict:
+    """A nonzero integer dict divided by its content, signed so that the
+    coefficient at its largest key is positive; returned as it is when it
+    is already so."""
+    c = content(d.values())
+    if d[max(d)] < 0:
+        c = -c
+    return d if c == 1 else {m: v // c for m, v in d.items()}
+
+
 def mul(d1: dict, d2: dict) -> dict:
     """Product of packed polynomials (monomial product = integer add)."""
     out: dict = {}

@@ -24,30 +24,19 @@ when a caller reads it.
 from __future__ import annotations
 
 import heapq
-import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import Basis, Ring, content, ring_for, submul
+from ._packed import Basis, Ring, integer_form, primitive, ring_for, submul
 from .gistresult import GistResult
 from .polys import ORDER_RZ, Polynomial, TermOrder, rat
 
-try:
-    from gmpy2 import lcm as _lcm
-except ImportError:
-    _lcm = math.lcm
 
-
-def _make_primitive(d: dict, lt: int) -> dict:
+def _make_primitive(d: dict) -> dict:
     """Scale to integer coefficients with content 1 and positive lead."""
-    den = 1
-    for c in d.values():
-        den = _lcm(den, c.denominator)
-    num = content(c.numerator * (den // c.denominator) for c in d.values())
-    scale = rat(den, num) if d[lt] > 0 else rat(-den, num)
-    return {m: c * scale for m, c in d.items()}
+    return {m: rat(v) for m, v in primitive(integer_form(d)[0]).items()}
 
 
 def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
@@ -128,7 +117,7 @@ class _GradedEngine:
         for d in gens:
             if d:
                 lt = max(d)
-                self.basis.add(_make_primitive(d, lt), lt)
+                self.basis.add(_make_primitive(d), lt)
                 self._update(len(self.basis) - 1)
 
     def _push(self, i: int, j: int, lcm: int) -> None:
@@ -181,7 +170,7 @@ class _GradedEngine:
                 r, lt = _top_reduce(_spoly(i, j, lcm, basis), basis, guard)
                 if not r:
                     continue
-                basis.add(_make_primitive(r, lt), lt)
+                basis.add(_make_primitive(r), lt)
                 self._update(len(basis) - 1)
 
     def normal_form(self, f: dict) -> dict:

@@ -47,7 +47,6 @@ def _integer_rows(matrix: list[list]) -> list[list[int]]:
     and so every solution set, is unchanged."""
     out = []
     for row in matrix:
-        row = [rat(v) for v in row]
         scale = math.lcm(*(int(v.denominator) for v in row))
         out.append([int(v.numerator) * (scale // int(v.denominator)) for v in row])
     return out
@@ -184,8 +183,7 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e", delta: in
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     rows = degree_terms(mu.m, delta)
     ring = symfun._root_ring(mu.m)
-    zero = rat(0)
-    A = [[g.get(mon, zero) for g in basis] for mon in map(ring.pack_term, rows)]
+    A = [[g.get(mon, 0) for g in basis] for mon in map(ring.pack_term, rows)]
     b = [F.coeff(t) for t in rows]
     return LinearSystem(A, b, alphas, rows)
 

@@ -4,11 +4,17 @@ A canonical sequence is a list of linearly independent homogeneous
 polynomials sorted by strictly increasing leading term.  ``reduce``
 rewrites a polynomial against such a sequence in a single sweep from
 the largest leading term down; ``canonize`` turns any spanning set
-into a canonical sequence.  Both can track quotients so that
+into a canonical sequence.  Both track quotients so that
 
     F = C . q + R        and        C = B . Q
 
 hold exactly, which is what ``crgist`` uses to assemble a gist.
+
+The sweep runs on packed dicts with integer coefficients, and the
+quotients ride along as tags, as in the augmented matrix [B | I] of
+fraction-free elimination: the negative key ~k stands for input k and
+sorts below every monomial, so the steps that cancel monomials also
+carry the quotients, and no step needs a rational.
 
 ``reduce`` follows the single-sweep loop structure faithfully, loop
 count included, rather than any shortcut through Gaussian elimination.
@@ -22,12 +28,12 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, content, ring_for, submul
+from ._packed import Basis, content, integer_form, primitive, ring_for, submul
 from .gistresult import GistResult
 from .polys import (
     ORDER_R,
@@ -55,66 +61,47 @@ class CanonizeResult:
     qmatrix: list[list]    # len(input) x len(sequence); C = B . Q
 
 
-def _integer_form(d: dict) -> tuple[dict, int]:
-    """A packed dict with rational coefficients as (ints, den), d = ints/den."""
-    den = math.lcm(*(int(c.denominator) for c in d.values()))
-    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in d.items()}, den
+def _unpack(ring, d: dict) -> Polynomial:
+    """The monomials of the tagged member d over its lowest tag."""
+    low = d[min(d)]
+    return ring.undensify({m: rat(c, low) for m, c in d.items() if m >= 0})
 
 
-def _primitive(d: dict, den: int, lt: int) -> tuple[dict, object]:
-    """d/den, with d an integer dict led by lt, as (P, s): P has content 1
-    and a positive lead, and d/den = s*P.  A primitive d with a positive
-    lead is returned as it is."""
-    c = content(d.values())
-    if d[lt] < 0:
-        c = -c
-    if c != 1:
-        d = {m: v // c for m, v in d.items()}
-    return d, rat(c, den)
+def _quotients(seq: Basis, n: int) -> list[list]:
+    """Q of C = B . Q over n inputs: each member's tags over its lowest."""
+    lows = [d[min(d)] for d in seq.polys]
+    return [[rat(d.get(~k, 0), low) for d, low in zip(seq.polys, lows)] for k in range(n)]
 
 
-def _unpack(ring, d: dict, scale) -> Polynomial:
-    """The Polynomial scale * d."""
-    return ring.undensify({m: c * scale for m, c in d.items()})
-
-
-def _add_member(seq: Basis, scales: list, d: dict) -> None:
-    """Append the rational packed dict d to a sequence in integer form."""
-    ints, den = _integer_form(d)
-    lt = max(ints)
-    p, s = _primitive(ints, den, lt)
-    seq.add(p, lt)
-    scales.append(s)
-
-
-def _reduce_packed(work: dict, seq: Basis, scales: list, den: int):
+def _reduce_packed(work: dict, seq: Basis, den: int):
     """The reduction sweep on packed integer dicts, fraction-free.
 
-    The polynomial reduced is work/den, and sequence member i is
-    scales[i] * seq.polys[i], stored primitive with a positive lead.
-    Terms of the work polynomial above the current sequence member move
-    to the remainder; a matching leading term triggers one cancellation;
+    The dict reduced is work/den, and the members of seq are integer
+    dicts with positive leads; tags may ride along in both.  Terms of
+    the work polynomial above the current sequence member move to the
+    remainder; a matching leading term triggers one cancellation;
     otherwise the sweep advances down the sequence.  Each member is used
-    at most once.  To cancel a coefficient a against a lead lc, the work
-    dict, the remainder and den are first scaled by lc/gcd(a, lc), so that
-    the multiple of the member subtracted is an integer; the common
-    content of the three is then stripped.  The largest term of ``work``
-    comes from a lazy max-heap that may hold monomials already
-    cancelled.  Returns (remainder, den, coeffs, loops): the remainder
-    is remainder/den, and coeffs[i] is the exact rational taken of
-    member i.
+    at most once, and the sweep stops once only tags remain.  To cancel
+    a coefficient a against a lead lc, the work dict, the remainder and
+    den are first scaled by lc/gcd(a, lc), so that the multiple of the
+    member subtracted is an integer; the common content of the three is
+    then stripped.  The largest key of ``work`` comes from a lazy
+    max-heap that may hold monomials already cancelled.  Returns
+    (remainder, den, loops): remainder/den, tags included, is what is
+    left of work/den.
     """
     remainder: dict = {}
-    coeffs = [rat(0)] * len(seq)
     heap = [-m for m in work]
     heapq.heapify(heap)
     i = len(seq)
     loops = 0
     while work and i > 0:
-        loops += 1
         while -heap[0] not in work:
             heapq.heappop(heap)
         t = -heap[0]
+        if t < 0:
+            break
+        loops += 1
         lt_i = seq.lts[i - 1]
         if t > lt_i:
             heapq.heappop(heap)
@@ -131,7 +118,6 @@ def _reduce_packed(work: dict, seq: Basis, scales: list, den: int):
                         for m in part:
                             part[m] *= scale
                     den *= scale
-                coeffs[i - 1] = rat(a // g, den) / scales[i - 1]
                 submul(work, a // g, 0, seq.polys[i - 1], heap, skip=t)
                 if scale != 1:
                     g = content(chain((den,), work.values(), remainder.values()))
@@ -142,7 +128,7 @@ def _reduce_packed(work: dict, seq: Basis, scales: list, den: int):
                         den //= g
             i -= 1
     remainder.update(work)
-    return remainder, den, coeffs, loops
+    return remainder, den, loops
 
 
 def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> ReduceResult:
@@ -153,12 +139,15 @@ def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -
     """
     all_vars = set(F.variables()).union(*(c.variables() for c in C)) if C else set(F.variables())
     ring = ring_for(all_vars, order)
-    seq, scales = Basis(), []
-    for c in C:
-        _add_member(seq, scales, ring.densify(c))
-    work, den = _integer_form(ring.densify(F))
-    remainder, den, coeffs, loops = _reduce_packed(work, seq, scales, den)
-    return ReduceResult(_unpack(ring, remainder, rat(1, den)), tuple(coeffs), loops)
+    seq = Basis()
+    for k, c in enumerate(C):
+        member, den = integer_form(ring.densify(c))
+        member[~k] = den
+        seq.add(primitive(member))
+    work, den = integer_form(ring.densify(F))
+    remainder, den, loops = _reduce_packed(work, seq, den)
+    coeffs = tuple(rat(-remainder.pop(~k, 0), den) for k in range(len(C)))
+    return ReduceResult(ring.undensify({m: rat(c, den) for m, c in remainder.items()}), coeffs, loops)
 
 
 def is_canonical(C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> bool:
@@ -178,40 +167,31 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
     output in terms of the input.
     """
     ring = ring_for(set().union(*(b.variables() for b in B)), order)
-    forms = [_integer_form(ring.densify(b)) for b in B]
-    seq, scales, qmatrix = _canonize_packed([d for d, _ in forms], [den for _, den in forms])
-    return CanonizeResult([_unpack(ring, d, s) for d, s in zip(seq.polys, scales)], qmatrix)
+    forms = [integer_form(ring.densify(b)) for b in B]
+    seq = _canonize_packed([d for d, _ in forms], [den for _, den in forms])
+    return CanonizeResult([_unpack(ring, d) for d in seq.polys], _quotients(seq, len(B)))
 
 
-def _canonize_packed(
-    B: Sequence[dict], dens: Sequence[int] | None = None
-) -> tuple[Basis, list, list[list]]:
+def _canonize_packed(B: Sequence[dict], dens: Sequence[int] | None = None) -> Basis:
     """canonize on packed integer dicts, which are left unchanged.
 
-    Input member idx is B[idx]/dens[idx] (dens default to 1).  Returns
-    (sequence, scales, qmatrix), where the canonical member i is
-    scales[i] * sequence.polys[i].
+    Input member idx is B[idx]/dens[idx] (dens default to 1); it enters
+    the sweep tagged ~idx with its own den.  Each stored member is
+    primitive over its monomials and tags, with a positive lead.  Its
+    lowest tag is that of its own input, since later inputs never feed
+    earlier members; over that tag, its monomials are the canonical
+    member and its tags the member's column of Q.
     """
     seq = Basis()
-    scales: list = []
-    combos: list[dict] = []     # expression of each member over B: index -> coeff
     for idx, b in enumerate(B):
-        remainder, den, coeffs, _ = _reduce_packed(dict(b), seq, scales, dens[idx] if dens else 1)
-        if not remainder:
-            continue
-        combo = {idx: rat(1)}
-        for j, c in enumerate(coeffs):
-            if c != 0:
-                submul(combo, c, 0, combos[j])
+        den = dens[idx] if dens else 1
+        work = dict(b)
+        work[~idx] = den
+        remainder, _, _ = _reduce_packed(work, seq, den)
         lt = max(remainder)
-        remainder, s = _primitive(remainder, den, lt)
-        pos = bisect_left(seq.lts, lt)
-        seq.insert(pos, remainder, lt)
-        scales.insert(pos, s)
-        combos.insert(pos, combo)
-    zero = rat(0)
-    qmatrix = [[combo.get(i, zero) for combo in combos] for i in range(len(B))]
-    return seq, scales, qmatrix
+        if lt >= 0:
+            seq.insert(bisect_left(seq.lts, lt), primitive(remainder), lt)
+    return seq
 
 
 # -- nondeterministic reduction -----------------------------------------
@@ -271,8 +251,10 @@ class CanonicalSystem:
     """Canonize output for one (mu, delta, kind), reusable across inputs.
 
     ``dense`` holds the canonical sequence packed in the root ring
-    ``symfun._root_ring(mu.m)`` as primitive integer dicts with positive
-    leads; member i is scales[i] * dense.polys[i].
+    ``symfun._root_ring(mu.m)`` as ``_canonize_packed`` leaves it:
+    primitive integer dicts with positive leads, where the tag ~k stands
+    for basis element k.  ``sequence`` and ``qmatrix`` are derived from
+    it on first read.
     """
 
     mu: symfun.Partition
@@ -280,13 +262,15 @@ class CanonicalSystem:
     kind: str
     alphas: list[tuple[int, ...]]
     dense: Basis
-    scales: list
-    qmatrix: list[list]
 
-    @property
+    @cached_property
     def sequence(self) -> list[Polynomial]:
         ring = symfun._root_ring(self.mu.m)
-        return [_unpack(ring, d, s) for d, s in zip(self.dense.polys, self.scales)]
+        return [_unpack(ring, d) for d in self.dense.polys]
+
+    @cached_property
+    def qmatrix(self) -> list[list]:
+        return _quotients(self.dense, len(self.alphas))
 
 
 def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
@@ -303,7 +287,7 @@ def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalS
     if path and os.path.exists(path):
         return _load_system(path, mu, delta, kind)
     alphas, basis = symfun.spec_basis(kind, delta, mu)
-    system = CanonicalSystem(mu, delta, kind, alphas, *_canonize_packed(basis))
+    system = CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis))
     if path:
         _store_system(path, system)
     return system
@@ -344,18 +328,13 @@ def _load_system(path: str, mu: symfun.Partition, delta: int, kind: str) -> Cano
     with open(path) as fh:
         payload = json.load(fh)
     ring = symfun._root_ring(mu.m)
-    dense, scales = Basis(), []
-    for obj in payload["sequence"]:
-        _add_member(dense, scales, ring.densify(poly_from_obj(obj)))
-    return CanonicalSystem(
-        mu,
-        delta,
-        kind,
-        [tuple(a) for a in payload["alphas"]],
-        dense,
-        scales,
-        [[rat_from_str(q) for q in row] for row in payload["qmatrix"]],
-    )
+    qmatrix = [[rat_from_str(q) for q in row] for row in payload["qmatrix"]]
+    dense = Basis()
+    for i, obj in enumerate(payload["sequence"]):
+        member = ring.densify(poly_from_obj(obj))
+        member.update((~k, row[i]) for k, row in enumerate(qmatrix) if row[i])
+        dense.add(primitive(integer_form(member)[0]))
+    return CanonicalSystem(mu, delta, kind, [tuple(a) for a in payload["alphas"]], dense)
 
 
 # -- the canonize+reduce gist algorithm ----------------------------------
@@ -365,8 +344,8 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     """Check mu-symmetry of a homogeneous F by reduction.
 
     Canonize the specialized basis for deg(F), reduce F against it; a
-    zero remainder means F lies in the span and the tracked quotients
-    assemble the gist as Z . Q . q.
+    zero remainder means F lies in the span, and the tags left over,
+    negated and over den, are the gist's coefficients on that basis.
     """
     symfun.check_root_input(F, mu)
     if F.is_constant:
@@ -374,15 +353,9 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     if not is_homogeneous(F):
         raise ValueError("crgist expects a homogeneous polynomial")
     system = canonical_system(mu, F.total_degree(), kind)
-    work, den = _integer_form(symfun._root_ring(mu.m).densify(F))
-    remainder, _, reduced, _ = _reduce_packed(work, system.dense, system.scales, den)
-    if remainder:
+    work, den = integer_form(symfun._root_ring(mu.m).densify(F))
+    remainder, den, _ = _reduce_packed(work, system.dense, den)
+    if max(remainder) >= 0:
         return GistResult.not_symmetric(mu, kind)
-    coeffs = []
-    for row in system.qmatrix:
-        total = rat(0)
-        for q, c in zip(row, reduced):
-            if q != 0 and c != 0:
-                total += q * c
-        coeffs.append(total)
+    coeffs = [rat(-remainder.get(~k, 0), den) for k in range(len(system.alphas))]
     return GistResult.from_coeffs(mu, kind, system.alphas, coeffs)

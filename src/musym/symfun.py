@@ -236,7 +236,9 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
     ring with int coefficients.
 
     Built from its prefix, the product with one factor of the lowest
-    index fewer, which ``_spec_packed`` has memoized one step before.
+    index fewer, which ``_spec_packed`` has memoized one step before,
+    times the generator, taken from its own unit-count entry so that it
+    is packed once.
     Keyed by counts rather than by the parts, so the keys of a chain of
     L factors hold O(L n) entries, not O(L^2).
     """
@@ -244,8 +246,10 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
     if low is None:
         return {0: 1}
     prefix = counts[:low] + (counts[low] - 1,) + counts[low + 1:]
-    gen = _int_packed(spec_generator(kind, low + 1, mu), mu)
-    return _packed.mul(_spec_product_packed(kind, prefix, mu), gen)
+    if not any(prefix):
+        return _int_packed(spec_generator(kind, low + 1, mu), mu)
+    unit = (0,) * low + (1,) + (0,) * (len(counts) - low - 1)
+    return _packed.mul(_spec_product_packed(kind, prefix, mu), _spec_product_packed(kind, unit, mu))
 
 
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
@@ -426,4 +430,4 @@ def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int
     from . import reduction  # local import; reduction builds on this module
 
     alphas, basis = spec_basis(kind, delta, mu)
-    return len(alphas), len(reduction._canonize_packed(basis)[0])
+    return len(alphas), len(reduction._canonize_packed(basis))

@@ -38,6 +38,13 @@ CALLS = [
     ["canonize", "--mu", "2,2,1", "--basis", "m", "--delta", "8", "--json"],
     ["dims", "--mu", "1,1,1,1,1", "--delta", "1..9"],
     ["gist", "dplus", "--mu", "3,2,1", "--algo", "cr", "--basis", "p"],
+] + [
+    # rational, non-homogeneous input: quotients read out over den > 1
+    ["gist", "(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7", "--mu", "2,1", "--algo", "cr", "--basis", basis]
+    for basis in ("e", "p", "c", "m")
+] + [
+    ["gist", "r1^3/5 - 2*r2^3/3 + (r1-r2)^6/11", "--mu", "2,1", "--algo", "cr"],
+    ["canonize", "--mu", "2,1", "--basis", "p", "--delta", "5", "--json"],
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -369,16 +370,22 @@ def _random_rational_poly(rng, terms=4):
     return Polynomial(coeffs)
 
 
+def _random_family(rng):
+    base = [_random_rational_poly(rng) for _ in range(rng.randint(1, 5))]
+    extra = [rat(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(base) + rng.choice(base)
+             for _ in range(rng.randint(0, 2))]
+    B = base + extra  # zero members kept: a skipped input's tag must not reach Q
+    rng.shuffle(B)
+    return B
+
+
 def test_integer_sweep_matches_rational_reference():
     rng = random.Random(51)
     seen = {"rank_deficient": 0, "negative_lead": 0, "non_unit_lead": 0,
-            "zero_remainder": 0, "nonzero_remainder": 0}
-    for _ in range(80):
-        base = [_random_rational_poly(rng) for _ in range(rng.randint(1, 5))]
-        extra = [rat(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(base) + rng.choice(base)
-                 for _ in range(rng.randint(0, 2))]
-        B = [b for b in base + extra if not b.is_zero]
-        rng.shuffle(B)
+            "zero_remainder": 0, "nonzero_remainder": 0, "zero_input": 0}
+    families = chain((_random_family(rng) for _ in range(80)), ([Polynomial.zero()] * 2, []))
+    for B in families:
+        seen["zero_input"] += any(b.is_zero for b in B)
         ref_seq, ref_q = _reference_canonize(B)
         got = canonize(B)
         assert got.sequence == ref_seq
@@ -397,6 +404,19 @@ def test_integer_sweep_matches_rational_reference():
             assert reduce(F, got.sequence) == want
             seen["zero_remainder" if want.remainder.is_zero else "nonzero_remainder"] += 1
     assert all(seen.values()), seen
+
+
+def test_cold_canonical_system_makes_no_rational(monkeypatch):
+    # the quotients ride the integer sweep as tags; Q is read off on demand
+    calls = []
+    real = reduction.rat
+    monkeypatch.setattr(reduction, "rat", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
+    clear_memo()
+    symfun.clear_caches()
+    system = canonical_system(Partition.of(3, 2, 1), 12)
+    assert len(system.dense) > 0 and calls == []
+    clear_memo()
 
 
 def test_integer_kernels_keep_rationals_at_the_edges():
