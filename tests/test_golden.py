@@ -45,6 +45,17 @@ CALLS = [
 ] + [
     ["gist", "r1^3/5 - 2*r2^3/3 + (r1-r2)^6/11", "--mu", "2,1", "--algo", "cr"],
     ["canonize", "--mu", "2,1", "--basis", "p", "--delta", "5", "--json"],
+    # Buchberger run to exhaustion, with non-unit leads under p and c
+    ["ideal", "--mu", "3,2"],
+    ["ideal", "--mu", "2,1", "--basis", "c"],
+    ["ideal", "--mu", "3,1", "--basis", "p"],
+] + [
+    # rational input: the engine's integer normal form has den > 1
+    ["gist", "(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7", "--mu", "2,1", "--algo", "groebner", "--basis", basis]
+    for basis in ("e", "p", "c")
+] + [
+    # equal multiplicities make equal rows: 19 distinct of 91
+    ["gist", "dplus", "--mu", "2,2,2", "--algo", "ls"],
 ]
 
 
