@@ -102,6 +102,27 @@ def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: i
                 del work[mm]
 
 
+def cancel(work: dict, t: int, basis: Basis, idx: int, heap: list, *scaled: dict) -> int:
+    """Cancel term t of the integer dict work against basis[idx],
+    without dividing.
+
+    With a = work[t] and lc the member's lead, work and every dict in
+    ``scaled`` are first multiplied by lc/gcd(a, lc), so that the
+    multiple of the member subtracted is the integer a/gcd(a, lc).
+    Returns that scale.
+    """
+    a = work.pop(t)
+    lt, lc = basis.lts[idx], basis.lcs[idx]
+    d = math.gcd(a, lc)
+    scale = lc // d
+    if scale != 1:
+        for part in (work, *scaled):
+            for m in part:
+                part[m] *= scale
+    submul(work, a // d, t - lt, basis.polys[idx], heap, skip=lt)
+    return scale
+
+
 def content(values) -> int:
     """gcd of the integers ``values``; the scan stops once it reaches 1."""
     g = 0
@@ -130,6 +151,8 @@ def primitive(d: dict) -> dict:
 
 def mul(d1: dict, d2: dict) -> dict:
     """Product of packed polynomials (monomial product = integer add)."""
+    if len(d1) > len(d2):
+        d1, d2 = d2, d1
     out: dict = {}
     for m1, a in d1.items():
         submul(out, -a, m1, d2)

@@ -104,14 +104,17 @@ def _dump_system(path: str, system: linsys.LinearSystem) -> None:
             )
 
 
+GROEBNER_ON_M = (
+    "the groebner algorithm is not available for the monomial basis: "
+    "it needs the n-generator ideal presentation; use --algo cr or ls"
+)
+
+
 def cmd_gist(args) -> int:
     mu = _parse_mu(args.mu)
     F = named_input(args.f, mu)
     if args.algo == "groebner" and args.basis == "m":
-        raise UsageError(
-            "the groebner algorithm is not available for the monomial basis: "
-            "it needs the n-generator ideal presentation; use --algo cr or ls"
-        )
+        raise UsageError(GROEBNER_ON_M)
     if args.dump_system:
         if F.is_zero:
             raise UsageError("cannot dump a system for the zero polynomial")
@@ -291,6 +294,8 @@ def _bench_row(entry, repeat: int, check: bool):
     for kind in bases:
         if kind not in symfun.BASIS_KINDS:
             raise UsageError(f"unknown basis {kind!r} in suite entry {fid!r}")
+        if kind == "m" and set(algos) == {"groebner"}:
+            raise UsageError(f"{GROEBNER_ON_M} (suite entry {fid!r})")
         delta = F.total_degree() if not F.is_zero else 0
         row = {
             "id": fid, "F": entry["f"], "delta": delta, "mu": str(mu), "n": mu.n,

@@ -1,4 +1,4 @@
-"""Buchberger engine over Q and the elimination route to gists.
+"""Fraction-free Buchberger engine and the elimination route to gists.
 
 The mu-ideal <z_1 - g_1, ..., z_n - g_n> (g_i the specialized
 generators) is processed with a product order that ranks any term
@@ -19,24 +19,33 @@ against the engine's own primitive integer basis once it has been
 extended at least that far; computing relations of unbounded degree
 runs the engine to exhaustion.  The reduced, monic basis is built only
 when a caller reads it.
+
+The engine never divides.  Its members are primitive integer dicts with
+positive leads; S-polynomials are taken times lcm(lc_i, lc_j), and a
+reduction step scales what it reduces by lc/gcd(a, lc) before it
+subtracts an integer multiple of a member, as the reduce sweep of
+``reduction`` does (Bareiss, Math. Comp. 22, 1968).  Rationals appear
+only in what is handed out: normal forms, S-polynomials and the reduced
+basis.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import Basis, Ring, integer_form, primitive, ring_for, submul
+from ._packed import Basis, Ring, cancel, integer_form, primitive, ring_for, submul
 from .gistresult import GistResult
 from .polys import ORDER_RZ, Polynomial, TermOrder, rat
 
 
 def _make_primitive(d: dict) -> dict:
     """Scale to integer coefficients with content 1 and positive lead."""
-    return {m: rat(v) for m, v in primitive(integer_form(d)[0]).items()}
+    return primitive(integer_form(d)[0])
 
 
 def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
@@ -46,16 +55,11 @@ def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
     return -1
 
 
-def _cancel(work: dict, t: int, idx: int, basis: Basis, heap: list) -> None:
-    """Cancel term t of work with a multiple of basis[idx]."""
-    lt = basis.lts[idx]
-    submul(work, work.pop(t) / basis.lcs[idx], t - lt, basis.polys[idx], heap, skip=lt)
-
-
 def _top_reduce(f: dict, basis: Basis, guard: int) -> tuple[dict, int]:
     """Reduce until zero or the leading monomial has no reducer.
 
-    Returns (poly, lt); tails stay as they are.
+    Returns (poly, lt), poly a multiple of f's reduction; tails stay as
+    they are.
     """
     heap = [-m for m in f]
     heapq.heapify(heap)
@@ -68,14 +72,16 @@ def _top_reduce(f: dict, basis: Basis, guard: int) -> tuple[dict, int]:
         if idx < 0:
             return f, t
         heapq.heappop(heap)
-        _cancel(f, t, idx, basis, heap)
+        cancel(f, t, basis, idx, heap)
     return {}, -1
 
 
-def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> dict:
-    """Full normal form: no remaining term divisible by a basis lead."""
+def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> tuple[dict, int]:
+    """Full normal form of the integer dict f: no remaining term divisible
+    by a basis lead.  Returns (out, den), the normal form being out/den."""
     work = dict(f)
     out: dict = {}
+    den = 1
     heap = [-m for m in work]
     heapq.heapify(heap)
     while heap:
@@ -86,14 +92,25 @@ def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> dict:
         if idx < 0:
             out[t] = work.pop(t)
         else:
-            _cancel(work, t, idx, basis, heap)
-    return out
+            den *= cancel(work, t, basis, idx, heap, out)
+    return out, den
+
+
+def _rational_normal_form(f: dict, basis: Basis, guard: int) -> dict:
+    """Normal form of a rational dict f against an integer basis."""
+    ints, den = integer_form(f)
+    out, scale = _full_reduce(ints, basis, guard)
+    den *= scale
+    return {m: rat(c, den) for m, c in out.items()}
 
 
 def _spoly(i: int, j: int, lcm: int, basis: Basis) -> dict:
+    """lcm(lc_i, lc_j) times the S-polynomial of basis[i] and basis[j]."""
+    lc_i, lc_j = basis.lcs[i], basis.lcs[j]
+    scale = math.lcm(lc_i, lc_j)
     out: dict = {}
-    submul(out, -1 / basis.lcs[i], lcm - basis.lts[i], basis.polys[i])
-    submul(out, 1 / basis.lcs[j], lcm - basis.lts[j], basis.polys[j])
+    submul(out, -(scale // lc_i), lcm - basis.lts[i], basis.polys[i], skip=basis.lts[i])
+    submul(out, scale // lc_j, lcm - basis.lts[j], basis.polys[j], skip=basis.lts[j])
     return out
 
 
@@ -170,13 +187,14 @@ class _GradedEngine:
                 r, lt = _top_reduce(_spoly(i, j, lcm, basis), basis, guard)
                 if not r:
                     continue
-                basis.add(_make_primitive(r), lt)
+                basis.add(primitive(r), lt)
                 self._update(len(basis) - 1)
 
     def normal_form(self, f: dict) -> dict:
-        """Full normal form of f against the basis as extended so far."""
+        """Full normal form of the rational dict f against the basis as
+        extended so far."""
         with self.lock:
-            return _full_reduce(f, self.basis, self.guard)
+            return _rational_normal_form(f, self.basis, self.guard)
 
     def reduced_snapshot(self, bound: int | None = None) -> list[dict]:
         """Reduced basis of the elements at weighted degree <= bound."""
@@ -198,13 +216,11 @@ class _GradedEngine:
                 reduced.add(basis.polys[idx], basis.lts[idx])
             out = []
             for pos in range(len(reduced)):
-                d = _full_reduce(reduced.polys[pos], reduced, guard, skip=pos)
-                lt = max(d)
-                lc = d[lt]
-                monic = {m: c / lc for m, c in d.items()}
-                out.append(monic)
-                reduced.polys[pos] = monic
-                reduced.lcs[pos] = rat(1)
+                d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, skip=pos)[0])
+                lc = d[reduced.lts[pos]]
+                out.append({m: rat(c, lc) for m, c in d.items()})
+                reduced.polys[pos] = d
+                reduced.lcs[pos] = lc
         out.sort(key=max)
         return out
 
@@ -231,17 +247,18 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder = ORDER
     ring = ring_for(all_vars, order)
     dense = Basis()
     for g in basis:
-        dense.add(ring.densify(g))
-    return ring.undensify(_full_reduce(ring.densify(f), dense, ring.guard_mask))
+        dense.add(_make_primitive(ring.densify(g)))
+    return ring.undensify(_rational_normal_form(ring.densify(f), dense, ring.guard_mask))
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder = ORDER_RZ) -> Polynomial:
     ring = ring_for(set(f.variables()) | set(g.variables()), order)
     basis = Basis()
     for p in (f, g):
-        basis.add(ring.densify(p))
+        basis.add(_make_primitive(ring.densify(p)))
     lcm = ring.lcm(basis.lts[0], basis.lts[1])
-    return ring.undensify(_spoly(0, 1, lcm, basis))
+    scale = math.lcm(*basis.lcs)
+    return ring.undensify({m: rat(c, scale) for m, c in _spoly(0, 1, lcm, basis).items()})
 
 
 def is_groebner(basis: list[Polynomial], order: TermOrder = ORDER_RZ) -> bool:

@@ -66,19 +66,21 @@ def _bareiss(m: list[list[int]]) -> list[int]:
     prev = 1
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        # the smallest pivot keeps the minors that follow small
+        pivot = min((i for i in range(r, rows) if m[i][c]), key=lambda i: abs(m[i][c]), default=None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        a = top[c]
+        a = m[r][c]
+        tail = m[r][c + 1:]
         for i in range(r + 1, rows):
+            # left of c, every row below r is already zero
             row = m[i]
             f = row[c]
             if f:
-                m[i] = [(a * x - f * y) // prev for x, y in zip(row, top)]
-            else:
-                m[i] = [a * x // prev for x in row]
+                row[c:] = [0] + [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif a != prev:
+                row[c + 1:] = [a * x // prev for x in row[c + 1:]]
         prev = a
         pivots.append(c)
         r += 1
@@ -96,22 +98,29 @@ def matrix_rank(matrix: list[list]) -> int:
 def solve_particular(A: list[list], b: list) -> list | None:
     """A solution of A x = b with free variables pinned to 0, or None.
 
-    The free variables fix the solution, so it is the one ``rref``
-    gives; only the back-substitution divides.
+    Repeated rows of [A | b] are dropped first: the row space, and so
+    the pivots and the solution, stay the same.  The free variables fix
+    the solution, so it is the one ``rref`` gives.  After Bareiss
+    elimination the last pivot D is the determinant of the pivot
+    subsystem, so D x is an integer vector (Cramer's rule): the
+    back-substitution solves for it over ints, with exact divisions,
+    and only the final D x / D are rational.
     """
     if not A:
         return []
     cols = len(A[0])
-    aug = _integer_rows([row + [bv] for row, bv in zip(A, b)])
+    rows = dict.fromkeys((*row, bv) for row, bv in zip(A, b))
+    aug = _integer_rows([list(row) for row in rows])
     pivots = _bareiss(aug)
     if cols in pivots:
         return None  # pivot in the constants column: inconsistent
-    x = [rat(0)] * cols
+    det = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
+    dx = [0] * cols  # D x
     for r in range(len(pivots) - 1, -1, -1):
         row = aug[r]
-        rhs = rat(row[cols]) - sum((row[c] * x[c] for c in pivots[r + 1:]), rat(0))
-        x[pivots[r]] = rhs / row[pivots[r]]
-    return x
+        rhs = det * row[cols] - sum(row[c] * dx[c] for c in pivots[r + 1:])
+        dx[pivots[r]] = rhs // row[pivots[r]]
+    return [rat(v, det) for v in dx]
 
 
 def nullspace(A: list[list]) -> list[list]:

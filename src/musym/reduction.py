@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, content, integer_form, primitive, ring_for, submul
+from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
 from .gistresult import GistResult
 from .polys import (
     ORDER_R,
@@ -109,17 +108,9 @@ def _reduce_packed(work: dict, seq: Basis, den: int):
         else:
             if t == lt_i:
                 heapq.heappop(heap)
-                a = work.pop(t)
-                lc = seq.lcs[i - 1]
-                g = math.gcd(a, lc)
-                scale = lc // g
+                scale = cancel(work, t, seq, i - 1, heap, remainder)
                 if scale != 1:
-                    for part in (work, remainder):
-                        for m in part:
-                            part[m] *= scale
                     den *= scale
-                submul(work, a // g, 0, seq.polys[i - 1], heap, skip=t)
-                if scale != 1:
                     g = content(chain((den,), work.values(), remainder.values()))
                     if g != 1:
                         for part in (work, remainder):

@@ -235,31 +235,32 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
     """prod_i spec_generator(kind, i, mu)^counts[i-1], packed in the root
     ring with int coefficients.
 
-    Built from its prefix, the product with one factor of the lowest
+    Built from its prefix, the product with one factor of the highest
     index fewer, which ``_spec_packed`` has memoized one step before,
     times the generator, taken from its own unit-count entry so that it
     is packed once.
     Keyed by counts rather than by the parts, so the keys of a chain of
     L factors hold O(L n) entries, not O(L^2).
     """
-    low = next((i for i, c in enumerate(counts) if c), None)
-    if low is None:
+    high = next((i for i in range(len(counts) - 1, -1, -1) if counts[i]), None)
+    if high is None:
         return {0: 1}
-    prefix = counts[:low] + (counts[low] - 1,) + counts[low + 1:]
+    prefix = counts[:high] + (counts[high] - 1,) + counts[high + 1:]
     if not any(prefix):
-        return _int_packed(spec_generator(kind, low + 1, mu), mu)
-    unit = (0,) * low + (1,) + (0,) * (len(counts) - low - 1)
+        return _int_packed(spec_generator(kind, high + 1, mu), mu)
+    unit = (0,) * high + (1,) + (0,) * (len(counts) - high - 1)
     return _packed.mul(_spec_product_packed(kind, prefix, mu), _spec_product_packed(kind, unit, mu))
 
 
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
     if kind == "m":
         return _int_packed(specialize(monomial_generator(tuple(alpha), mu.n), mu), mu)
-    # alpha is weakly decreasing: each step's prefix is the step before,
-    # so the memoized product recurses one level, however long alpha is
+    # alpha is weakly decreasing, walked from its smallest part: each
+    # step's prefix is the step before, so the memoized product recurses
+    # one level, however long alpha is
     counts = [0] * mu.n
     out = _spec_product_packed(kind, tuple(counts), mu)
-    for a in alpha:
+    for a in reversed(alpha):
         if a:
             counts[a - 1] += 1
             out = _spec_product_packed(kind, tuple(counts), mu)

@@ -171,6 +171,29 @@ def test_bench_small_suite(tmp_path, capsys):
     assert all(r["consistent"] == "True" for r in rows)
 
 
+def test_bench_groebner_alone_on_monomial_basis_is_a_usage_error(tmp_path, capsys):
+    # no algorithm would run, so there is no verdict to report
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"f": "dplus", "mu": "2,1", "bases": ["m"], "algos": ["groebner"]}]))
+    code, out, err = run(capsys, "bench", str(path))
+    assert code == 2 and out == ""
+    assert "not available for the monomial basis" in err
+
+
+def test_bench_skips_only_groebner_on_monomial_basis(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"f": "dplus", "mu": "2,1", "bases": ["m"], "algos": ["groebner", "cr"]}]))
+    csv_path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "bench", str(path), "--check", "--csv", str(csv_path))
+    assert code == 0
+    import csv as csvmod
+
+    with open(csv_path) as fh:
+        (row,) = list(csvmod.DictReader(fh))
+    assert (row["verdict"], row["consistent"]) == ("Y", "True")
+    assert row["canonize_ms"] and row["groebner_nf_ms"] == ""
+
+
 def test_bench_rejects_malformed_suite(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"not": "a list"}')

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from musym import groebner
 from musym.gists import compute_gist
 from musym.groebner import (
     _GradedEngine,
@@ -176,6 +179,13 @@ def test_spolynomial_basic():
     assert s == P("x1")
 
 
+def test_spolynomial_rational_and_negative_leads():
+    # the S-polynomial does not depend on how either input is scaled
+    expected = P("x1^2/2 - x2/6")
+    assert spolynomial(P("2*x2^2 + x1"), P("-3*x1*x2 - 1/2"), ORDER_X) == expected
+    assert spolynomial(P("-x2^2 - x1/2"), P("6*x1*x2 + 1"), ORDER_X) == expected
+
+
 def test_ggist_worked_examples():
     mu = Partition.of(2, 1)
     res = ggist(P("3*r1^2 + r2^2 + 2*r1*r2"), mu)
@@ -220,6 +230,21 @@ def test_ggist_never_builds_the_reduced_basis(monkeypatch):
             assert r.gist == nf
         else:
             assert "r" in nf.spaces()
+    clear_memo()
+
+
+def test_cold_engine_runs_on_primitive_ints(monkeypatch):
+    # Buchberger is fraction-free: rationals appear only in what it hands out
+    clear_memo()
+    calls = []
+    real = groebner.rat
+    monkeypatch.setattr(groebner, "rat", lambda *a: calls.append(a) or real(*a))
+    engine = elimination_system(Partition.of(2, 2, 1), "e", 10).engine
+    assert calls == [] and len(engine.basis) > 5
+    assert all(type(c) is int for d in engine.basis.polys for c in d.values())
+    assert all(type(lc) is int and lc > 0 for lc in engine.basis.lcs)
+    assert all(d[lt] == lc for d, lt, lc in zip(engine.basis.polys, engine.basis.lts, engine.basis.lcs))
+    assert all(math.gcd(*d.values()) == 1 for d in engine.basis.polys)
     clear_memo()
 
 

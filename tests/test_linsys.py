@@ -37,10 +37,24 @@ def test_rref_pivots_and_rank():
     assert matrix_rank([]) == 0
 
 
+def _rref_particular(A, b):
+    cols = len(A[0])
+    red, pivots = rref([row + [bv] for row, bv in zip(A, b)])
+    if cols in pivots:
+        return None
+    expected = [rat(0)] * cols
+    for r, c in enumerate(pivots):
+        expected[c] = red[r][cols]
+    return expected
+
+
 def test_fraction_free_solve_matches_rref():
     # rank-deficient or sparse rational systems, half of them inconsistent: the
-    # integer elimination must give rref's solution and rank exactly
+    # integer elimination must give rref's solution and rank exactly; so must
+    # the same systems with repeated rows of [A | b], and with equal rows of A
+    # that carry different b
     rng = random.Random(7)
+    dup = random.Random(8)
     for _ in range(300):
         rows, cols = rng.randint(1, 8), rng.randint(1, 7)
         rank = rng.randint(0, min(rows, cols))
@@ -52,15 +66,18 @@ def test_fraction_free_solve_matches_rref():
         b = [sum((a * rng.randint(-2, 2) for a in row), rat(0)) for row in A]
         if rng.random() < 0.5:
             b[rng.randrange(rows)] += 1
-        red, pivots = rref([row + [bv] for row, bv in zip(A, b)])
-        if cols in pivots:
-            expected = None
-        else:
-            expected = [rat(0)] * cols
-            for r, c in enumerate(pivots):
-                expected[c] = red[r][cols]
-        assert solve_particular(A, b) == expected
+        assert solve_particular(A, b) == _rref_particular(A, b)
         assert matrix_rank(A) == len(rref(A)[1])
+        picks = [dup.randrange(rows) for _ in range(dup.randint(1, 6))]
+        A2, b2 = A + [list(A[i]) for i in picks], b + [b[i] for i in picks]
+        order = list(range(len(A2)))
+        dup.shuffle(order)
+        A2, b2 = [A2[i] for i in order], [b2[i] for i in order]
+        assert solve_particular(A2, b2) == _rref_particular(A2, b2) == _rref_particular(A, b)
+        i = dup.randrange(rows)
+        A3, b3 = A2 + [list(A[i])], b2 + [b[i] + dup.choice([-1, rat(1, 3)])]
+        assert _rref_particular(A3, b3) is None
+        assert solve_particular(A3, b3) is None
 
 
 def test_nullspace_vectors_solve():
