@@ -59,6 +59,10 @@ def _bareiss(m: list[list[int]]) -> list[int]:
     integer minor of the input, so each division below is exact and no
     rational arithmetic is needed.  The pivot columns are those of
     ``rref``, since both pick the first nonzero column at every step.
+    Each pivot is the smallest candidate in its column, which keeps the
+    minors that follow small in practice; below the pivot row, every
+    entry left of the pivot column is already zero, so only the columns
+    right of it are updated.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -66,7 +70,6 @@ def _bareiss(m: list[list[int]]) -> list[int]:
     prev = 1
     r = 0
     for c in range(cols):
-        # the smallest pivot keeps the minors that follow small
         pivot = min((i for i in range(r, rows) if m[i][c]), key=lambda i: abs(m[i][c]), default=None)
         if pivot is None:
             continue
@@ -74,7 +77,6 @@ def _bareiss(m: list[list[int]]) -> list[int]:
         a = m[r][c]
         tail = m[r][c + 1:]
         for i in range(r + 1, rows):
-            # left of c, every row below r is already zero
             row = m[i]
             f = row[c]
             if f:
