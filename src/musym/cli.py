@@ -104,17 +104,11 @@ def _dump_system(path: str, system: linsys.LinearSystem) -> None:
             )
 
 
-GROEBNER_ON_M = (
-    "the groebner algorithm is not available for the monomial basis: "
-    "it needs the n-generator ideal presentation; use --algo cr or ls"
-)
-
-
 def cmd_gist(args) -> int:
     mu = _parse_mu(args.mu)
     F = named_input(args.f, mu)
     if args.algo == "groebner" and args.basis == "m":
-        raise UsageError(GROEBNER_ON_M)
+        raise UsageError(groebner.GROEBNER_ON_M)
     if args.dump_system:
         if F.is_zero:
             raise UsageError("cannot dump a system for the zero polynomial")
@@ -185,8 +179,6 @@ def cmd_dims(args) -> int:
 
 def cmd_ideal(args) -> int:
     mu = _parse_mu(args.mu)
-    if args.basis == "m":
-        raise UsageError("the relation ideal is defined for the e/p/c bases")
     gens = groebner.mu_ideal_generators(mu, args.basis)
     if args.json:
         print(json.dumps([poly_to_obj(g) for g in gens]))
@@ -271,14 +263,30 @@ def _median_ms(fn, repeat: int) -> float:
     return statistics.median(times)
 
 
-def _prep_ms(build, *args) -> float:
-    """Time one memoized preprocessing call; 0.0 when it was a cache hit,
-    so preprocessing is billed to the first row that needs it."""
-    misses = build.cache_info().misses
-    t0 = time.perf_counter()
-    build(*args)
-    prep = (time.perf_counter() - t0) * 1000.0
-    return round(prep, 3) if build.cache_info().misses > misses else 0.0
+# per algorithm: the row column for its preprocessing (None for ls, which
+# has none) and for its per-instance time
+_COLUMNS = {
+    "groebner": ("groebner_prep_ms", "groebner_nf_ms"),
+    "cr": ("canonize_ms", "reduce_ms"),
+    "ls": (None, "solve_ms"),
+}
+
+
+def _prep_ms(algo: str, F: Polynomial, mu: Partition, kind: str) -> float:
+    """Time the memoized preprocessing of algo for each homogeneous part
+    of F of degree 1 or more.  A part whose system is already cached adds
+    0.0, so preprocessing is billed to the first row that needs it."""
+    build = groebner.elimination_system if algo == "groebner" else reduction.canonical_system
+    total = 0.0
+    for delta, _ in homogeneous_parts(F):
+        if delta < 1:
+            continue
+        misses = build.cache_info().misses
+        t0 = time.perf_counter()
+        build(*((mu, kind, delta) if algo == "groebner" else (mu, delta, kind)))
+        if build.cache_info().misses > misses:
+            total += (time.perf_counter() - t0) * 1000.0
+    return round(total, 3)
 
 
 def _bench_row(entry, repeat: int, check: bool):
@@ -290,12 +298,13 @@ def _bench_row(entry, repeat: int, check: bool):
         if algo not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {algo!r} in suite entry {fid!r}")
     F = _suite_input(str(entry["f"]), mu)
+    symfun.check_root_input(F, mu)
     rows = []
     for kind in bases:
         if kind not in symfun.BASIS_KINDS:
             raise UsageError(f"unknown basis {kind!r} in suite entry {fid!r}")
         if kind == "m" and set(algos) == {"groebner"}:
-            raise UsageError(f"{GROEBNER_ON_M} (suite entry {fid!r})")
+            raise UsageError(f"{groebner.GROEBNER_ON_M} (suite entry {fid!r})")
         delta = F.total_degree() if not F.is_zero else 0
         row = {
             "id": fid, "F": entry["f"], "delta": delta, "mu": str(mu), "n": mu.n,
@@ -309,25 +318,13 @@ def _bench_row(entry, repeat: int, check: bool):
         verdicts = {}
         gists = {}
         for algo in algos:
-            if algo == "groebner":
-                if kind == "m":
-                    continue
-                row["groebner_prep_ms"] = _prep_ms(groebner.elimination_system, mu, kind, delta)
-                res = groebner.ggist(F, mu, kind)
-                row["groebner_nf_ms"] = round(
-                    _median_ms(lambda: groebner.ggist(F, mu, kind), repeat), 3
-                )
-            elif algo == "cr":
-                row["canonize_ms"] = _prep_ms(reduction.canonical_system, mu, delta, kind)
-                res = reduction.crgist(F, mu, kind)
-                row["reduce_ms"] = round(
-                    _median_ms(lambda: reduction.crgist(F, mu, kind), repeat), 3
-                )
-            else:
-                res = linsys.lsgist(F, mu, kind)
-                row["solve_ms"] = round(
-                    _median_ms(lambda: linsys.lsgist(F, mu, kind), repeat), 3
-                )
+            if algo == "groebner" and kind == "m":
+                continue
+            prep_column, time_column = _COLUMNS[algo]
+            if prep_column:
+                row[prep_column] = _prep_ms(algo, F, mu, kind)
+            res = compute_gist(F, mu, kind, algo)
+            row[time_column] = round(_median_ms(lambda: compute_gist(F, mu, kind, algo), repeat), 3)
             verdicts[algo] = res.symmetric
             gists[algo] = res
         row["verdict"] = "Y" if any(verdicts.values()) else "N"
@@ -430,10 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

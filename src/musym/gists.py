@@ -25,10 +25,7 @@ def compute_gist(
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if algo == "groebner" and kind == "m":
-        raise ValueError(
-            "the monomial basis has no n-generator presentation, so the "
-            "elimination route does not apply; use the cr or ls algorithm"
-        )
+        raise ValueError(groebner.GROEBNER_ON_M)
     symfun.check_root_input(F, mu)
     parts = homogeneous_parts(F)
     if len(parts) <= 1:

@@ -271,13 +271,16 @@ def is_groebner(basis: list[Polynomial], order: TermOrder = ORDER_RZ) -> bool:
     return True
 
 
+GROEBNER_ON_M = (
+    "the groebner algorithm is not available for the monomial basis: "
+    "it needs the n-generator ideal presentation; use the cr or ls algorithm"
+)
+
+
 def mu_ideal_basis(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
     """Generators z_i - g_i tying each z symbol to its specialization."""
     if kind == "m":
-        raise ValueError(
-            "the monomial basis has no n-generator presentation, so the "
-            "elimination route does not apply; use the cr or ls algorithm"
-        )
+        raise ValueError(GROEBNER_ON_M)
     return [
         Polynomial.variable("z", i) - symfun.spec_generator(kind, i, mu)
         for i in range(1, mu.n + 1)

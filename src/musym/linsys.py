@@ -1,10 +1,13 @@
-"""Exact rational linear algebra and the linear-system gist check.
+"""Exact linear algebra over the integers and the linear-system gist check.
 
 A homogeneous F in K[r] is mu-symmetric exactly when it lies in the
 span of the specialized basis elements of its degree.  Writing a
 candidate gist with indeterminate coefficients and matching
 coefficients monomial by monomial produces a linear system A k = b;
 solvability decides symmetry and any solution assembles a gist.
+
+Elimination is fraction-free (Bareiss) on Python ints; rationals appear
+only in the solutions and kernel vectors handed out.
 """
 
 from __future__ import annotations
@@ -17,38 +20,14 @@ from .gistresult import GistResult
 from .polys import Polynomial, Term, is_homogeneous, rat, term_from_exps
 
 
-def rref(matrix: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
-    m = [[rat(v) for v in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = rat(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def _integer_rows(matrix: list[list]) -> list[list[int]]:
     """Each row scaled by the lcm of its denominators; the row space,
-    and so every solution set, is unchanged."""
+    and so every solution set, is unchanged.  Int cells pass through."""
     out = []
     for row in matrix:
-        scale = math.lcm(*(int(v.denominator) for v in row))
-        out.append([int(v.numerator) * (scale // int(v.denominator)) for v in row])
+        scale = math.lcm(*(int(v.denominator) for v in row if type(v) is not int))
+        out.append([v * scale if type(v) is int else int(v.numerator) * (scale // int(v.denominator))
+                    for v in row])
     return out
 
 
@@ -57,8 +36,9 @@ def _bareiss(m: list[list[int]]) -> list[int]:
 
     Bareiss elimination (Math. Comp. 22, 1968): every entry stays an
     integer minor of the input, so each division below is exact and no
-    rational arithmetic is needed.  The pivot columns are those of
-    ``rref``, since both pick the first nonzero column at every step.
+    rational arithmetic is needed.  The pivot columns are those of the
+    reduced row echelon form, since each step takes the first column
+    with a nonzero entry at or below the current row.
     Each pivot is the smallest candidate in its column, which keeps the
     minors that follow small in practice; below the pivot row, every
     entry left of the pivot column is already zero, so only the columns
@@ -97,48 +77,60 @@ def matrix_rank(matrix: list[list]) -> int:
     return len(_bareiss(_integer_rows(matrix)))
 
 
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss echelon form of the distinct rows, its pivot columns, and
+    D, the last pivot.  Dropping repeated rows keeps the row space, and
+    so the pivots and every solution set."""
+    m = _integer_rows([list(row) for row in dict.fromkeys(map(tuple, rows))])
+    pivots = _bareiss(m)
+    return m, pivots, m[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def _cramer(m: list[list[int]], pivots: list[int], det: int, col: int) -> list[int]:
+    """D x, where x solves the pivot subsystem of the echelon form m with
+    column col as right-hand side and every other entry 0.
+
+    D is the determinant of the pivot subsystem, so D x is an integer
+    vector (Cramer's rule): the back-substitution runs over ints, and
+    every division in it is exact.
+    """
+    dx = [0] * len(m[0])
+    for r in range(len(pivots) - 1, -1, -1):
+        row = m[r]
+        rhs = det * row[col] - sum(row[c] * dx[c] for c in pivots[r + 1:])
+        dx[pivots[r]] = rhs // row[pivots[r]]
+    return dx
+
+
 def solve_particular(A: list[list], b: list) -> list | None:
     """A solution of A x = b with free variables pinned to 0, or None.
 
-    Repeated rows of [A | b] are dropped first: the row space, and so
-    the pivots and the solution, stay the same.  The free variables fix
-    the solution, so it is the one ``rref`` gives.  After Bareiss
-    elimination the last pivot D is the determinant of the pivot
-    subsystem, so D x is an integer vector (Cramer's rule): the
-    back-substitution solves for it over ints, with exact divisions,
-    and only the final D x / D are rational.
+    The free variables fix the solution, so it is the one the reduced
+    row echelon form of [A | b] gives; only the final D x / D are
+    rational.
     """
     if not A:
         return []
     cols = len(A[0])
-    rows = dict.fromkeys((*row, bv) for row, bv in zip(A, b))
-    aug = _integer_rows([list(row) for row in rows])
-    pivots = _bareiss(aug)
+    m, pivots, det = _echelon((*row, bv) for row, bv in zip(A, b))
     if cols in pivots:
         return None  # pivot in the constants column: inconsistent
-    det = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
-    dx = [0] * cols  # D x
-    for r in range(len(pivots) - 1, -1, -1):
-        row = aug[r]
-        rhs = det * row[cols] - sum(row[c] * dx[c] for c in pivots[r + 1:])
-        dx[pivots[r]] = rhs // row[pivots[r]]
-    return [rat(v, det) for v in dx]
+    return [rat(v, det) for v in _cramer(m, pivots, det, cols)[:cols]]
 
 
 def nullspace(A: list[list]) -> list[list]:
-    """Basis of the kernel, one vector per free column."""
+    """Basis of the kernel, one vector per free column f: v[f] = 1, the
+    other free entries 0, and the pivot entries -x, where x solves the
+    pivot subsystem with column f as right-hand side."""
     if not A:
         return []
-    cols = len(A[0])
-    red, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots, det = _echelon(A)
     basis = []
-    for fc in free:
-        v = [rat(0)] * cols
-        v[fc] = rat(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for f in range(len(A[0])):
+        if f not in pivots:
+            dx = _cramer(m, pivots, det, f)
+            dx[f] = -det
+            basis.append([rat(-v, det) for v in dx])
     return basis
 
 

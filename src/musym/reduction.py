@@ -18,13 +18,16 @@ carry the quotients, and no step needs a rational.
 
 ``reduce`` follows the single-sweep loop structure faithfully, loop
 count included, rather than any shortcut through Gaussian elimination.
+
+``canonical_system`` canonizes the specialized basis of one (mu, delta,
+kind) once per process and shares the result with every later input;
+that in-process memo is the only cache, and nothing is read from or
+written to disk.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,17 +37,7 @@ from typing import Callable, Sequence
 from . import symfun
 from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
 from .gistresult import GistResult
-from .polys import (
-    ORDER_R,
-    Polynomial,
-    TermOrder,
-    is_homogeneous,
-    leading,
-    poly_from_obj,
-    poly_to_obj,
-    rat,
-    rat_from_str,
-)
+from .polys import ORDER_R, Polynomial, TermOrder, is_homogeneous, leading, rat
 
 
 @dataclass(frozen=True)
@@ -264,31 +257,17 @@ class CanonicalSystem:
         return _quotients(self.dense, len(self.alphas))
 
 
-def _cache_path(mu: symfun.Partition, delta: int, kind: str) -> str | None:
-    root = os.environ.get("MUSYM_CACHE_DIR")
-    if not root:
-        return None
-    name = f"canonize_{kind}_{'-'.join(str(p) for p in mu.parts)}_d{delta}.json"
-    return os.path.join(root, name)
-
-
 @lru_cache(maxsize=None)
 def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
-    path = _cache_path(mu, delta, kind)
-    if path and os.path.exists(path):
-        return _load_system(path, mu, delta, kind)
     alphas, basis = symfun.spec_basis(kind, delta, mu)
-    system = CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis))
-    if path:
-        _store_system(path, system)
-    return system
+    return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis))
 
 
 def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> CanonicalSystem:
     """Canonical sequence and quotients for the specialized degree-delta
-    basis of the given kind, memoized in process and, when
-    MUSYM_CACHE_DIR is set, on disk.  ``cache_info()`` reports on the
-    in-process memo and ``clear_memo()`` empties it."""
+    basis of the given kind, memoized in process: the first call for a
+    (mu, delta, kind) canonizes, later calls share its result.
+    ``cache_info()`` reports on the memo and ``clear_memo()`` empties it."""
     return _canonical_system(mu, delta, kind)
 
 
@@ -297,35 +276,6 @@ canonical_system.cache_info = _canonical_system.cache_info
 
 def clear_memo() -> None:
     _canonical_system.cache_clear()
-
-
-def _store_system(path: str, system: CanonicalSystem) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    payload = {
-        "mu": list(system.mu.parts),
-        "delta": system.delta,
-        "kind": system.kind,
-        "alphas": [list(a) for a in system.alphas],
-        "sequence": [poly_to_obj(p) for p in system.sequence],
-        "qmatrix": [[str(q) for q in row] for row in system.qmatrix],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-
-
-def _load_system(path: str, mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
-    with open(path) as fh:
-        payload = json.load(fh)
-    ring = symfun._root_ring(mu.m)
-    qmatrix = [[rat_from_str(q) for q in row] for row in payload["qmatrix"]]
-    dense = Basis()
-    for i, obj in enumerate(payload["sequence"]):
-        member = ring.densify(poly_from_obj(obj))
-        member.update((~k, row[i]) for k, row in enumerate(qmatrix) if row[i])
-        dense.add(primitive(integer_form(member)[0]))
-    return CanonicalSystem(mu, delta, kind, [tuple(a) for a in payload["alphas"]], dense)
 
 
 # -- the canonize+reduce gist algorithm ----------------------------------

@@ -22,13 +22,6 @@ from .polys import (
 
 BASIS_KINDS = ("e", "p", "c", "m")
 
-BASIS_NAMES = {
-    "e": "elementary",
-    "p": "power-sum",
-    "c": "complete-homogeneous",
-    "m": "monomial",
-}
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -145,13 +138,32 @@ def generator(kind: str, i: int, n: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def distinct_permutations(alpha: tuple[int, ...]):
+    """Each distinct rearrangement of alpha once, in lexicographic order:
+    next-permutation steps over the sorted multiset, so the work is
+    proportional to the number of distinct rearrangements, not to n!."""
+    a = sorted(alpha)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 @lru_cache(maxsize=None)
 def monomial_generator(alpha: tuple[int, ...], n: int) -> Polynomial:
     """Sum of x^beta over the distinct permutations beta of alpha."""
     if len(alpha) != n:
         raise ValueError("monomial index must have exactly n parts")
     coeffs = {}
-    for beta in set(itertools.permutations(alpha)):
+    for beta in distinct_permutations(alpha):
         exps = {("x", j + 1): e for j, e in enumerate(beta) if e}
         coeffs[term_from_exps(exps)] = 1
     return Polynomial(coeffs)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from musym.cli import main
 from musym.polys import parse_poly, poly_from_obj
 
@@ -192,6 +194,26 @@ def test_bench_skips_only_groebner_on_monomial_basis(tmp_path, capsys):
         (row,) = list(csvmod.DictReader(fh))
     assert (row["verdict"], row["consistent"]) == ("Y", "True")
     assert row["canonize_ms"] and row["groebner_nf_ms"] == ""
+
+
+@pytest.mark.parametrize(
+    "f, gist",
+    [("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + r2", "z1^2 + z1 - z2"), ("7", "7")],
+    ids=["non-homogeneous", "constant"],
+)
+def test_bench_decides_as_gist_does(f, gist, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"f": f, "mu": "2,1"}]))
+    assert run(capsys, "gist", f, "--mu", "2,1")[:2] == (0, gist + "\n")
+    csv_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, "bench", str(path), "--check", "--csv", str(csv_path))
+    assert code == 0, err
+    import csv as csvmod
+
+    with open(csv_path) as fh:
+        (row,) = list(csvmod.DictReader(fh))
+    assert (row["verdict"], row["consistent"], row["gist"]) == ("Y", "True", gist)
+    assert all(row[c] for c in ("groebner_prep_ms", "groebner_nf_ms", "canonize_ms", "reduce_ms", "solve_ms"))
 
 
 def test_bench_rejects_malformed_suite(tmp_path, capsys):

@@ -10,7 +10,6 @@ from musym.linsys import (
     lsgist,
     matrix_rank,
     nullspace,
-    rref,
     solve_particular,
 )
 from musym.polys import ORDER_RZ, Polynomial, parse_poly, rat, term_from_exps
@@ -37,6 +36,46 @@ def test_rref_pivots_and_rank():
     assert matrix_rank([]) == 0
 
 
+def rref(matrix):
+    """Reduced row echelon form over the rationals and its pivot columns:
+    the reference that the fraction-free elimination must agree with."""
+    m = [[rat(v) for v in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = rat(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _rref_kernel(A):
+    """One kernel vector per free column of rref(A)."""
+    cols = len(A[0])
+    red, pivots = rref(A)
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [rat(0)] * cols
+        v[fc] = rat(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        kernel.append(v)
+    return kernel
+
+
 def _rref_particular(A, b):
     cols = len(A[0])
     red, pivots = rref([row + [bv] for row, bv in zip(A, b)])
@@ -50,7 +89,7 @@ def _rref_particular(A, b):
 
 def test_fraction_free_solve_matches_rref():
     # rank-deficient or sparse rational systems, half of them inconsistent: the
-    # integer elimination must give rref's solution and rank exactly; so must
+    # integer elimination must give rref's solution, rank and kernel exactly; so must
     # the same systems with repeated rows of [A | b], and with equal rows of A
     # that carry different b
     rng = random.Random(7)
@@ -68,12 +107,14 @@ def test_fraction_free_solve_matches_rref():
             b[rng.randrange(rows)] += 1
         assert solve_particular(A, b) == _rref_particular(A, b)
         assert matrix_rank(A) == len(rref(A)[1])
+        assert nullspace(A) == _rref_kernel(A)
         picks = [dup.randrange(rows) for _ in range(dup.randint(1, 6))]
         A2, b2 = A + [list(A[i]) for i in picks], b + [b[i] for i in picks]
         order = list(range(len(A2)))
         dup.shuffle(order)
         A2, b2 = [A2[i] for i in order], [b2[i] for i in order]
         assert solve_particular(A2, b2) == _rref_particular(A2, b2) == _rref_particular(A, b)
+        assert nullspace(A2) == _rref_kernel(A)
         i = dup.randrange(rows)
         A3, b3 = A2 + [list(A[i])], b2 + [b[i] + dup.choice([-1, rat(1, 3)])]
         assert _rref_particular(A3, b3) is None

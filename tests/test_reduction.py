@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from itertools import chain
@@ -13,7 +12,6 @@ from musym.polys import (
     Rational,
     leading,
     parse_poly,
-    poly_to_obj,
     rat,
     term_from_exps,
 )
@@ -30,7 +28,7 @@ from musym.reduction import (
     random_chooser,
     reduce,
 )
-from musym.symfun import Partition, dplus, spec_basis_element, spec_generator
+from musym.symfun import Partition, dplus, spec_generator
 
 P = parse_poly
 
@@ -289,32 +287,36 @@ def test_canonical_system_concurrent_access():
     clear_memo()
 
 
-def test_canonical_system_memo(tmp_path, monkeypatch):
+def test_canonical_system_memo():
     clear_memo()
     mu = Partition.of(2, 1)
     a = canonical_system(mu, 2)
     b = canonical_system(mu, 2)
     assert a is b
     clear_memo()
+
+
+# a file in the layout that earlier versions stored canonical systems in,
+# well formed but empty, and one that is not a system at all
+STALE_FILES = [
+    '{"mu": [2, 1], "delta": 3, "kind": "e", "alphas": [[1, 1, 1], [2, 1, 0], [3, 0, 0]], '
+    '"sequence": [], "qmatrix": [[], [], []]}',
+    "{}",
+]
+
+
+@pytest.mark.parametrize("stale", [None, *STALE_FILES], ids=["no-file", "empty-system", "not-a-system"])
+def test_cache_dir_changes_no_verdict(stale, tmp_path, monkeypatch, capsys):
+    # canonical systems are memoized in process only: a file in
+    # MUSYM_CACHE_DIR is neither read nor written
+    if stale is not None:
+        (tmp_path / "canonize_e_2-1_d3.json").write_text(stale)
+    before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.setenv("MUSYM_CACHE_DIR", str(tmp_path))
-    c = canonical_system(mu, 2)
-    files = list(tmp_path.glob("canonize_*.json"))
-    assert len(files) == 1
     clear_memo()
-    d = canonical_system(mu, 2)  # comes back from disk
-    assert d.sequence == c.sequence
-    assert d.qmatrix == c.qmatrix
-    assert d.alphas == c.alphas
-    # files written by earlier versions also hold the basis; it is ignored
-    payload = json.loads(files[0].read_text())
-    assert "basis" not in payload
-    payload["basis"] = [poly_to_obj(spec_basis_element("e", a, mu)) for a in c.alphas]
-    files[0].write_text(json.dumps(payload))
-    clear_memo()
-    e = canonical_system(mu, 2)
-    assert e.sequence == c.sequence
-    assert e.qmatrix == c.qmatrix
-    assert e.alphas == c.alphas
+    code = cli.main(["gist", "(2*r1+r2)^3", "--mu", "2,1", "--algo", "cr"])
+    assert (code, capsys.readouterr().out) == (0, "z1^3\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
     clear_memo()
 
 
@@ -411,7 +413,6 @@ def test_cold_canonical_system_makes_no_rational(monkeypatch):
     calls = []
     real = reduction.rat
     monkeypatch.setattr(reduction, "rat", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
     clear_memo()
     symfun.clear_caches()
     system = canonical_system(Partition.of(3, 2, 1), 12)
@@ -445,73 +446,3 @@ def test_integer_kernels_keep_rationals_at_the_edges():
             values = [c for _, c in res.mcombo] if kind == "m" else [c for _, c in res.gist.items()]
             assert values and all(isinstance(c, Rational) for c in values), (algo, kind)
     clear_memo()
-
-
-def _cli_stdout(argv):
-    import contextlib
-    import io
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(argv) == 0
-    return buf.getvalue()
-
-
-def _fresh_process_state():
-    reduction.clear_memo()
-    symfun.clear_caches()
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    mu = Partition.of(3, 1, 1)
-    inputs = [dplus(mu), dplus(mu) / 7, P("r1^10 - r2^10"), spec_generator("p", 2, mu) ** 5]
-    argv = ["canonize", "--mu", "3,1,1", "--basis", "p", "--delta", "10", "--json"]
-    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
-    _fresh_process_state()
-    fresh = [crgist(F, mu, "p") for F in inputs]
-    fresh_json = _cli_stdout(argv)
-    monkeypatch.setenv("MUSYM_CACHE_DIR", str(tmp_path))
-    _fresh_process_state()
-    canonical_system(mu, 10, "p")  # built and stored
-    assert len(list(tmp_path.glob("canonize_*.json"))) == 1
-    _fresh_process_state()
-    calls = []
-    real = reduction._canonize_packed
-    monkeypatch.setattr(reduction, "_canonize_packed", lambda *a: calls.append(a) or real(*a))
-    assert [crgist(F, mu, "p") for F in inputs] == fresh
-    assert _cli_stdout(argv) == fresh_json
-    assert calls == []  # every system above came back from disk
-    _fresh_process_state()
-
-
-# written by the rational sweep, before canonical systems were held in
-# integer form; it has negative and non-unit leads and a rational qmatrix
-EARLIER_FILE = (
-    '{"mu": [2, 1], "delta": 4, "kind": "p", "alphas": [[1, 1, 1, 1], [2, 1, 1, 0], '
-    '[2, 2, 0, 0], [3, 1, 0, 0]], "sequence": [[{"coeff": "-3/4", "exps": {"r1": 4}}, '
-    '{"coeff": "3", "exps": {"r1": 3, "r2": 1}}], [{"coeff": "4", "exps": {"r1": 4}}, '
-    '{"coeff": "16", "exps": {"r1": 3, "r2": 1}}, {"coeff": "16", "exps": {"r1": 2, "r2": 2}}], '
-    '[{"coeff": "-8", "exps": {"r1": 4}}, {"coeff": "-24", "exps": {"r1": 3, "r2": 1}}, '
-    '{"coeff": "-18", "exps": {"r1": 2, "r2": 2}}, {"coeff": "-4", "exps": {"r1": 1, "r2": 3}}], '
-    '[{"coeff": "16", "exps": {"r1": 4}}, {"coeff": "32", "exps": {"r1": 3, "r2": 1}}, '
-    '{"coeff": "24", "exps": {"r1": 2, "r2": 2}}, {"coeff": "8", "exps": {"r1": 1, "r2": 3}}, '
-    '{"coeff": "1", "exps": {"r2": 4}}]], "qmatrix": [["5/16", "1", "-1", "1"], '
-    '["-9/8", "-2", "1", "0"], ["-3/16", "1", "0", "0"], ["1", "0", "0", "0"]]}'
-)
-
-
-def test_disk_cache_loads_earlier_file(tmp_path, monkeypatch):
-    mu = Partition.of(2, 1)
-    monkeypatch.delenv("MUSYM_CACHE_DIR", raising=False)
-    _fresh_process_state()
-    fresh = canonical_system(mu, 4, "p")
-    inputs = [dplus(mu) ** 2 / 5, P("r1^4 + 2*r2^4"), P("r1^3*r2")]
-    want = [crgist(F, mu, "p") for F in inputs]
-    (tmp_path / "canonize_p_2-1_d4.json").write_text(EARLIER_FILE)
-    monkeypatch.setenv("MUSYM_CACHE_DIR", str(tmp_path))
-    _fresh_process_state()
-    loaded = canonical_system(mu, 4, "p")
-    assert loaded.sequence == fresh.sequence
-    assert loaded.qmatrix == fresh.qmatrix
-    assert [crgist(F, mu, "p") for F in inputs] == want
-    _fresh_process_state()

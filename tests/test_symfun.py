@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from musym.polys import Polynomial, parse_poly, rat
+from musym.polys import Polynomial, parse_poly, rat, term_from_exps
 from musym.reduction import canonize
 from musym.symfun import (
     Partition,
     basis_element,
     delta_lift,
     delta_squares,
+    distinct_permutations,
     dplus,
     dplus_gist_equal,
     dplus_gist_m2,
@@ -93,6 +94,17 @@ def test_generator_examples():
     assert monomial_generator((2, 0, 0), 3) == P("x1^2 + x2^2 + x3^2")
     with pytest.raises(ValueError):
         generator("e", 4, 3)
+
+
+def test_monomial_generator_takes_each_rearrangement_once():
+    for n in range(1, 8):
+        for delta in range(1, 7):
+            for alpha in weak_partitions(delta, n, "exact"):
+                want = set(itertools.permutations(alpha))
+                got = list(distinct_permutations(alpha))
+                assert len(got) == len(want) and set(got) == want
+                terms = {term_from_exps({("x", j + 1): e for j, e in enumerate(b) if e}) for b in want}
+                assert set(monomial_generator(alpha, n).support()) == terms
 
 
 def test_complete_homogeneous_counts():
@@ -286,6 +298,8 @@ def test_sym_dimensions_examples():
     assert sym_dimensions(mu_(2, 2), 3) == (3, 2)
     assert sym_dimensions(mu_(3, 2), 6) == (10, 6)
     assert sym_dimensions(mu_(2, 1), 2) == (2, 2)
+    # n = 12: the monomial basis must not walk all 12! orders of each index
+    assert sym_dimensions(mu_(4, 4, 4), 2, "m") == (2, 2)
 
 
 def test_sym_dimensions_single_root():
