@@ -37,13 +37,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_mu(text: str) -> Partition:
-    try:
-        return Partition.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def named_input(name: str, mu: Partition) -> Polynomial:
     """Resolve an input: a built-in name, a file path, or polynomial text.
 
@@ -68,10 +61,7 @@ def named_input(name: str, mu: Partition) -> Polynomial:
         except ValueError:
             raise UsageError(f"bad subdiscriminant index in {name!r}") from None
         return symfun.specialize(symfun.subdiscriminant(mu.n, k), mu)
-    try:
-        return parse_poly(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return parse_poly(name)
 
 
 def _parse_values(text: str) -> list:
@@ -105,24 +95,13 @@ def _dump_system(path: str, system: linsys.LinearSystem) -> None:
 
 
 def cmd_gist(args) -> int:
-    mu = _parse_mu(args.mu)
+    mu = Partition.parse(args.mu)
     F = named_input(args.f, mu)
-    if args.algo == "groebner" and args.basis == "m":
-        raise UsageError(groebner.GROEBNER_ON_M)
-    if args.dump_system:
-        if F.is_zero:
-            raise UsageError("cannot dump a system for the zero polynomial")
-        parts = homogeneous_parts(F)
-        if len(parts) != 1:
-            raise UsageError("--dump-system needs a homogeneous input")
-        _dump_system(args.dump_system, linsys.build_system(F, mu, args.basis))
     result = compute_gist(F, mu, kind=args.basis, algo=args.algo)
+    if args.dump_system:
+        _dump_system(args.dump_system, linsys.build_system(F, mu, args.basis))
     evaluation = None
     if args.eval is not None:
-        if not result.symmetric:
-            raise UsageError("--eval needs a mu-symmetric input")
-        if args.basis == "m":
-            raise UsageError("--eval is not defined for the monomial basis")
         values = _parse_values(args.eval)
         if len(values) != mu.n:
             raise UsageError(f"--eval needs {mu.n} values for mu={mu}")
@@ -150,15 +129,15 @@ def cmd_gist(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    mu = _parse_mu(args.mu)
+    mu = Partition.parse(args.mu)
     text = args.delta
     if ".." in text:
         lo, hi = text.split("..", 1)
         deltas = list(range(int(lo), int(hi) + 1))
     else:
         deltas = [int(text)]
-    if not deltas or deltas[0] < 1:
-        raise UsageError("delta range must start at 1 or above")
+    if not deltas:
+        raise UsageError(f"empty delta range {text!r}")
     rows = []
     for delta in deltas:
         dim_sym, dim_mu = symfun.sym_dimensions(mu, delta, args.basis)
@@ -178,7 +157,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    mu = _parse_mu(args.mu)
+    mu = Partition.parse(args.mu)
     gens = groebner.mu_ideal_generators(mu, args.basis)
     if args.json:
         print(json.dumps([poly_to_obj(g) for g in gens]))
@@ -192,10 +171,8 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_canonize(args) -> int:
-    mu = _parse_mu(args.mu)
+    mu = Partition.parse(args.mu)
     delta = int(args.delta)
-    if delta < 1:
-        raise UsageError("delta must be positive")
     system = reduction.canonical_system(mu, delta, args.basis)
     sequence = system.sequence
     payload = {
@@ -251,7 +228,16 @@ def _load_suite(path: str | None):
     for entry in suite:
         if not isinstance(entry, dict) or "f" not in entry or "mu" not in entry:
             raise UsageError("each suite entry needs at least 'f' and 'mu'")
+        for key in ("algos", "bases"):
+            # a string would be iterated as its characters; _bench_row
+            # checks each name
+            if key in entry and not (isinstance(entry[key], list) and entry[key]):
+                raise UsageError(f"{key!r} in suite entry {_entry_id(entry)!r} must be a nonempty list of names")
     return suite
+
+
+def _entry_id(entry) -> str:
+    return str(entry.get("id", entry["f"]))
 
 
 def _median_ms(fn, repeat: int) -> float:
@@ -290,36 +276,29 @@ def _prep_ms(algo: str, F: Polynomial, mu: Partition, kind: str) -> float:
 
 
 def _bench_row(entry, repeat: int, check: bool):
-    mu = _parse_mu(str(entry["mu"]))
-    fid = str(entry.get("id", entry["f"]))
+    fid = _entry_id(entry)
     bases = entry.get("bases", ["e"])
     algos = entry.get("algos", ["groebner", "cr", "ls"])
     for algo in algos:
         if algo not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {algo!r} in suite entry {fid!r}")
+    mu = Partition.parse(str(entry["mu"]))
     F = _suite_input(str(entry["f"]), mu)
     symfun.check_root_input(F, mu)
     rows = []
     for kind in bases:
         if kind not in symfun.BASIS_KINDS:
             raise UsageError(f"unknown basis {kind!r} in suite entry {fid!r}")
-        if kind == "m" and set(algos) == {"groebner"}:
-            raise UsageError(f"{groebner.GROEBNER_ON_M} (suite entry {fid!r})")
         delta = F.total_degree() if not F.is_zero else 0
         row = {
             "id": fid, "F": entry["f"], "delta": delta, "mu": str(mu), "n": mu.n,
             "basis": kind,
         }
-        if F.is_zero:
-            # the zero polynomial is trivially symmetric with gist 0
-            row.update(verdict="Y", gist="0", consistent=True)
-            rows.append(row)
-            continue
         verdicts = {}
         gists = {}
-        for algo in algos:
-            if algo == "groebner" and kind == "m":
-                continue
+        # groebner on the monomial basis is skipped beside another
+        # algorithm; alone, compute_gist refuses it
+        for algo in [a for a in algos if (a, kind) != ("groebner", "m")] or algos:
             prep_column, time_column = _COLUMNS[algo]
             if prep_column:
                 row[prep_column] = _prep_ms(algo, F, mu, kind)
@@ -355,10 +334,15 @@ _CSV_COLUMNS = _BENCH_COLUMNS + ["gist"]
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise UsageError("--repeat must be at least 1")
     suite = _load_suite(args.suite)
     rows = []
     for entry in suite:
-        rows.extend(_bench_row(entry, args.repeat, args.check))
+        try:
+            rows.extend(_bench_row(entry, args.repeat, args.check))
+        except ValueError as exc:
+            raise UsageError(f"{exc} (suite entry {_entry_id(entry)!r})") from None
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
               for c in _BENCH_COLUMNS}
     print("  ".join(c.ljust(widths[c]) for c in _BENCH_COLUMNS))
@@ -422,9 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, ValueError) as exc:

@@ -168,21 +168,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e", delta: int | None = None) -> LinearSystem:
-    """Set up A k = b for a homogeneous F.
-
-    The degree is taken from F; the zero polynomial carries none, so it
-    needs an explicit ``delta`` (and then b is the zero vector).
-    """
+def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> LinearSystem:
+    """Set up A k = b in the degree of F, which must be homogeneous of
+    degree 1 or more: a constant, zero included, has no system."""
     symfun.check_root_input(F, mu)
-    if not is_homogeneous(F):
-        raise ValueError("build_system expects a homogeneous polynomial")
-    if delta is None:
-        if F.is_zero:
-            raise ValueError("build_system needs an explicit delta when F=0")
-        delta = F.total_degree()
-    elif not F.is_zero and F.total_degree() != delta:
-        raise ValueError("delta does not match the degree of F")
+    if F.is_constant or not is_homogeneous(F):
+        raise ValueError("a linear system needs a homogeneous F of degree 1 or more")
+    delta = F.total_degree()
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     rows = degree_terms(mu.m, delta)
     ring = symfun._root_ring(mu.m)

@@ -58,6 +58,7 @@ def test_gist_nonhomogeneous_decomposition(capsys):
 
 
 def test_gist_usage_errors(tmp_path, capsys):
+    dump = str(tmp_path / "system.csv")
     cases = [
         ("gist", "r1/0", "--mu", "1"),
         ("gist", "r1+r2", "--mu", "1,1", "--eval", "1/0,1"),
@@ -68,6 +69,9 @@ def test_gist_usage_errors(tmp_path, capsys):
         ("gist", "dplus", "--mu", "2,1", "--eval", "1,2"),       # needs n=3 values
         ("gist", "r1+r2", "--mu", "2,1", "--eval", "1,2,3"),     # not symmetric
         ("gist", "dplus", "--mu", "2,1", "--basis", "m", "--eval", "1,2,3"),
+        ("gist", "0", "--mu", "2,1", "--dump-system", dump),          # no degree
+        ("gist", "r1^2 + r1", "--mu", "2,1", "--dump-system", dump),  # not homogeneous
+        ("canonize", "--mu", "2,1", "--delta", "0"),
     ]
     for algo in ("groebner", "cr", "ls"):
         cases += [
@@ -79,6 +83,7 @@ def test_gist_usage_errors(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not (tmp_path / "system.csv").exists()
 
 
 def test_gist_reads_polynomial_from_file(tmp_path, capsys):
@@ -198,8 +203,8 @@ def test_bench_skips_only_groebner_on_monomial_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "f, gist",
-    [("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + r2", "z1^2 + z1 - z2"), ("7", "7")],
-    ids=["non-homogeneous", "constant"],
+    [("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + r2", "z1^2 + z1 - z2"), ("7", "7"), ("0", "0")],
+    ids=["non-homogeneous", "constant", "zero"],
 )
 def test_bench_decides_as_gist_does(f, gist, tmp_path, capsys):
     path = tmp_path / "suite.json"
@@ -214,6 +219,44 @@ def test_bench_decides_as_gist_does(f, gist, tmp_path, capsys):
         (row,) = list(csvmod.DictReader(fh))
     assert (row["verdict"], row["consistent"], row["gist"]) == ("Y", "True", gist)
     assert all(row[c] for c in ("groebner_prep_ms", "groebner_nf_ms", "canonize_ms", "reduce_ms", "solve_ms"))
+
+
+def test_bench_library_errors_name_the_entry(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"id": "bad", "f": "r3", "mu": "2,1"}]))
+    code, out, err = run(capsys, "bench", str(path))
+    assert code == 2 and out == ""
+    assert "r3 exceeds" in err and "'bad'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("algos", "cr"), ("bases", "ep"), ("algos", [])],
+    ids=["algos-string", "bases-string", "no-algorithm"],
+)
+def test_bench_lists_must_be_nonempty_lists(key, value, tmp_path, capsys):
+    # a string would be iterated as its characters; with no algorithm
+    # there is no verdict to report
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"f": "dplus", "mu": "2,1", "algos": ["cr"], key: value}]))
+    code, out, err = run(capsys, "bench", str(path))
+    assert code == 2 and out == ""
+    assert repr(key) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_repeat_must_be_positive(repeat, tmp_path, capsys, monkeypatch):
+    import musym.cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("an entry ran")
+
+    monkeypatch.setattr(musym.cli, "_suite_input", boom)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"f": "dplus", "mu": "2,1", "algos": ["cr"]}]))
+    code, out, err = run(capsys, "bench", str(path), "--repeat", repeat)
+    assert code == 2 and out == ""
+    assert "--repeat" in err and err.count("\n") == 1
 
 
 def test_bench_rejects_malformed_suite(tmp_path, capsys):
@@ -242,6 +285,22 @@ def test_dims_bad_range(capsys):
     assert code == 2 and err.strip()
     code, _, err = run(capsys, "dims", "--mu", "2,1", "--delta", "0..2")
     assert code == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert run(capsys, "dims", "--mu", "2,1", "--delta", "2")[0] == 0
+    assert built == []
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):
