@@ -135,8 +135,8 @@ def content(values) -> int:
 
 def integer_form(d: dict) -> tuple[dict, int]:
     """A packed dict with rational coefficients as (ints, den), d = ints/den."""
-    den = math.lcm(*(int(c.denominator) for c in d.values()))
-    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in d.items()}, den
+    den = math.lcm(*(c.denominator for c in d.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in d.items()}, den
 
 
 def primitive(d: dict) -> dict:

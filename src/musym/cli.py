@@ -23,7 +23,6 @@ from .gists import ALGORITHMS, compute_gist
 from .polys import (
     Polynomial,
     format_poly,
-    homogeneous_parts,
     parse_poly,
     poly_to_obj,
     rat_from_str,
@@ -102,10 +101,7 @@ def cmd_gist(args) -> int:
         _dump_system(args.dump_system, linsys.build_system(F, mu, args.basis))
     evaluation = None
     if args.eval is not None:
-        values = _parse_values(args.eval)
-        if len(values) != mu.n:
-            raise UsageError(f"--eval needs {mu.n} values for mu={mu}")
-        evaluation = result.evaluate(values)
+        evaluation = result.evaluate(_parse_values(args.eval))
     if args.json:
         payload = {
             "mu": list(mu.parts),
@@ -258,15 +254,13 @@ _COLUMNS = {
 }
 
 
-def _prep_ms(algo: str, F: Polynomial, mu: Partition, kind: str) -> float:
-    """Time the memoized preprocessing of algo for each homogeneous part
-    of F of degree 1 or more.  A part whose system is already cached adds
+def _prep_ms(algo: str, degrees: list[int], mu: Partition, kind: str) -> float:
+    """Time the memoized preprocessing of algo for each of the given part
+    degrees that is 1 or more.  A part whose system is already cached adds
     0.0, so preprocessing is billed to the first row that needs it."""
     build = groebner.elimination_system if algo == "groebner" else reduction.canonical_system
     total = 0.0
-    for delta, _ in homogeneous_parts(F):
-        if delta < 1:
-            continue
+    for delta in filter(None, degrees):
         misses = build.cache_info().misses
         t0 = time.perf_counter()
         build(*((mu, kind, delta) if algo == "groebner" else (mu, delta, kind)))
@@ -284,14 +278,14 @@ def _bench_row(entry, repeat: int, check: bool):
             raise UsageError(f"unknown algorithm {algo!r} in suite entry {fid!r}")
     mu = Partition.parse(str(entry["mu"]))
     F = _suite_input(str(entry["f"]), mu)
-    symfun.check_root_input(F, mu)
+    # checks F before any system is built, as compute_gist would
+    degrees = [delta for delta, _ in symfun.root_parts(F, mu)]
     rows = []
     for kind in bases:
         if kind not in symfun.BASIS_KINDS:
             raise UsageError(f"unknown basis {kind!r} in suite entry {fid!r}")
-        delta = F.total_degree() if not F.is_zero else 0
         row = {
-            "id": fid, "F": entry["f"], "delta": delta, "mu": str(mu), "n": mu.n,
+            "id": fid, "F": entry["f"], "delta": max(degrees, default=0), "mu": str(mu), "n": mu.n,
             "basis": kind,
         }
         verdicts = {}
@@ -301,7 +295,7 @@ def _bench_row(entry, repeat: int, check: bool):
         for algo in [a for a in algos if (a, kind) != ("groebner", "m")] or algos:
             prep_column, time_column = _COLUMNS[algo]
             if prep_column:
-                row[prep_column] = _prep_ms(algo, F, mu, kind)
+                row[prep_column] = _prep_ms(algo, degrees, mu, kind)
             res = compute_gist(F, mu, kind, algo)
             row[time_column] = round(_median_ms(lambda: compute_gist(F, mu, kind, algo), repeat), 3)
             verdicts[algo] = res.symmetric

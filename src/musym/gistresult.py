@@ -29,27 +29,33 @@ class GistResult:
         return GistResult(mu, kind, False)
 
     @staticmethod
-    def from_poly(mu: symfun.Partition, kind: str, gist: Polynomial) -> "GistResult":
-        if kind == "m":
-            raise ValueError("monomial-basis gists are formal combinations")
-        return GistResult(mu, kind, True, gist=gist)
-
-    @staticmethod
-    def constant(mu: symfun.Partition, kind: str, value: Polynomial) -> "GistResult":
-        """A constant is its own gist (the empty generator product)."""
-        c = value.constant_value()
-        if kind == "m":
-            combo = () if c == 0 else ((((0,) * mu.n), c),)
-            return GistResult(mu, kind, True, mcombo=combo)
-        return GistResult(mu, kind, True, gist=Polynomial.constant(c))
-
-    @staticmethod
     def from_coeffs(mu, kind, alphas, coeffs) -> "GistResult":
         pairs = [(tuple(a), c) for a, c in zip(alphas, coeffs) if c != 0]
         if kind == "m":
             return GistResult(mu, kind, True, mcombo=tuple(pairs))
         gist = Polynomial({symfun.z_term_for(a): c for a, c in pairs})
         return GistResult(mu, kind, True, gist=gist)
+
+    @staticmethod
+    def from_parts(F: Polynomial, mu: symfun.Partition, kind: str, decide) -> "GistResult":
+        """Decide F one homogeneous part at a time, as ``symfun.root_parts``
+        splits it: each part of degree delta >= 1 goes to decide(part,
+        delta, mu, kind).  F is mu-symmetric exactly when every part is, and
+        the part gists add up."""
+        results = []
+        for delta, part in symfun.root_parts(F, mu):
+            if delta:
+                res = decide(part, delta, mu, kind)
+            else:  # a constant is its own gist, the empty generator product
+                res = GistResult.from_coeffs(mu, kind, [(0,) * mu.n], [part.constant_value()])
+            if not res.symmetric:
+                return res
+            results.append(res)
+        if len(results) == 1:
+            return results[0]
+        if kind == "m":
+            return GistResult(mu, kind, True, mcombo=tuple(pair for res in results for pair in res.mcombo))
+        return GistResult(mu, kind, True, gist=sum((res.gist for res in results), Polynomial.zero()))
 
     def substituted(self) -> Polynomial:
         """Expand the gist back into K[r] by replacing each generator
@@ -81,7 +87,9 @@ class GistResult:
         return self.gist.substitute(mapping)
 
     def evaluate(self, values: list) -> object:
-        """Evaluate the gist at given z-values (e/p/c bases only)."""
+        """Evaluate the gist at n = mu.n given z-values (e/p/c bases only)."""
+        if len(values) != self.mu.n:
+            raise ValueError(f"a gist for mu={self.mu} takes {self.mu.n} values, got {len(values)}")
         if not self.symmetric:
             raise ValueError("no gist: polynomial is not mu-symmetric")
         if self.kind == "m":

@@ -357,13 +357,16 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
     An r-free normal form is a gist of minimal weighted degree; any
     residual r variable certifies that no gist exists.  The basis only
-    needs to be complete up to the degree of F.
+    needs to be complete up to the degree of each homogeneous part.
     """
-    symfun.check_root_input(F, mu)
-    if F.is_zero:
-        return GistResult.from_poly(mu, kind, Polynomial.zero())
-    engine = elimination_system(mu, kind, degree=F.total_degree()).engine
+    if kind == "m":
+        raise ValueError(GROEBNER_ON_M)
+    return GistResult.from_parts(F, mu, kind, _ggist_part)
+
+
+def _ggist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+    engine = elimination_system(mu, kind, degree=delta).engine
     result = engine.ring.undensify(engine.normal_form(engine.ring.densify(F)))
     if "r" in result.spaces():
         return GistResult.not_symmetric(mu, kind)
-    return GistResult.from_poly(mu, kind, result)
+    return GistResult(mu, kind, True, gist=result)

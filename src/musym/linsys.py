@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import symfun
 from .gistresult import GistResult
-from .polys import Polynomial, Term, is_homogeneous, rat, term_from_exps
+from .polys import Polynomial, Term, rat, term_from_exps
 
 
 def _integer_rows(matrix: list[list]) -> list[list[int]]:
@@ -25,9 +25,8 @@ def _integer_rows(matrix: list[list]) -> list[list[int]]:
     and so every solution set, is unchanged.  Int cells pass through."""
     out = []
     for row in matrix:
-        scale = math.lcm(*(int(v.denominator) for v in row if type(v) is not int))
-        out.append([v * scale if type(v) is int else int(v.numerator) * (scale // int(v.denominator))
-                    for v in row])
+        scale = math.lcm(*(v.denominator for v in row if type(v) is not int))
+        out.append([v * scale if type(v) is int else v.numerator * (scale // v.denominator) for v in row])
     return out
 
 
@@ -171,10 +170,14 @@ def _compositions(total: int, parts: int):
 def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> LinearSystem:
     """Set up A k = b in the degree of F, which must be homogeneous of
     degree 1 or more: a constant, zero included, has no system."""
-    symfun.check_root_input(F, mu)
-    if F.is_constant or not is_homogeneous(F):
+    parts = symfun.root_parts(F, mu)
+    if len(parts) != 1 or not parts[0][0]:
         raise ValueError("a linear system needs a homogeneous F of degree 1 or more")
-    delta = F.total_degree()
+    return _system(F, parts[0][0], mu, kind)
+
+
+def _system(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> LinearSystem:
+    """build_system for an F already known to be homogeneous of degree delta."""
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     rows = degree_terms(mu.m, delta)
     ring = symfun._root_ring(mu.m)
@@ -184,15 +187,17 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> Linear
 
 
 def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
-    """Check mu-symmetry of a homogeneous F by solving A k = b.
+    """Check mu-symmetry of each homogeneous part of F by solving A k = b.
 
-    Returns the gist built from the particular solution with free
-    coefficients pinned to zero, or a negative verdict when the system
-    is inconsistent.
+    Returns the gist built from the particular solutions with free
+    coefficients pinned to zero, or a negative verdict when a system is
+    inconsistent.
     """
-    if F.is_constant:
-        return GistResult.constant(mu, kind, F)
-    system = build_system(F, mu, kind)
+    return GistResult.from_parts(F, mu, kind, _lsgist_part)
+
+
+def _lsgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+    system = _system(F, delta, mu, kind)
     k = solve_particular(system.A, system.b)
     if k is None:
         return GistResult.not_symmetric(mu, kind)

@@ -7,33 +7,21 @@ index, exponent)`` entries with all exponents positive; the empty tuple
 is the constant term 1.  A polynomial is an immutable mapping from
 terms to nonzero rational coefficients.
 
-All arithmetic is exact.  Coefficients are ``gmpy2.mpq`` when gmpy2 is
-available and ``fractions.Fraction`` otherwise; both store reduced
-fractions with positive denominator.  The packed kernels behind the cr,
-ls and dims routes (``symfun.spec_basis``, the canonical sequences and
-the reduce sweep in ``reduction``, and ``linsys``'s elimination) hold
-Python ints internally and meet these rationals only at their edges.
+All arithmetic is exact.  Every coefficient is a ``fractions.Fraction``
+(``rat``), a reduced fraction with positive denominator.  The packed
+kernels behind the cr, ls and dims routes (``symfun.spec_basis``, the
+canonical sequences and the reduce sweep in ``reduction``, and
+``linsys``'s elimination) hold Python ints internally and meet these
+rationals only at their edges.
 """
 
 from __future__ import annotations
 
 import ast
+from fractions import Fraction as Rational
 from typing import Callable, Iterable
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(num, den=1):
-        return _mpq(num, den)
-
-    Rational = type(_mpq(0))
-except ImportError:
-    from fractions import Fraction as _Fraction
-
-    def rat(num, den=1):
-        return _Fraction(num, den)
-
-    Rational = _Fraction
+rat = Rational
 
 SPACES = ("x", "r", "z")
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 from . import symfun
 from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
 from .gistresult import GistResult
-from .polys import ORDER_R, Polynomial, TermOrder, is_homogeneous, leading, rat
+from .polys import ORDER_R, Polynomial, TermOrder, leading, rat
 
 
 @dataclass(frozen=True)
@@ -282,18 +282,17 @@ def clear_memo() -> None:
 
 
 def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
-    """Check mu-symmetry of a homogeneous F by reduction.
+    """Check mu-symmetry of each homogeneous part of F by reduction.
 
-    Canonize the specialized basis for deg(F), reduce F against it; a
-    zero remainder means F lies in the span, and the tags left over,
-    negated and over den, are the gist's coefficients on that basis.
+    Canonize the specialized basis for the part's degree, reduce the part
+    against it; a zero remainder means it lies in the span, and the tags
+    left over, negated and over den, are the gist's coefficients on it.
     """
-    symfun.check_root_input(F, mu)
-    if F.is_constant:
-        return GistResult.constant(mu, kind, F)
-    if not is_homogeneous(F):
-        raise ValueError("crgist expects a homogeneous polynomial")
-    system = canonical_system(mu, F.total_degree(), kind)
+    return GistResult.from_parts(F, mu, kind, _crgist_part)
+
+
+def _crgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+    system = canonical_system(mu, delta, kind)
     work, den = integer_form(symfun._root_ring(mu.m).densify(F))
     remainder, den, _ = _reduce_packed(work, system.dense, den)
     if max(remainder) >= 0:

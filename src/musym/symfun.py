@@ -296,16 +296,25 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
 
 
-def check_root_input(F: Polynomial, mu: Partition) -> None:
-    """Reject an input the algorithms cannot decide: a variable other
-    than r_1..r_m, or a degree beyond the packed exponent limit."""
-    if F.spaces() - {"r"}:
-        raise ValueError("input must be a polynomial in the r variables")
-    top = max((i for _, i in F.variables()), default=0)
+def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, Polynomial]]:
+    """F's homogeneous parts with their degrees, ascending, in one walk
+    that also rejects an input the algorithms cannot decide: a variable
+    other than r_1..r_m, or a degree beyond the packed exponent limit."""
+    buckets: dict[int, dict] = {}
+    top = 0
+    for t, c in F.items():
+        if any(s != "r" for s, _, _ in t):
+            raise ValueError("input must be a polynomial in the r variables")
+        top = max(top, t[-1][1] if t else 0)
+        buckets.setdefault(sum(e for _, _, e in t), {})[t] = c
     if top > mu.m:
         raise ValueError(f"r{top} exceeds m={mu.m} distinct roots for mu={mu}")
-    if not F.is_zero and F.total_degree() > _packed.MAX_EXP:
-        raise ValueError(f"degree {F.total_degree()} exceeds the limit {_packed.MAX_EXP}")
+    degrees = sorted(buckets)
+    if degrees and degrees[-1] > _packed.MAX_EXP:
+        raise ValueError(f"degree {degrees[-1]} exceeds the limit {_packed.MAX_EXP}")
+    if len(degrees) == 1:
+        return [(degrees[0], F)]  # homogeneous: F itself is the part, not a copy
+    return [(d, Polynomial(buckets[d])) for d in degrees]
 
 
 def z_term_for(alpha: tuple[int, ...]) -> Term:

@@ -67,6 +67,7 @@ def test_gist_usage_errors(tmp_path, capsys):
         ("gist", "dplus", "--mu", "0,1"),
         ("gist", "bogus~poly", "--mu", "2,1"),
         ("gist", "dplus", "--mu", "2,1", "--eval", "1,2"),       # needs n=3 values
+        ("gist", "dplus", "--mu", "2,1", "--eval", "1,2,3,4"),
         ("gist", "r1+r2", "--mu", "2,1", "--eval", "1,2,3"),     # not symmetric
         ("gist", "dplus", "--mu", "2,1", "--basis", "m", "--eval", "1,2,3"),
         ("gist", "0", "--mu", "2,1", "--dump-system", dump),          # no degree
@@ -227,6 +228,21 @@ def test_bench_library_errors_name_the_entry(tmp_path, capsys):
     code, out, err = run(capsys, "bench", str(path))
     assert code == 2 and out == ""
     assert "r3 exceeds" in err and "'bad'" in err and err.count("\n") == 1
+
+
+def test_bench_refuses_a_huge_degree_before_any_system(tmp_path, capsys, monkeypatch):
+    import musym.cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("a system was built")
+
+    monkeypatch.setattr(musym.cli.symfun, "spec_basis", boom)
+    monkeypatch.setattr(musym.cli.groebner, "_engine", boom)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"id": "huge", "f": "r1^40000", "mu": "1"}]))
+    code, out, err = run(capsys, "bench", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: degree 40000 exceeds the limit 32767 (suite entry 'huge')\n"
 
 
 @pytest.mark.parametrize(

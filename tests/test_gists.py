@@ -1,8 +1,14 @@
+import importlib
+import pkgutil
+from fractions import Fraction
+
 import pytest
 
+import musym
+from musym import groebner, linsys, reduction, symfun
 from musym.gists import compute_gist
-from musym.polys import Polynomial, parse_poly
-from musym.symfun import Partition, spec_basis_element, spec_generator
+from musym.polys import Polynomial, homogeneous_parts, parse_poly
+from musym.symfun import Partition, dplus, spec_basis_element, spec_generator
 
 P = parse_poly
 
@@ -127,3 +133,88 @@ def test_rejects_bad_arguments():
         compute_gist(P("r1"), mu, kind="m", algo="groebner")
     with pytest.raises(ValueError):
         compute_gist(P("z1"), mu)
+
+
+DECIDERS = {"groebner": groebner.ggist, "cr": reduction.crgist, "ls": linsys.lsgist}
+
+
+@pytest.mark.parametrize("extra", ["0", "2*r1 + r2 + 5"], ids=["homogeneous", "non-homogeneous"])
+@pytest.mark.parametrize("route", ["compute_gist", "decider"])
+@pytest.mark.parametrize("algo", ["groebner", "cr", "ls"])
+def test_input_rules_walk_the_terms_once(algo, route, extra, monkeypatch):
+    mu = Partition.of(2, 1)
+    F = dplus(mu) + P(extra)
+    calls = []
+    real = symfun.root_parts
+    monkeypatch.setattr(symfun, "root_parts", lambda *a: calls.append(a) or real(*a))
+
+    def boom(*args):
+        raise AssertionError("an input rule walked F again")
+
+    for info in pkgutil.iter_modules(musym.__path__):
+        module = importlib.import_module(f"musym.{info.name}")
+        for name in ("is_homogeneous", "homogeneous_parts"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    monkeypatch.setattr(Polynomial, "total_degree", boom)
+    res = compute_gist(F, mu, "e", algo) if route == "compute_gist" else DECIDERS[algo](F, mu, "e")
+    assert res.symmetric
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algo", ["groebner", "cr", "ls"])
+def test_deciders_split_nonhomogeneous_input(algo):
+    mu = Partition.of(2, 1)
+    quadratic = P("3*r1^2 + 2*r1*r2 + r2^2")
+    inputs = [quadratic + P("2*r1 + r2") + 5, quadratic - 7, dplus(mu) + quadratic, quadratic + P("r1")]
+    for kind in ("e", "p", "c", "m") if algo != "groebner" else ("e", "p", "c"):
+        for F in inputs:
+            res = DECIDERS[algo](F, mu, kind)
+            assert res == compute_gist(F, mu, kind, algo)
+            parts = [compute_gist(part, mu, kind, algo) for _, part in homogeneous_parts(F)]
+            assert res.symmetric == all(r.symmetric for r in parts)
+            if res.symmetric:
+                assert res.substituted() == F
+
+
+@pytest.mark.parametrize(
+    "text, mu, message",
+    [
+        ("z1 + r3", (2, 1), "input must be a polynomial in the r variables"),
+        ("r3^40000 + r1", (2, 1), "r3 exceeds m=2 distinct roots for mu=2,1"),
+        ("r1^40000 + r1", (1,), "degree 40000 exceeds the limit 32767"),
+    ],
+    ids=["foreign-variable", "too-many-roots", "degree-limit"],
+)
+def test_input_errors_read_the_same_everywhere(text, mu, message):
+    F, mu = P(text), Partition(mu)
+    calls = [lambda: compute_gist(F, mu, "e", algo) for algo in ("groebner", "cr", "ls")]
+    calls += [lambda decide=decide: decide(F, mu, "e") for decide in DECIDERS.values()]
+    calls += [lambda: linsys.build_system(F, mu), lambda: symfun.root_parts(F, mu)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_root_parts_splits_by_degree():
+    mu = Partition.of(2, 1)
+    F = P("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + 5")
+    assert symfun.root_parts(F, mu) == homogeneous_parts(F)
+    assert symfun.root_parts(Polynomial.zero(), mu) == []
+    homogeneous = P("r1*r2 + r2^2")
+    ((delta, part),) = symfun.root_parts(homogeneous, mu)
+    assert delta == 2 and part is homogeneous
+
+
+def test_evaluate_takes_exactly_n_values():
+    mu = Partition.of(2, 1)
+    res = compute_gist(dplus(mu), mu, "e", "cr")
+    assert res.evaluate([1, 2, 3]) == Fraction(-65, 2)
+    for values in ([1, 2, 3, 4], [1, 2]):
+        with pytest.raises(ValueError, match="takes 3 values"):
+            res.evaluate(values)
+    # the count is checked before the verdict and the basis
+    for res in (compute_gist(P("r1"), mu), compute_gist(dplus(mu), mu, "m", "cr")):
+        with pytest.raises(ValueError, match="takes 3 values"):
+            res.evaluate([1])

@@ -242,11 +242,6 @@ def test_crgist_zero_input():
     assert res.symmetric and res.gist.is_zero
 
 
-def test_crgist_rejects_nonhomogeneous():
-    with pytest.raises(ValueError):
-        crgist(P("r1^2 + r1"), Partition.of(2, 1))
-
-
 def test_crgist_substitution_identity():
     mu = Partition.of(2, 2)
     F = spec_generator("e", 2, mu) ** 2
