@@ -56,6 +56,11 @@ CALLS = [
 ] + [
     # equal multiplicities make equal rows: 19 distinct of 91
     ["gist", "dplus", "--mu", "2,2,2", "--algo", "ls"],
+    # the JSON payload of each gist representation: gist_m, a groebner
+    # gist, and a rational non-homogeneous m-basis gist
+    ["gist", "dplus", "--mu", "2,2", "--basis", "m", "--algo", "cr", "--json"],
+    ["gist", "dplus", "--mu", "2,1", "--algo", "groebner", "--json"],
+    ["gist", "(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7", "--mu", "2,1", "--basis", "m", "--algo", "ls", "--json"],
 ]
 
 
