@@ -108,9 +108,9 @@ def cmd_gist(args) -> int:
             "basis": args.basis,
             "algo": args.algo,
             "symmetric": result.symmetric,
-            "gist": poly_to_obj(result.gist) if result.symmetric and result.gist is not None else None,
+            "gist": poly_to_obj(result.gist) if result.gist is not None else None,
         }
-        if result.symmetric and result.mcombo is not None:
+        if result.mcombo is not None:
             payload["gist_m"] = [
                 {"alpha": list(a), "coeff": str(c)} for a, c in result.mcombo
             ]

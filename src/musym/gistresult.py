@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from . import symfun
+from . import _packed, symfun
 from .polys import Polynomial, rat
 
 
@@ -12,17 +13,18 @@ from .polys import Polynomial, rat
 class GistResult:
     """Either a gist relative to a generator basis, or a negative verdict.
 
-    For the e/p/c bases the gist is a polynomial in z, with z_i standing
-    for the i-th generator.  The monomial basis has no such product
-    structure, so its gist is kept as a formal combination of index
-    tuples ``mcombo``.
+    The gist is its coefficient vector ``combo = ((alpha, coeff), ...)``
+    over the basis indices: capped indices for e/p/c, exact ones for m,
+    and the all-zero index for a constant part.  F is the sum of
+    coeff times the specialized basis member alpha.  ``gist`` (the
+    polynomial in z, z_i standing for the i-th generator; e/p/c only) and
+    ``mcombo`` (m only) are views of it.
     """
 
     mu: symfun.Partition
     kind: str
     symmetric: bool
-    gist: Polynomial | None = None
-    mcombo: tuple | None = None        # ((alpha, coeff), ...) for kind "m"
+    combo: tuple | None = None         # None for a negative verdict
 
     @staticmethod
     def not_symmetric(mu: symfun.Partition, kind: str) -> "GistResult":
@@ -30,11 +32,7 @@ class GistResult:
 
     @staticmethod
     def from_coeffs(mu, kind, alphas, coeffs) -> "GistResult":
-        pairs = [(tuple(a), c) for a, c in zip(alphas, coeffs) if c != 0]
-        if kind == "m":
-            return GistResult(mu, kind, True, mcombo=tuple(pairs))
-        gist = Polynomial({symfun.z_term_for(a): c for a, c in pairs})
-        return GistResult(mu, kind, True, gist=gist)
+        return GistResult(mu, kind, True, tuple((tuple(a), c) for a, c in zip(alphas, coeffs) if c != 0))
 
     @staticmethod
     def from_parts(F: Polynomial, mu: symfun.Partition, kind: str, decide) -> "GistResult":
@@ -42,7 +40,7 @@ class GistResult:
         splits it: each part of degree delta >= 1 goes to decide(part,
         delta, mu, kind).  F is mu-symmetric exactly when every part is, and
         the part gists add up."""
-        results = []
+        combo = []
         for delta, part in symfun.root_parts(F, mu):
             if delta:
                 res = decide(part, delta, mu, kind)
@@ -50,41 +48,34 @@ class GistResult:
                 res = GistResult.from_coeffs(mu, kind, [(0,) * mu.n], [part.constant_value()])
             if not res.symmetric:
                 return res
-            results.append(res)
-        if len(results) == 1:
-            return results[0]
-        if kind == "m":
-            return GistResult(mu, kind, True, mcombo=tuple(pair for res in results for pair in res.mcombo))
-        return GistResult(mu, kind, True, gist=sum((res.gist for res in results), Polynomial.zero()))
+            combo.extend(res.combo)
+        return GistResult(mu, kind, True, tuple(combo))
+
+    @cached_property
+    def gist(self) -> Polynomial | None:
+        if self.combo is None or self.kind == "m":
+            return None
+        return Polynomial({symfun.z_term_for(a): c for a, c in self.combo})
+
+    @property
+    def mcombo(self) -> tuple | None:
+        return self.combo if self.kind == "m" else None
 
     def substituted(self) -> Polynomial:
-        """Expand the gist back into K[r] by replacing each generator
-        symbol with its specialization; must reproduce the input."""
+        """Expand the gist back into K[r] as the sum of its coefficients
+        times the specialized basis members; must reproduce the input."""
         if not self.symmetric:
             raise ValueError("no gist: polynomial is not mu-symmetric")
-        if self.kind == "m":
-            out = Polynomial.zero()
-            for alpha, c in self.mcombo:
-                out = out + c * symfun.spec_basis_element("m", alpha, self.mu)
-            return out
-        mapping = {
-            ("z", i): symfun.spec_generator(self.kind, i, self.mu)
-            for i in range(1, self.mu.n + 1)
-        }
-        return self.gist.substitute(mapping)
+        out: dict = {}
+        for alpha, c in self.combo:
+            _packed.submul(out, -c, 0, symfun._spec_packed(self.kind, alpha, self.mu))
+        return symfun._root_ring(self.mu.m).undensify(out)
 
     def lift(self) -> Polynomial:
         """The symmetric polynomial in K[x] the gist denotes."""
         if not self.symmetric:
             raise ValueError("no gist: polynomial is not mu-symmetric")
-        n = self.mu.n
-        if self.kind == "m":
-            out = Polynomial.zero()
-            for alpha, c in self.mcombo:
-                out = out + c * symfun.monomial_generator(alpha, n)
-            return out
-        mapping = {("z", i): symfun.generator(self.kind, i, n) for i in range(1, n + 1)}
-        return self.gist.substitute(mapping)
+        return sum((c * symfun.basis_element(self.kind, a, self.mu.n) for a, c in self.combo), Polynomial.zero())
 
     def evaluate(self, values: list) -> object:
         """Evaluate the gist at n = mu.n given z-values (e/p/c bases only)."""
@@ -100,13 +91,12 @@ class GistResult:
     def __str__(self) -> str:
         if not self.symmetric:
             return "F is not mu-symmetric"
-        if self.kind == "m":
-            if not self.mcombo:
-                return "0"
-            pieces = []
-            for alpha, c in self.mcombo:
-                name = "m[" + ",".join(str(a) for a in alpha) + "]"
-                body = name if c == 1 else f"{c}*{name}"
-                pieces.append(body)
-            return " + ".join(pieces).replace("+ -", "- ")
-        return str(self.gist)
+        if self.kind != "m":
+            return str(self.gist)
+        if not self.combo:
+            return "0"
+        pieces = []
+        for alpha, c in self.combo:
+            name = "m[" + ",".join(str(a) for a in alpha) + "]"
+            pieces.append(name if c == 1 else f"{c}*{name}")
+        return " + ".join(pieces).replace("+ -", "- ")

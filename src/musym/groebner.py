@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import Basis, Ring, cancel, integer_form, primitive, ring_for, submul
+from ._packed import FIELD, Basis, Ring, cancel, integer_form, primitive, ring_for, submul
 from .gistresult import GistResult
 from .polys import ORDER_RZ, Polynomial, TermOrder, rat
 
@@ -366,7 +366,13 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 def _ggist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
     engine = elimination_system(mu, kind, degree=delta).engine
-    result = engine.ring.undensify(engine.normal_form(engine.ring.densify(F)))
-    if "r" in result.spaces():
+    nf = engine.normal_form(engine.ring.densify(F))
+    # the z fields are the n least significant: an r-free monomial is below 2^(16 n)
+    if any(mon >> (FIELD * mu.n) for mon in nf):
         return GistResult.not_symmetric(mu, kind)
-    return GistResult(mu, kind, True, gist=result)
+    alphas = []
+    for mon in nf:  # z_1^e_1 ... z_n^e_n is the capped index with e_i parts i
+        exps = engine.ring.unpack(mon)[mu.m:]
+        parts = [i for i in range(mu.n, 0, -1) for _ in range(exps[i - 1])]
+        alphas.append(tuple(parts) + (0,) * (delta - len(parts)))
+    return GistResult.from_coeffs(mu, kind, alphas, nf.values())

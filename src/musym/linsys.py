@@ -70,12 +70,6 @@ def _bareiss(m: list[list[int]]) -> list[int]:
     return pivots
 
 
-def matrix_rank(matrix: list[list]) -> int:
-    if not matrix:
-        return 0
-    return len(_bareiss(_integer_rows(matrix)))
-
-
 def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
     """Bareiss echelon form of the distinct rows, its pivot columns, and
     D, the last pivot.  Dropping repeated rows keeps the row space, and
@@ -83,6 +77,10 @@ def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
     m = _integer_rows([list(row) for row in dict.fromkeys(map(tuple, rows))])
     pivots = _bareiss(m)
     return m, pivots, m[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def matrix_rank(matrix: list[list]) -> int:
+    return len(_echelon(matrix)[1])
 
 
 def _cramer(m: list[list[int]], pivots: list[int], det: int, col: int) -> list[int]:

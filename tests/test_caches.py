@@ -71,7 +71,7 @@ def test_shared_spec_basis_is_never_mutated():
     reduction.clear_memo()
 
 
-@pytest.mark.parametrize("algo", ["cr", "ls"])
+@pytest.mark.parametrize("algo", ["groebner", "cr", "ls"])
 def test_warm_gist_and_dims_never_unpack(monkeypatch, algo):
     mu = Partition.of(2, 2, 1)
     F = dplus(mu)

@@ -8,7 +8,7 @@ import musym
 from musym import groebner, linsys, reduction, symfun
 from musym.gists import compute_gist
 from musym.polys import Polynomial, homogeneous_parts, parse_poly
-from musym.symfun import Partition, dplus, spec_basis_element, spec_generator
+from musym.symfun import Partition, dplus, index_flavor, spec_basis_element, spec_generator, weak_partitions
 
 P = parse_poly
 
@@ -48,6 +48,42 @@ def test_monomial_basis_combines_parts():
     assert res.gist is None
     degrees = {sum(alpha) for alpha, _ in res.mcombo}
     assert degrees == {1, 2}
+    assert res.substituted() == F
+
+
+@pytest.mark.parametrize("text, parts", [
+    ("dplus", (2, 2, 1)),
+    ("(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7 + 3/4", (2, 1)),
+], ids=["dplus", "rational-nonhomogeneous"])
+@pytest.mark.parametrize("algo, kind", [
+    (algo, kind) for algo in ("groebner", "cr", "ls") for kind in symfun.BASIS_KINDS
+    if (algo, kind) != ("groebner", "m")
+])
+def test_combo_is_the_coefficient_vector(algo, kind, text, parts, monkeypatch):
+    # sum of coeff * specialized member alpha over res.combo is F itself
+    mu = Partition(parts)
+    F = dplus(mu) if text == "dplus" else P(text)
+    res = compute_gist(F, mu, kind, algo)
+    assert res.symmetric
+    total = {}
+    for alpha, c in res.combo:
+        delta = sum(alpha)
+        assert alpha == (0,) * mu.n if not delta else alpha in weak_partitions(delta, mu.n, index_flavor(kind))
+        for mon, v in symfun._spec_packed(kind, alpha, mu).items():
+            total[mon] = total.get(mon, 0) + c * v
+    assert {mon: c for mon, c in total.items() if c} == symfun._root_ring(mu.m).densify(F)
+    assert res.mcombo == (res.combo if kind == "m" else None)
+    assert (res.gist is None) == (kind == "m")
+    # substituted() sums the packed members, with no z-substitution
+    for delta, _ in symfun.root_parts(F, mu):
+        if delta:
+            symfun.spec_basis(kind, delta, mu)
+
+    def refuse(*args):
+        raise AssertionError("the gist was expanded by substitution")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(symfun, "spec_generator", refuse)
     assert res.substituted() == F
 
 
