@@ -59,7 +59,7 @@ def named_input(name: str, mu: Partition) -> Polynomial:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad subdiscriminant index in {name!r}") from None
-        return symfun.specialize(symfun.subdiscriminant(mu.n, k), mu)
+        return symfun.spec_subdiscriminant(k, mu)
     return parse_poly(name)
 
 

@@ -24,9 +24,12 @@ The engine never divides.  Its members are primitive integer dicts with
 positive leads; S-polynomials are taken times lcm(lc_i, lc_j), and a
 reduction step scales what it reduces by lc/gcd(a, lc) before it
 subtracts an integer multiple of a member, as the reduce sweep of
-``reduction`` does (Bareiss, Math. Comp. 22, 1968).  Rationals appear
-only in what is handed out: normal forms, S-polynomials and the reduced
-basis.
+``reduction`` does (Bareiss, Math. Comp. 22, 1968).  Each S-polynomial
+is reduced fully, every term and not only the lead, before it joins the
+basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.7),
+so no member has a term that the lead of an earlier member divides.
+Rationals appear only in what is handed out: normal forms,
+S-polynomials and the reduced basis.
 """
 
 from __future__ import annotations
@@ -53,27 +56,6 @@ def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
         if idx != skip and lt <= t and not (t - lt) & guard:
             return idx
     return -1
-
-
-def _top_reduce(f: dict, basis: Basis, guard: int) -> tuple[dict, int]:
-    """Reduce until zero or the leading monomial has no reducer.
-
-    Returns (poly, lt), poly a multiple of f's reduction; tails stay as
-    they are.
-    """
-    heap = [-m for m in f]
-    heapq.heapify(heap)
-    while heap:
-        t = -heap[0]
-        if t not in f:
-            heapq.heappop(heap)
-            continue
-        idx = _find_reducer(t, basis, guard)
-        if idx < 0:
-            return f, t
-        heapq.heappop(heap)
-        cancel(f, t, basis, idx, heap)
-    return {}, -1
 
 
 def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> tuple[dict, int]:
@@ -184,10 +166,10 @@ class _GradedEngine:
                     return
                 heapq.heappop(self.heap)
                 lcm = self.pairs.pop((i, j))
-                r, lt = _top_reduce(_spoly(i, j, lcm, basis), basis, guard)
+                r, _ = _full_reduce(_spoly(i, j, lcm, basis), basis, guard)
                 if not r:
                     continue
-                basis.add(primitive(r), lt)
+                basis.add(primitive(r))
                 self._update(len(basis) - 1)
 
     def normal_form(self, f: dict) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import symfun
 from .gistresult import GistResult
@@ -133,13 +134,20 @@ def nullspace(A: list[list]) -> list[list]:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Coefficient matching for one degree: column j holds the
-    r-coefficients of the j-th specialized basis element, b those of F."""
+    """Coefficient matching for degree delta in m roots: row i matches the
+    i-th term of ``degree_terms(m, delta)``, column j holds the
+    r-coefficients of the j-th specialized basis element, b those of F.
+    ``row_index`` lists those terms, built on first read."""
 
     A: list[list]
     b: list
     column_index: list[tuple[int, ...]]
-    row_index: list[Term]
+    m: int
+    delta: int
+
+    @cached_property
+    def row_index(self) -> list[Term]:
+        return degree_terms(self.m, self.delta)
 
 
 def degree_terms(m: int, delta: int) -> list[Term]:
@@ -177,11 +185,12 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> Linear
 def _system(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> LinearSystem:
     """build_system for an F already known to be homogeneous of degree delta."""
     alphas, basis = symfun.spec_basis(kind, delta, mu)
-    rows = degree_terms(mu.m, delta)
     ring = symfun._root_ring(mu.m)
-    A = [[g.get(mon, 0) for g in basis] for mon in map(ring.pack_term, rows)]
-    b = [F.coeff(t) for t in rows]
-    return LinearSystem(A, b, alphas, rows)
+    rows = [ring.pack(exps[::-1]) for exps in _compositions(delta, mu.m)]  # degree_terms, packed
+    f = ring.densify(F)
+    A = [[g.get(mon, 0) for g in basis] for mon in rows]
+    b = [f.get(mon, 0) for mon in rows]
+    return LinearSystem(A, b, alphas, mu.m, delta)
 
 
 def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:

@@ -9,6 +9,7 @@ having size mu_i.  Everything here is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,15 +112,19 @@ def index_flavor(kind: str) -> str:
 # -- generator families in K[x] ----------------------------------------
 
 
+def _check_generator(kind: str, i: int, n: int) -> None:
+    if kind not in ("e", "p", "c"):
+        raise ValueError("indexed generators exist for kinds e, p, c only")
+    if not 0 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+
+
 @lru_cache(maxsize=None)
 def generator(kind: str, i: int, n: int) -> Polynomial:
     """The i-th generator of the symmetric algebra in x1..xn."""
-    if kind not in ("e", "p", "c"):
-        raise ValueError("indexed generators exist for kinds e, p, c only")
+    _check_generator(kind, i, n)
     if i == 0:
         return Polynomial.constant(1)
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
     if kind == "e":
         coeffs = {}
         for combo in itertools.combinations(range(1, n + 1), i):
@@ -226,7 +231,37 @@ def specialize(p: Polynomial, mu: Partition) -> Polynomial:
 @lru_cache(maxsize=None)
 def spec_generator(kind: str, i: int, mu: Partition) -> Polynomial:
     """sigma_mu of the i-th generator, an element of K[r]."""
-    return specialize(generator(kind, i, mu.n), mu)
+    packed = _spec_generator_packed(kind, i, mu)
+    return _root_ring(mu.m).undensify({mon: rat(c) for mon, c in packed.items()})
+
+
+def _spec_generator_packed(kind: str, i: int, mu: Partition) -> dict:
+    """sigma_mu of the i-th generator, built in the root ring with int
+    coefficients rather than specialized from its expansion in x1..xn.
+
+    A multiset of i blocks that takes a_j from block j becomes the
+    monomial prod r_j^a_j; the subsets (e) or multisets (c) of the x
+    variables that map onto it number prod C(mu_j, a_j), or
+    prod C(mu_j + a_j - 1, a_j).  p_i is sum_j mu_j r_j^i.
+    """
+    _check_generator(kind, i, mu.n)
+    shifts = _root_ring(mu.m).shifts  # r_j sits at shifts[m - j]
+    out = {}
+    for blocks in itertools.combinations_with_replacement(range(mu.m), i):
+        distinct = set(blocks)
+        if kind == "p" and len(distinct) > 1:
+            continue
+        mon, coeff = 0, 1
+        for j in distinct:
+            a, size = blocks.count(j), mu.parts[j]
+            mon += a << shifts[mu.m - 1 - j]
+            if kind == "p":
+                coeff *= size
+            else:
+                coeff *= math.comb(size, a) if kind == "e" else math.comb(size + a - 1, a)
+        if coeff:
+            out[mon] = coeff
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +269,6 @@ def _root_ring(m: int) -> _packed.Ring:
     """Packed ring of r1..rm with r_m most significant, so that integer
     order on packed monomials is ORDER_R."""
     return _packed.Ring([("r", i) for i in range(m, 0, -1)])
-
-
-def _int_packed(p: Polynomial, mu: Partition) -> dict:
-    """An integer-coefficient polynomial packed in the root ring, with
-    Python int coefficients."""
-    return {mon: int(c) for mon, c in _root_ring(mu.m).densify(p).items()}
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +279,7 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
     Built from its prefix, the product with one factor of the highest
     index fewer, which ``_spec_packed`` has memoized one step before,
     times the generator, taken from its own unit-count entry so that it
-    is packed once.
+    is built once.
     Keyed by counts rather than by the parts, so the keys of a chain of
     L factors hold O(L n) entries, not O(L^2).
     """
@@ -259,14 +288,22 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
         return {0: 1}
     prefix = counts[:high] + (counts[high] - 1,) + counts[high + 1:]
     if not any(prefix):
-        return _int_packed(spec_generator(kind, high + 1, mu), mu)
+        return _spec_generator_packed(kind, high + 1, mu)
     unit = (0,) * high + (1,) + (0,) * (len(counts) - high - 1)
     return _packed.mul(_spec_product_packed(kind, prefix, mu), _spec_product_packed(kind, unit, mu))
 
 
+@lru_cache(maxsize=None)
+def _spec_monomial_packed(alpha: tuple[int, ...], mu: Partition) -> dict:
+    """The specialized monomial symmetric function m_alpha, packed in the
+    root ring with int coefficients."""
+    packed = _root_ring(mu.m).densify(specialize(monomial_generator(alpha, mu.n), mu))
+    return {mon: int(c) for mon, c in packed.items()}
+
+
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
     if kind == "m":
-        return _int_packed(specialize(monomial_generator(tuple(alpha), mu.n), mu), mu)
+        return _spec_monomial_packed(tuple(alpha), mu)
     # alpha is weakly decreasing, walked from its smallest part: each
     # step's prefix is the step before, so the memoized product recurses
     # one level, however long alpha is
@@ -288,9 +325,8 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
 
     The basis members are packed dicts in the root ring ``_root_ring(mu.m)``
     with Python int coefficients: every generator family here has integer
-    coefficients, and so does its specialization.  For the e/p/c kinds
-    they are the memoized products themselves, shared by every caller: do
-    not mutate them.
+    coefficients, and so does its specialization.  They are the memoized
+    members themselves, shared by every caller: do not mutate them.
     """
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
@@ -385,6 +421,31 @@ def subdiscriminant(n: int, k: int) -> Polynomial:
     return out
 
 
+def spec_subdiscriminant(k: int, mu: Partition) -> Polynomial:
+    """specialize(subdiscriminant(mu.n, k), mu), without the n-variable
+    expansion.
+
+    A subset of the x variables with two in one block specializes to 0,
+    so only subsets with at most one x per block remain: the sum runs
+    over the (n-k)-subsets J of the m roots, each standing for
+    prod_{j in J} mu_j subsets of the x variables, of
+    prod_{i<j in J} (r_i - r_j)^2.  It is 0 for k < n - m.
+    """
+    n = mu.n
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"subdiscriminant index {k} out of range 0..{n - 1}")
+    if k == n - 1:
+        return Polynomial.constant(1)
+    out = Polynomial.zero()
+    for subset in itertools.combinations(range(1, mu.m + 1), n - k):
+        v = _difference_product(list(subset), "r")
+        weight = 1
+        for j in subset:
+            weight *= mu.parts[j - 1]
+        out = out + weight * v * v
+    return out
+
+
 def delta_lift(mu: Partition) -> Polynomial:
     """Symmetric polynomial specializing to prod (r_i - r_j)^2 under mu."""
     if mu.m < 2:
@@ -443,6 +504,7 @@ def clear_caches() -> None:
     monomial_generator.cache_clear()
     spec_generator.cache_clear()
     _spec_product_packed.cache_clear()
+    _spec_monomial_packed.cache_clear()
     _root_ring.cache_clear()
     subdiscriminant.cache_clear()
 

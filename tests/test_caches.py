@@ -48,6 +48,7 @@ def test_clear_functions_empty_every_memo():
         compute_gist(dplus(mu), mu, "e", algo)
     compute_gist(dplus(mu), mu, "m", "cr")
     symfun.subdiscriminant(3, 1)
+    symfun.generator("e", 2, 3)  # the x-variable family; gists build theirs in the root ring
     memos = _memos()
     assert [name for name, fn in memos.items() if not fn.cache_info().currsize] == []
     groebner.clear_memo()
@@ -69,6 +70,20 @@ def test_shared_spec_basis_is_never_mutated():
     assert all(a is b for a, b in zip(again, basis))  # the memoized dicts themselves
     assert basis == before
     reduction.clear_memo()
+
+
+def test_warm_monomial_basis_is_memoized(monkeypatch):
+    mu = Partition.of(2, 2, 1)
+    symfun.clear_caches()
+    _, cold = symfun.spec_basis("m", 10, mu)
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("specialize", "monomial_generator"):
+            patch.setattr(symfun, name, lambda *a, name=name: calls.append(name))
+        _, warm = symfun.spec_basis("m", 10, mu)
+    assert calls == []
+    assert all(a is b for a, b in zip(warm, cold))
+    symfun.clear_caches()
 
 
 @pytest.mark.parametrize("algo", ["groebner", "cr", "ls"])

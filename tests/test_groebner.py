@@ -248,6 +248,22 @@ def test_cold_engine_runs_on_primitive_ints(monkeypatch):
     clear_memo()
 
 
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1)])
+def test_engine_adds_fully_reduced_members(parts):
+    # every S-polynomial is reduced in full before it joins the basis: no
+    # term of a member that extend adds is divisible by an earlier lead
+    mu = Partition(parts)
+    engine = groebner._engine.__wrapped__(mu, "e")
+    start = len(engine.basis)
+    engine.extend(None if mu.n < 5 else 8)
+    basis, guard = engine.basis, engine.guard
+    assert len(basis) > start
+    for h in range(start, len(basis)):
+        for lt in basis.lts[:h]:
+            assert not any(m >= lt and not (m - lt) & guard for m in basis.polys[h])
+    assert not hasattr(groebner, "_top_reduce")
+
+
 def test_elimination_basis_unpacked_once_on_first_read():
     mu = Partition.of(2, 2)
     clear_memo()

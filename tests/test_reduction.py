@@ -403,6 +403,27 @@ def test_integer_sweep_matches_rational_reference():
     assert all(seen.values()), seen
 
 
+SPEC_FAMILIES = [((2, 2, 1), 10, 26), ((3, 2), 10, 10), ((2, 2, 2), 12, None), ((1, 1, 1, 1, 1), 6, None)]
+
+
+@pytest.mark.parametrize("kind", symfun.BASIS_KINDS)
+@pytest.mark.parametrize("parts,delta,e_rank", SPEC_FAMILIES)
+def test_canonize_on_specialized_bases_matches_rational_reference(parts, delta, e_rank, kind):
+    # the dense sweep on the bases cr and dims use, rank-deficient ones included
+    mu = Partition(parts)
+    clear_memo()
+    alphas, basis = symfun.spec_basis(kind, delta, mu)
+    B = [symfun._root_ring(mu.m).undensify(d) for d in basis]
+    ref_seq, ref_q = _reference_canonize(B)
+    got = canonize(B)
+    assert got.sequence == ref_seq and got.qmatrix == ref_q
+    system = canonical_system(mu, delta, kind)
+    assert system.sequence == ref_seq and system.qmatrix == ref_q
+    if kind == "e" and e_rank is not None:
+        assert (len(ref_seq), len(alphas)) == (e_rank, 30)
+    clear_memo()
+
+
 def test_cold_canonical_system_makes_no_rational(monkeypatch):
     # the quotients ride the integer sweep as tags; Q is read off on demand
     calls = []

@@ -17,6 +17,7 @@ from musym.symfun import (
     generator,
     monomial_generator,
     spec_generator,
+    spec_subdiscriminant,
     specialize,
     subdiscriminant,
     sym_dimensions,
@@ -127,6 +128,19 @@ def test_specialize_examples():
     assert spec_generator("e", 2, mu) == P("r1^2 + 2*r1*r2")
 
 
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+def test_spec_generator_matches_specialized_expansion(kind):
+    # built in the root ring, it equals the x-variable generator specialized
+    for n in range(1, 7):
+        for parts in all_partitions(n):
+            mu = Partition(parts)
+            for i in range(n + 1):
+                assert spec_generator(kind, i, mu) == specialize(generator(kind, i, n), mu), (parts, i)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"generator index {bad} out of range 1..3"):
+            spec_generator(kind, bad, mu_(2, 1))
+
+
 @pytest.mark.parametrize("parts", [(2, 1), (3, 2), (2, 2, 1), (4, 1, 1), (3, 3, 2, 1)])
 def test_specialized_e2_closed_form(parts):
     # sum of C(mu_i, 2) r_i^2 plus sum of mu_i mu_j r_i r_j
@@ -234,6 +248,30 @@ def test_subdiscriminant_specializes_to_root_differences():
                 scale *= p
             lhs = specialize(subdiscriminant(n, n - mu.m), mu)
             assert lhs == scale * delta_squares(mu.m)
+
+
+SUBDISC_CASES = [
+    (parts, k) for n in range(2, 6) for parts in all_partitions(n) for k in range(n)
+]
+
+
+@pytest.mark.parametrize("parts,k", SUBDISC_CASES)
+def test_spec_subdiscriminant_matches_specialized_expansion(parts, k):
+    mu = Partition(parts)
+    got = spec_subdiscriminant(k, mu)
+    assert got == specialize(subdiscriminant(mu.n, k), mu)
+    if k < mu.n - mu.m:
+        assert got.is_zero  # more roots asked for than mu has
+
+
+@pytest.mark.parametrize("k", [-1, 5, 6])
+def test_spec_subdiscriminant_range_error_matches(k):
+    mu = mu_(2, 2, 1)
+    with pytest.raises(ValueError) as want:
+        subdiscriminant(mu.n, k)
+    with pytest.raises(ValueError) as got:
+        spec_subdiscriminant(k, mu)
+    assert str(got.value) == str(want.value)
 
 
 def test_delta_lift_m2_closed_form():
