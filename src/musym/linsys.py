@@ -158,19 +158,8 @@ def degree_terms(m: int, delta: int) -> list[Term]:
     """
     return [
         term_from_exps({("r", i + 1): e for i, e in enumerate(exps) if e})
-        for exps in _compositions(delta, m)
+        for exps in symfun._compositions(delta, (delta,) * m)
     ]
-
-
-def _compositions(total: int, parts: int):
-    """Tuples of ``parts`` >= 1 nonnegative integers summing to
-    ``total``, in descending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> LinearSystem:
@@ -186,7 +175,8 @@ def _system(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> Linea
     """build_system for an F already known to be homogeneous of degree delta."""
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     ring = symfun._root_ring(mu.m)
-    rows = [ring.pack(exps[::-1]) for exps in _compositions(delta, mu.m)]  # degree_terms, packed
+    # the terms of degree_terms(mu.m, delta), packed
+    rows = [ring.pack(exps[::-1]) for exps in symfun._compositions(delta, (delta,) * mu.m)]
     f = ring.densify(F)
     A = [[g.get(mon, 0) for g in basis] for mon in rows]
     b = [f.get(mon, 0) for mon in rows]

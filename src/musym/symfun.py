@@ -239,29 +239,38 @@ def _spec_generator_packed(kind: str, i: int, mu: Partition) -> dict:
     """sigma_mu of the i-th generator, built in the root ring with int
     coefficients rather than specialized from its expansion in x1..xn.
 
-    A multiset of i blocks that takes a_j from block j becomes the
-    monomial prod r_j^a_j; the subsets (e) or multisets (c) of the x
-    variables that map onto it number prod C(mu_j, a_j), or
-    prod C(mu_j + a_j - 1, a_j).  p_i is sum_j mu_j r_j^i.
+    p_i is sum_j mu_j r_j^i.  For e and c, the monomial prod r_j^a_j
+    collects the subsets (e) or multisets (c) of i x variables that take
+    a_j from block j: prod C(mu_j, a_j) of them, or
+    prod C(mu_j + a_j - 1, a_j).
     """
     _check_generator(kind, i, mu.n)
-    shifts = _root_ring(mu.m).shifts  # r_j sits at shifts[m - j]
+    shifts = _root_ring(mu.m).shifts[::-1]  # the field of r_j is shifts[j - 1]
+    if i == 0:
+        return {0: 1}
+    if kind == "p":
+        return {i << s: size for s, size in zip(shifts, mu.parts)}
     out = {}
-    for blocks in itertools.combinations_with_replacement(range(mu.m), i):
-        distinct = set(blocks)
-        if kind == "p" and len(distinct) > 1:
-            continue
+    for counts in _compositions(i, mu.parts if kind == "e" else (i,) * mu.m):
         mon, coeff = 0, 1
-        for j in distinct:
-            a, size = blocks.count(j), mu.parts[j]
-            mon += a << shifts[mu.m - 1 - j]
-            if kind == "p":
-                coeff *= size
-            else:
-                coeff *= math.comb(size, a) if kind == "e" else math.comb(size + a - 1, a)
-        if coeff:
-            out[mon] = coeff
+        for a, s, size in zip(counts, shifts, mu.parts):
+            mon += a << s
+            coeff *= math.comb(size, a) if kind == "e" else math.comb(size + a - 1, a)
+        out[mon] = coeff
     return out
+
+
+def _compositions(total: int, caps: tuple[int, ...]):
+    """Tuples a with 0 <= a_j <= caps[j] and sum total, in descending
+    lexicographic order; every branch taken yields at least one."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for first in range(min(total, caps[0]), max(total - room, 0) - 1, -1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
