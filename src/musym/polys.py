@@ -13,6 +13,11 @@ kernels behind the cr, ls and dims routes (``symfun.spec_basis``, the
 canonical sequences and the reduce sweep in ``reduction``, and
 ``linsys``'s elimination) hold Python ints internally and meet these
 rationals only at their edges.
+
+``parse_poly`` makes one walk of ``ast.parse``'s tree over plain
+``{term: coeff}`` dicts, with loops along the ``+ -`` and ``* /``
+chains; only a factor of several terms is multiplied out, and one
+Polynomial is built at the end.
 """
 
 from __future__ import annotations
@@ -460,7 +465,8 @@ def parse_poly(text: str) -> Polynomial:
 
     Accepts ``+ - * / ^`` (also ``**``), parentheses, integer literals
     and variables like ``r1``, ``z12``.  Division is restricted to
-    constant divisors.
+    constant divisors.  Text nested deeper than Python's parser can
+    follow raises ValueError, like any other bad text.
     """
     source = text.replace("^", "**").strip()
     if not source:
@@ -469,50 +475,99 @@ def parse_poly(text: str) -> Polynomial:
         node = ast.parse(source, mode="eval").body
     except SyntaxError as exc:
         raise ValueError(f"cannot parse polynomial: {text!r}") from exc
-    return _poly_from_ast(node, text)
+    except (RecursionError, MemoryError):  # the parser's depth and stack limits
+        raise ValueError(_TOO_DEEP) from None
+    try:
+        return Polynomial(_sum(node, text))
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
-def _poly_from_ast(node, original: str) -> Polynomial:
+_TOO_DEEP = "polynomial text nests too deeply"
+# the operators of the language; _sum reads any node made of them
+_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _sum(node, text: str) -> dict[Term, object]:
+    """{term: nonzero coeff} of an expression; its + and - chain is a loop."""
+    spine = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        spine.append(node)
+        node = node.left
+    out = _product(node, text)
+    for n in reversed(spine):
+        sign = -1 if isinstance(n.op, ast.Sub) else 1
+        for t, c in _product(n.right, text).items():
+            s = out.get(t, 0) + sign * c
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return out
+
+
+def _product(node, text: str) -> dict[Term, object]:
+    """{term: nonzero coeff} of a product; its * and / chain is a loop.
+    Single-term factors fold into one coefficient and one exponent map."""
+    spine = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        spine.append(node)
+        node = node.left
+    coeff, exps, multi = 1, {}, []
+    for div, factor in [(False, node)] + [(isinstance(n.op, ast.Div), n.right) for n in reversed(spine)]:
+        if div:
+            d = _sum(factor, text)
+            if d.keys() - {()}:
+                raise ValueError(f"division by a non-constant in {text!r}")
+            if not d:
+                raise ValueError(f"division by zero in {text!r}")
+            coeff = rat(coeff) / d[()]
+            continue
+        while isinstance(factor, ast.UnaryOp) and isinstance(factor.op, (ast.UAdd, ast.USub)):
+            if isinstance(factor.op, ast.USub):
+                coeff = -coeff
+            factor = factor.operand
+        base, k = factor, 1
+        if isinstance(factor, ast.BinOp) and isinstance(factor.op, ast.Pow):
+            base = factor.left
+        d = _factor(base, text)
+        if base is not factor:
+            k = factor.right
+            if not (isinstance(k, ast.Constant) and isinstance(k.value, int)):
+                raise ValueError(f"exponent must be an integer literal in {text!r}")
+            k = k.value
+        if len(d) > 1:
+            multi.append((d, k))
+        else:
+            t, c = next(iter(d.items()), ((), 0))
+            coeff *= c**k
+            for s, i, e in t:
+                exps[s, i] = exps.get((s, i), 0) + e * k
+    out = {tuple(sorted((s, i, e) for (s, i), e in exps.items() if e)): coeff} if coeff else {}
+    for d, k in multi:
+        out = (Polynomial(out) * Polynomial(d) ** k)._c
+    return out
+
+
+def _factor(node, text: str) -> dict[Term, object]:
+    """{term: nonzero coeff} of a power's base, or of a factor without sign."""
+    if isinstance(node, ast.Name):
+        space, digits = node.id[0], node.id[1:]
+        if space in SPACES and digits.isdigit() and int(digits) >= 1:
+            return {((space, int(digits), 1),): 1}
+        raise ValueError(f"unknown variable {node.id!r}")
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
-            return Polynomial.constant(node.value)
-        raise ValueError(f"non-integer literal in {original!r}")
-    if isinstance(node, ast.Name):
-        name = node.id
-        space, digits = name[0], name[1:]
-        if space in SPACES and digits.isdigit() and int(digits) >= 1:
-            return Polynomial.variable(space, int(digits))
-        raise ValueError(f"unknown variable {name!r}")
-    if isinstance(node, ast.UnaryOp):
-        arg = _poly_from_ast(node.operand, original)
-        if isinstance(node.op, ast.USub):
-            return -arg
-        if isinstance(node.op, ast.UAdd):
-            return arg
-        raise ValueError(f"unsupported operator in {original!r}")
-    if isinstance(node, ast.BinOp):
-        op = node.op
-        if isinstance(op, ast.Pow):
-            base = _poly_from_ast(node.left, original)
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
-                raise ValueError(f"exponent must be an integer literal in {original!r}")
-            return base ** node.right.value
-        left = _poly_from_ast(node.left, original)
-        right = _poly_from_ast(node.right, original)
-        if isinstance(op, ast.Add):
-            return left + right
-        if isinstance(op, ast.Sub):
-            return left - right
-        if isinstance(op, ast.Mult):
-            return left * right
-        if isinstance(op, ast.Div):
-            if not right.is_constant:
-                raise ValueError(f"division by a non-constant in {original!r}")
-            if right.is_zero:
-                raise ValueError(f"division by zero in {original!r}")
-            return left / right.constant_value()
-        raise ValueError(f"unsupported operator in {original!r}")
-    raise ValueError(f"cannot parse polynomial: {original!r}")
+            return {(): node.value} if node.value else {}
+        raise ValueError(f"non-integer literal in {text!r}")
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        if isinstance(node.op, _OPS):
+            return _sum(node, text)
+        # an error inside the operands comes first, as the text reads
+        for operand in (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,):
+            _sum(operand, text)
+        raise ValueError(f"unsupported operator in {text!r}")
+    raise ValueError(f"cannot parse polynomial: {text!r}")
 
 
 # -- JSON form ---------------------------------------------------------

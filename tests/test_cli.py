@@ -340,6 +340,17 @@ def test_deep_input_never_reads_as_not_symmetric(capsys):
         assert out.strip() == "z1^600"
 
 
+def test_long_input_is_a_verdict_or_a_usage_error(capsys):
+    # ast.parse refuses long chains at a length that differs by Python version
+    for text in (" + ".join(["r1", "r2"] * 10000), "*".join(["r1", "r2"] + ["1"] * 19998)):
+        code, out, err = run(capsys, "gist", text, "--mu", "1,1", "--algo", "cr")
+        if code == 2:
+            assert err == "error: polynomial text nests too deeply\n"
+        else:
+            assert code == 0, err
+            assert P(out.strip()) in (P("10000*z1"), P("z2"))
+
+
 def test_default_bench_suite_inputs_are_nonzero():
     from musym.cli import DEFAULT_SUITE, _suite_input
     from musym.symfun import Partition

@@ -138,14 +138,143 @@ def test_format_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q1 + 1", "r1 +", "r0", "r1^x", "(r1", "r1/r2", "1.5*r1", "r1/0", "r1/(r1-r1)"):
-        with pytest.raises(ValueError):
+    for bad, message in (
+        ("", "empty polynomial text"),
+        ("q1 + 1", "unknown variable 'q1'"),
+        ("r1 +", "cannot parse polynomial: 'r1 +'"),
+        ("r0", "unknown variable 'r0'"),
+        ("r1^x", "exponent must be an integer literal in 'r1^x'"),
+        ("(r1", "cannot parse polynomial: '(r1'"),
+        ("r1/r2", "division by a non-constant in 'r1/r2'"),
+        ("1.5*r1", "non-integer literal in '1.5*r1'"),
+        ("r1/0", "division by zero in 'r1/0'"),
+        ("r1/(r1-r1)", "division by zero in 'r1/(r1-r1)'"),
+    ):
+        with pytest.raises(ValueError) as exc:
             parse_poly(bad)
+        assert str(exc.value) == message, bad
 
 
 def test_parse_division_and_parens():
     assert P("(2*r1 + 4*r2)/2") == P("r1 + 2*r2")
     assert P("r1**2") == P("r1^2")
+
+
+def test_parse_readings():
+    r1, r2 = Polynomial.variable("r", 1), Polynomial.variable("r", 2)
+    assert P("-r1^2") == -(r1**2)
+    assert P("(-r1)^2") == r1**2
+    assert P("r1/2/3") == r1 / 6
+    assert P("(r1+r2)^0") == 1
+    assert P("0*r1") == 0 and P("0*r1").is_zero
+    assert P("r1^0") == 1
+    assert P("2*-r1*r2 - -r2") == -2 * r1 * r2 + r2
+
+
+def test_parse_long_sum():
+    # the + chain is walked in a loop, so its length meets no recursion limit
+    pieces = [f"{(-1) ** i * (i % 7 + 1)}*r{i % 3 + 1}^{i % 5}*x{i % 2 + 1}" for i in range(1500)]
+    expected = Polynomial.zero()
+    for piece in pieces:
+        c, r, x = piece.split("*")
+        expected = expected + int(c) * P(r) * P(x)
+    assert parse_poly(" + ".join(pieces)) == expected
+
+
+def test_parse_too_deep_is_a_value_error():
+    # where ast.parse gives up differs by Python version; below it, the
+    # text parses, above it, the error is a ValueError, never a RecursionError
+    r1 = Polynomial.variable("r", 1)
+    for text, value in (
+        (" + ".join(["r1"] * 20000), 20000 * r1),
+        ("*".join(["r1"] * 20000), r1**20000),
+        ("-" * 5000 + "r1", r1),
+        ("-" * 100000 + "r1", r1),
+    ):
+        try:
+            p = parse_poly(text)
+        except ValueError as exc:
+            assert str(exc) == "polynomial text nests too deeply"
+        else:
+            assert p == value
+
+
+def test_parse_walk_recursion_is_a_value_error():
+    import inspect
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        with pytest.raises(ValueError, match="^polynomial text nests too deeply$"):
+            parse_poly("(r1 + " * 150 + "r1" + ")" * 150)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# expression trees over r, x and z variables: a node is ("var", name),
+# ("int", c), ("neg", a), (op, a, b) for op in + - *, ("^" or "**", a, k)
+# or ("/", a, c) for a nonzero integer c
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "**": 4, "var": 5, "int": 5}
+
+
+def _exprs():
+    leaves = st.one_of(
+        st.sampled_from(["r1", "r2", "r3", "x1", "x2", "z1", "z4"]).map(lambda v: ("var", v)),
+        st.integers(0, 9).map(lambda c: ("int", c)),
+    )
+
+    def grow(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.sampled_from(["^", "**"]), kids, st.integers(0, 3)),
+            st.tuples(st.just("/"), kids, st.integers(-6, 6).filter(bool)),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+def _render(node) -> str:
+    """Text with the fewest parentheses that keep the tree's shape."""
+    kind = node[0]
+    if kind in ("var", "int"):
+        return str(node[1])
+
+    def wrap(child, tighter: int) -> str:
+        text = _render(child)
+        return f"({text})" if _PREC[child[0]] < tighter else text
+
+    if kind == "neg":
+        return "-" + wrap(node[1], _PREC["neg"])
+    if kind in ("^", "**"):
+        return f"{wrap(node[1], _PREC['var'])}{kind}{node[2]}"
+    if kind == "/":
+        c = node[2]
+        return f"{wrap(node[1], _PREC['/'])}/{c if c > 0 else f'({c})'}"
+    return f"{wrap(node[1], _PREC[kind])} {kind} {wrap(node[2], _PREC[kind] + 1)}"
+
+
+def _build(node) -> Polynomial:
+    kind = node[0]
+    if kind == "var":
+        return Polynomial.variable(node[1][0], int(node[1][1:]))
+    if kind == "int":
+        return Polynomial.constant(node[1])
+    if kind == "neg":
+        return -_build(node[1])
+    if kind in ("^", "**"):
+        return _build(node[1]) ** node[2]
+    if kind == "/":
+        return _build(node[1]) / node[2]
+    a, b = _build(node[1]), _build(node[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs())
+def test_parse_matches_polynomial_operators(tree):
+    assert parse_poly(_render(tree)) == _build(tree)
 
 
 def test_evaluate():
