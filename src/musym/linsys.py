@@ -6,6 +6,17 @@ candidate gist with indeterminate coefficients and matching
 coefficients monomial by monomial produces a linear system A k = b;
 solvability decides symmetry and any solution assembles a gist.
 
+A depends only on (mu, delta, kind); only b comes from F.  ``lsgist``
+keeps one layout per shape: the basis indices, the distinct rows of A
+with the monomials that share each, and A's rank profile, the pivot
+rows R and pivot columns P.  The first call for a shape eliminates the
+distinct rows of [A | b] once and reads R and P off that elimination.
+Every later call solves only the square pivot subsystem A_RP x = b_R
+afresh, and accepts x only after checking A x = b exactly on every
+row: the system is consistent exactly when that check passes, and
+then x, with the free variables 0, is the solution a full elimination
+gives.
+
 Elimination is fraction-free (Bareiss) on Python ints; rationals appear
 only in the solutions and kernel vectors handed out.
 """
@@ -14,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import symfun
 from .gistresult import GistResult
@@ -31,7 +42,7 @@ def _integer_rows(matrix: list[list]) -> list[list[int]]:
     return out
 
 
-def _bareiss(m: list[list[int]]) -> list[int]:
+def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
     """Fraction-free row echelon form, in place, and the pivot columns.
 
     Bareiss elimination (Math. Comp. 22, 1968): every entry stays an
@@ -43,6 +54,9 @@ def _bareiss(m: list[list[int]]) -> list[int]:
     minors that follow small in practice; below the pivot row, every
     entry left of the pivot column is already zero, so only the columns
     right of it are updated.
+    A row is only ever combined with rows above it, so the input rows
+    that end in the first k places span what the first k echelon rows
+    span; ``order``, a tag per row, is permuted with the rows.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -54,6 +68,8 @@ def _bareiss(m: list[list[int]]) -> list[int]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        if order is not None:
+            order[r], order[pivot] = order[pivot], order[r]
         a = m[r][c]
         tail = m[r][c + 1:]
         for i in range(r + 1, rows):
@@ -168,19 +184,42 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> Linear
     parts = symfun.root_parts(F, mu)
     if len(parts) != 1 or not parts[0][0]:
         raise ValueError("a linear system needs a homogeneous F of degree 1 or more")
-    return _system(F, parts[0][0], mu, kind)
+    delta = parts[0][0]
+    layout = _layout(mu, delta, kind)
+    row_of = {mon: row for row, mons in zip(layout.rows, layout.groups) for mon in mons}
+    f = symfun._root_ring(mu.m).densify(F)
+    A = [list(row_of[mon]) for mon in layout.monomials]
+    return LinearSystem(A, [f.get(mon, 0) for mon in layout.monomials], list(layout.alphas), mu.m, delta)
 
 
-def _system(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> LinearSystem:
-    """build_system for an F already known to be homogeneous of degree delta."""
+@dataclass
+class _Layout:
+    """What every ls system of one (mu, delta, kind) shares.
+
+    ``rows`` are the distinct rows of A and ``groups[i]`` the packed
+    degree-delta monomials whose row is ``rows[i]``; ``monomials`` are
+    all of them in ``degree_terms`` order.  ``profile`` is A's rank
+    profile, the pivot rows R (indices into ``rows``) and the pivot
+    columns P, recorded by the first solve.
+    """
+
+    alphas: list[tuple[int, ...]]
+    monomials: list[int]
+    rows: list[tuple[int, ...]]
+    groups: list[list[int]]
+    profile: tuple[list[int], list[int]] | None = None
+
+
+@lru_cache(maxsize=None)
+def _layout(mu: symfun.Partition, delta: int, kind: str) -> _Layout:
     alphas, basis = symfun.spec_basis(kind, delta, mu)
     ring = symfun._root_ring(mu.m)
     # the terms of degree_terms(mu.m, delta), packed
-    rows = [ring.pack(exps[::-1]) for exps in symfun._compositions(delta, (delta,) * mu.m)]
-    f = ring.densify(F)
-    A = [[g.get(mon, 0) for g in basis] for mon in rows]
-    b = [f.get(mon, 0) for mon in rows]
-    return LinearSystem(A, b, alphas, mu.m, delta)
+    monomials = [ring.pack(exps[::-1]) for exps in symfun._compositions(delta, (delta,) * mu.m)]
+    groups: dict[tuple, list[int]] = {}
+    for mon in monomials:
+        groups.setdefault(tuple(g.get(mon, 0) for g in basis), []).append(mon)
+    return _Layout(alphas, monomials, list(groups), list(groups.values()))
 
 
 def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
@@ -194,8 +233,50 @@ def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 
 def _lsgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
-    system = _system(F, delta, mu, kind)
-    k = solve_particular(system.A, system.b)
-    if k is None:
+    layout = _layout(mu, delta, kind)
+    f = symfun._root_ring(mu.m).densify(F)
+    den = math.lcm(*(c.denominator for c in f.values()))
+    b = {mon: c.numerator * (den // c.denominator) for mon, c in f.items()}  # F's b, times den
+    solved = _first_solve(layout, b) if layout.profile is None else _pivot_solve(layout, b)
+    if solved is None:
         return GistResult.not_symmetric(mu, kind)
-    return GistResult.from_coeffs(mu, kind, system.column_index, k)
+    dx, d = solved
+    return GistResult.from_coeffs(mu, kind, layout.alphas, [rat(v, d * den) for v in dx])
+
+
+def _first_solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
+    """(D x, D) for a solution x of A x = b, or None, from one elimination
+    of the distinct rows of [A | b], which also records A's rank profile:
+    A's columns come first, so their pivots do not depend on b."""
+    cols = len(layout.alphas)
+    distinct: dict[tuple, int] = {}
+    for i, (row, mons) in enumerate(zip(layout.rows, layout.groups)):
+        for mon in mons:
+            distinct.setdefault((*row, b.get(mon, 0)), i)
+    m = [list(row) for row in distinct]
+    order = list(distinct.values())
+    pivots = _bareiss(m, order)
+    P = [c for c in pivots if c < cols]
+    layout.profile = (order[: len(P)], P)
+    if len(P) < len(pivots):
+        return None  # pivot in the constants column: inconsistent
+    det = m[len(P) - 1][P[-1]] if P else 1
+    return _cramer(m, P, det, cols)[:cols], det
+
+
+def _pivot_solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
+    """(D x, D) for the solution x of A_RP x = b_R with the free variables
+    0, or None unless A x = b holds exactly on every row."""
+    R, P = layout.profile
+    square = [[layout.rows[i][j] for j in P] for i in R]
+    x = solve_particular(square, [b.get(layout.groups[i][0], 0) for i in R])
+    d = math.lcm(*(v.denominator for v in x))
+    dx = [v.numerator * (d // v.denominator) for v in x]
+    for row, mons in zip(layout.rows, layout.groups):
+        s = sum(row[j] * v for j, v in zip(P, dx))
+        if any(b.get(mon, 0) * d != s for mon in mons):
+            return None
+    out = [0] * len(layout.alphas)
+    for j, v in zip(P, dx):
+        out[j] = v
+    return out, d

@@ -471,33 +471,46 @@ def parse_poly(text: str) -> Polynomial:
     source = text.replace("^", "**").strip()
     if not source:
         raise ValueError("empty polynomial text")
+    quoted = _quote(text)
     try:
         node = ast.parse(source, mode="eval").body
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse polynomial: {text!r}") from exc
+        if exc.msg == "too many nested parentheses":  # the tokenizer's depth limit
+            raise ValueError(_TOO_DEEP) from None
+        raise ValueError(f"cannot parse polynomial: {quoted}") from exc
     except (RecursionError, MemoryError):  # the parser's depth and stack limits
         raise ValueError(_TOO_DEEP) from None
     try:
-        return Polynomial(_sum(node, text))
+        return Polynomial(_sum(node, quoted))
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
 
 
 _TOO_DEEP = "polynomial text nests too deeply"
+
+
+def _quote(text: str) -> str:
+    """text as an error message shows it: whole up to 80 characters,
+    else its two ends and its length."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:40] + ' ... ' + text[-30:]!r} ({len(text)} characters)"
+
+
 # the operators of the language; _sum reads any node made of them
 _OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 
 
-def _sum(node, text: str) -> dict[Term, object]:
+def _sum(node, quoted: str) -> dict[Term, object]:
     """{term: nonzero coeff} of an expression; its + and - chain is a loop."""
     spine = []
     while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
         spine.append(node)
         node = node.left
-    out = _product(node, text)
+    out = _product(node, quoted)
     for n in reversed(spine):
         sign = -1 if isinstance(n.op, ast.Sub) else 1
-        for t, c in _product(n.right, text).items():
+        for t, c in _product(n.right, quoted).items():
             s = out.get(t, 0) + sign * c
             if s:
                 out[t] = s
@@ -506,7 +519,7 @@ def _sum(node, text: str) -> dict[Term, object]:
     return out
 
 
-def _product(node, text: str) -> dict[Term, object]:
+def _product(node, quoted: str) -> dict[Term, object]:
     """{term: nonzero coeff} of a product; its * and / chain is a loop.
     Single-term factors fold into one coefficient and one exponent map."""
     spine = []
@@ -516,11 +529,11 @@ def _product(node, text: str) -> dict[Term, object]:
     coeff, exps, multi = 1, {}, []
     for div, factor in [(False, node)] + [(isinstance(n.op, ast.Div), n.right) for n in reversed(spine)]:
         if div:
-            d = _sum(factor, text)
+            d = _sum(factor, quoted)
             if d.keys() - {()}:
-                raise ValueError(f"division by a non-constant in {text!r}")
+                raise ValueError(f"division by a non-constant in {quoted}")
             if not d:
-                raise ValueError(f"division by zero in {text!r}")
+                raise ValueError(f"division by zero in {quoted}")
             coeff = rat(coeff) / d[()]
             continue
         while isinstance(factor, ast.UnaryOp) and isinstance(factor.op, (ast.UAdd, ast.USub)):
@@ -530,11 +543,11 @@ def _product(node, text: str) -> dict[Term, object]:
         base, k = factor, 1
         if isinstance(factor, ast.BinOp) and isinstance(factor.op, ast.Pow):
             base = factor.left
-        d = _factor(base, text)
+        d = _factor(base, quoted)
         if base is not factor:
             k = factor.right
             if not (isinstance(k, ast.Constant) and isinstance(k.value, int)):
-                raise ValueError(f"exponent must be an integer literal in {text!r}")
+                raise ValueError(f"exponent must be an integer literal in {quoted}")
             k = k.value
         if len(d) > 1:
             multi.append((d, k))
@@ -549,7 +562,7 @@ def _product(node, text: str) -> dict[Term, object]:
     return out
 
 
-def _factor(node, text: str) -> dict[Term, object]:
+def _factor(node, quoted: str) -> dict[Term, object]:
     """{term: nonzero coeff} of a power's base, or of a factor without sign."""
     if isinstance(node, ast.Name):
         space, digits = node.id[0], node.id[1:]
@@ -559,15 +572,15 @@ def _factor(node, text: str) -> dict[Term, object]:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return {(): node.value} if node.value else {}
-        raise ValueError(f"non-integer literal in {text!r}")
+        raise ValueError(f"non-integer literal in {quoted}")
     if isinstance(node, (ast.BinOp, ast.UnaryOp)):
         if isinstance(node.op, _OPS):
-            return _sum(node, text)
+            return _sum(node, quoted)
         # an error inside the operands comes first, as the text reads
         for operand in (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,):
-            _sum(operand, text)
-        raise ValueError(f"unsupported operator in {text!r}")
-    raise ValueError(f"cannot parse polynomial: {text!r}")
+            _sum(operand, quoted)
+        raise ValueError(f"unsupported operator in {quoted}")
+    raise ValueError(f"cannot parse polynomial: {quoted}")
 
 
 # -- JSON form ---------------------------------------------------------

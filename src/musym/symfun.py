@@ -508,7 +508,11 @@ def dplus_gist_equal(mu: Partition) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop generator/product memos (used for cold-start benchmarking)."""
+    """Drop generator/product memos and the ls layouts built on them
+    (used for cold-start benchmarking)."""
+    from . import linsys  # local import; linsys builds on this module
+
+    linsys._layout.cache_clear()
     generator.cache_clear()
     monomial_generator.cache_clear()
     spec_generator.cache_clear()

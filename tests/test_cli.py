@@ -351,6 +351,15 @@ def test_long_input_is_a_verdict_or_a_usage_error(capsys):
             assert P(out.strip()) in (P("10000*z1"), P("z2"))
 
 
+def test_bad_long_input_is_quoted_by_its_ends(capsys):
+    text = " + ".join(["r1", "r2"] * 1000) + " +"
+    code, out, err = run(capsys, "gist", text, "--mu", "1,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse polynomial: {text[:40] + ' ... ' + text[-30:]!r} ({len(text)} characters)\n"
+    code, out, err = run(capsys, "gist", "(" * 201 + "r1" + ")" * 201, "--mu", "1,1")
+    assert (code, out, err) == (2, "", "error: polynomial text nests too deeply\n")
+
+
 def test_default_bench_suite_inputs_are_nonzero():
     from musym.cli import DEFAULT_SUITE, _suite_input
     from musym.symfun import Partition

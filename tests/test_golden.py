@@ -61,6 +61,21 @@ CALLS = [
     ["gist", "dplus", "--mu", "2,2", "--basis", "m", "--algo", "cr", "--json"],
     ["gist", "dplus", "--mu", "2,1", "--algo", "groebner", "--json"],
     ["gist", "(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7", "--mu", "2,1", "--basis", "m", "--algo", "ls", "--json"],
+] + [
+    # fixed by every swap of equal multiplicities, yet not mu-symmetric:
+    # equal rows of A carry equal b, and only a row outside ls's square
+    # pivot subsystem tells
+    ["gist", f, "--mu", mu, "--basis", basis, "--algo", "ls"]
+    for mu, basis, f in (
+        ("2,2,1", "e", "r1^5*r2^5 - 3*r1*r2*r3^8 + r3^10"),
+        ("2,2,1", "p", "r1^3*r2^3*r3^4 + r1^7*r3^3 + r2^7*r3^3"),
+        ("3,1,1", "e", "r2^5*r3^5 + r1^10"),
+        ("3,1,1", "p", "r1^4*r2^3*r3^3 - r1^2*(r2^8 + r3^8)"),
+    )
+] + [
+    # rational and non-homogeneous, degree 10 included: b over den > 1
+    ["gist", "(2*r1+2*r2+r3)^3/3 - 5*(2*r1^2+2*r2^2+r3^2)/7 + r1^4*r2^4*r3^2/9 + 1/2",
+     "--mu", "2,2,1", "--basis", "c", "--algo", "ls"],
 ]
 
 

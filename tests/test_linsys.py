@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from musym import linsys, symfun
+from musym.gistresult import GistResult
 from musym.groebner import mu_ideal_generators, normal_form
 from musym.linsys import (
     build_system,
@@ -13,7 +15,15 @@ from musym.linsys import (
     solve_particular,
 )
 from musym.polys import ORDER_RZ, Polynomial, parse_poly, rat, term_from_exps
-from musym.symfun import Partition, spec_generator, sym_dimensions, weak_partitions
+from musym.symfun import (
+    Partition,
+    dplus,
+    index_flavor,
+    spec_basis_element,
+    spec_generator,
+    sym_dimensions,
+    weak_partitions,
+)
 
 P = parse_poly
 
@@ -274,3 +284,122 @@ def test_gists_for_dplus_221_agree_up_to_relations():
     diff = reference - ours
     assert not diff.is_zero           # genuinely different representatives
     assert diff.substitute(sub).is_zero   # differing by a relation only
+
+
+# -- ls on its memoized layout against a solve of the full system ----------
+
+SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 1, 1), (2, 2, 1), (3, 1, 1)]
+
+
+def _full_solve_part(F, delta, mu, kind):
+    """The reference decider: solve_particular on every row of A k = b,
+    with A read off the basis polynomials rather than ls's layout."""
+    alphas = weak_partitions(delta, mu.n, index_flavor(kind))
+    members = [spec_basis_element(kind, a, mu) for a in alphas]
+    terms = degree_terms(mu.m, delta)
+    k = solve_particular([[g.coeff(t) for g in members] for t in terms], [F.coeff(t) for t in terms])
+    if k is None:
+        return GistResult.not_symmetric(mu, kind)
+    return GistResult.from_coeffs(mu, kind, alphas, k)
+
+
+def _swaps(mu):
+    """The substitutions that swap two roots of equal multiplicity."""
+    return [
+        {("r", i + 1): P(f"r{j + 1}"), ("r", j + 1): P(f"r{i + 1}")}
+        for i, j in itertools.combinations(range(mu.m), 2)
+        if mu.parts[i] == mu.parts[j]
+    ]
+
+
+def _orbit_sum(term, mu):
+    """The sum of a term's images under the swaps of equal multiplicities."""
+    orbit = {term}
+    while True:
+        more = {t for s in _swaps(mu) for u in orbit for t in Polynomial.monomial(u).substitute(s).support()}
+        if more <= orbit:
+            return Polynomial({t: rat(1) for t in orbit})
+        orbit |= more
+
+
+def _random_symmetric(rng, mu, kind, delta):
+    alphas = weak_partitions(delta, mu.n, index_flavor(kind))
+    out = Polynomial.zero()
+    for a in rng.sample(alphas, rng.randint(1, min(4, len(alphas)))):
+        out = out + spec_basis_element(kind, a, mu) * rat(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+    return out
+
+
+def test_ls_matches_a_full_solve():
+    # each (shape, kind, delta) is decided cold once, then warm twice on new
+    # inputs; the gist must be the full system's particular solution, and
+    # a negative verdict must come whether or not a swap of equal
+    # multiplicities moves F
+    rng = random.Random(14)
+    seen = set()
+    for parts, kind in itertools.product(SHAPES, "epcm"):
+        mu = Partition(parts)
+        for delta in range(1, 11):
+            linsys._layout.cache_clear()
+            for call in ("cold", "warm", "warm"):
+                F = _random_symmetric(rng, mu, kind, delta)
+                change = rng.choice(["none", "orbit", "term"])
+                if change != "none":
+                    term = rng.choice(degree_terms(mu.m, delta))
+                    extra = _orbit_sum(term, mu) if change == "orbit" else Polynomial.monomial(term)
+                    F = F + extra * rat(rng.choice([-2, 1, 3]), rng.choice([1, 5]))
+                if rng.random() < 0.3:
+                    low = rng.randint(0, delta - 1)
+                    F = F + (_random_symmetric(rng, mu, kind, low) if low else Polynomial.constant(rat(1, 3)))
+                expected = GistResult.from_parts(F, mu, kind, _full_solve_part)
+                assert linsys.lsgist(F, mu, kind) == expected, (parts, kind, delta, str(F))
+                fixed = all(F.substitute(s) == F for s in _swaps(mu))
+                verdict = "positive" if expected.symmetric else "swap-fixed negative" if fixed else "swap negative"
+                seen |= {verdict, (call, verdict), parts, kind, delta}
+                if any(c.denominator > 1 for _, c in F.items()):
+                    seen.add("rational")
+                if len(symfun.root_parts(F, mu)) > 1:
+                    seen.add("non-homogeneous")
+    cases = {"rational", "non-homogeneous", *SHAPES, *"epcm", *range(1, 11)}
+    for verdict in ("positive", "swap negative", "swap-fixed negative"):
+        cases |= {verdict, ("cold", verdict), ("warm", verdict)}
+    assert cases <= seen, cases - seen
+
+
+def test_warm_ls_solves_only_the_square_pivot_subsystem(monkeypatch):
+    mu = Partition.of(2, 2, 1)
+    F = dplus(mu)
+    symfun.clear_caches()
+    linsys.lsgist(F, mu)
+    shapes = []
+    real = linsys.solve_particular
+
+    def recording(A, b):
+        shapes.append((len(A), len(A[0]), len(b)))
+        return real(A, b)
+
+    monkeypatch.setattr(linsys, "solve_particular", recording)
+    for G in (F, F + P("r1^10"), P("r1^5*r2^5 - 3*r1*r2*r3^8 + r3^10")):
+        linsys.lsgist(G, mu)
+    rank = sym_dimensions(mu, 10)[1]
+    assert rank == 26
+    assert shapes == [(rank, rank, rank)] * 3
+    symfun.clear_caches()
+
+
+def test_cold_ls_eliminates_once(monkeypatch):
+    mu = Partition.of(3, 1, 1)
+    calls = []
+    real = linsys._bareiss
+
+    def counting(m, *args):
+        calls.append(len(m))
+        return real(m, *args)
+
+    monkeypatch.setattr(linsys, "_bareiss", counting)
+    for F in (dplus(mu), dplus(mu) + P("r1^10")):
+        symfun.clear_caches()
+        calls.clear()
+        linsys.lsgist(F, mu)
+        assert len(calls) == 1
+    symfun.clear_caches()

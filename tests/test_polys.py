@@ -155,6 +155,32 @@ def test_parse_rejects_garbage():
         assert str(exc.value) == message, bad
 
 
+def test_parse_errors_quote_long_text_by_its_ends():
+    # up to 80 characters the text is quoted whole; past that, its first 40
+    # and last 30 characters and its length
+    text = " + ".join(f"r{i % 3 + 1}^{i % 5}" for i in range(2000)) + " +"
+    with pytest.raises(ValueError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"cannot parse polynomial: {text[:40] + ' ... ' + text[-30:]!r} ({len(text)} characters)"
+    assert len(str(exc.value)) < 130
+    for bad, message in (
+        ("r1/" + "+".join(["r2"] * 40), "division by a non-constant in 'r1/r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r ... +r2+r2+r2+r2+r2+r2+r2+r2+r2+r2' (122 characters)"),
+        ("r1 + " * 15 + "r12 +", "cannot parse polynomial: '" + "r1 + " * 15 + "r12 +'"),  # 80 characters
+        ("1" * 80 + "x", "cannot parse polynomial: '" + "1" * 40 + " ... " + "1" * 29 + "x' (81 characters)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_poly(bad)
+        assert str(exc.value) == message, bad
+
+
+def test_parse_parenthesis_depth_is_too_deep():
+    # the tokenizer takes 200 nested parentheses and refuses 201
+    r1 = Polynomial.variable("r", 1)
+    assert parse_poly("(" * 200 + "r1" + ")" * 200) == r1
+    with pytest.raises(ValueError, match="^polynomial text nests too deeply$"):
+        parse_poly("(" * 201 + "r1" + ")" * 201)
+
+
 def test_parse_division_and_parens():
     assert P("(2*r1 + 4*r2)/2") == P("r1 + 2*r2")
     assert P("r1**2") == P("r1^2")
