@@ -256,17 +256,13 @@ _COLUMNS = {
 
 def _prep_ms(algo: str, degrees: list[int], mu: Partition, kind: str) -> float:
     """Time the memoized preprocessing of algo for each of the given part
-    degrees that is 1 or more.  A part whose system is already cached adds
-    0.0, so preprocessing is billed to the first row that needs it."""
+    degrees that is 1 or more.  A system that is already built costs
+    microseconds, so preprocessing falls to the first row that needs it."""
     build = groebner.elimination_system if algo == "groebner" else reduction.canonical_system
-    total = 0.0
+    t0 = time.perf_counter()
     for delta in filter(None, degrees):
-        misses = build.cache_info().misses
-        t0 = time.perf_counter()
         build(*((mu, kind, delta) if algo == "groebner" else (mu, delta, kind)))
-        if build.cache_info().misses > misses:
-            total += (time.perf_counter() - t0) * 1000.0
-    return round(total, 3)
+    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def _bench_row(entry, repeat: int, check: bool):

@@ -273,8 +273,9 @@ def mu_ideal_basis(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
 class EliminationSystem:
     """The graded engine for one (mu, kind), extended so that its basis is
     complete for inputs up to ``degree`` (complete outright when ``degree``
-    is None).  ``basis`` and ``zonly`` unpack the reduced Groebner basis on
-    first read; gists reduce against the engine itself."""
+    is None), as a view that ``elimination_system`` builds on each call.
+    ``basis`` and ``zonly`` unpack the reduced Groebner basis on first
+    read of the view; gists reduce against the engine itself."""
 
     mu: symfun.Partition
     kind: str
@@ -293,18 +294,12 @@ class EliminationSystem:
 
 @lru_cache(maxsize=None)
 def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
-    """One graded engine per (mu, kind), advanced on demand."""
+    """One graded engine per (mu, kind), advanced on demand: the one
+    Groebner memo."""
     vars_ = symfun._root_ring(mu.m).vars + [("z", i) for i in range(1, mu.n + 1)]
     weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
     ring = Ring(vars_, weights)
     return _GradedEngine([ring.densify(g) for g in mu_ideal_basis(mu, kind)], ring)
-
-
-@lru_cache(maxsize=None)
-def _elimination_system(mu: symfun.Partition, kind: str, degree: int | None) -> EliminationSystem:
-    engine = _engine(mu, kind)
-    engine.extend(degree)
-    return EliminationSystem(mu, kind, degree, engine)
 
 
 def elimination_system(
@@ -313,18 +308,17 @@ def elimination_system(
     """Elimination system for (mu, kind), complete for inputs up to ``degree``.
 
     ``degree=None`` runs the engine to exhaustion, and ``basis`` is then
-    the full reduced Groebner basis.  Results are memoized per process;
-    ``cache_info()`` reports on that memo and ``clear_memo()`` empties it.
+    the full reduced Groebner basis.  Each call extends the memoized
+    engine as far as it needs and wraps it in a new view; ``clear_memo()``
+    empties the engine memo.
     """
-    return _elimination_system(mu, kind, degree)
-
-
-elimination_system.cache_info = _elimination_system.cache_info
+    engine = _engine(mu, kind)
+    engine.extend(degree)
+    return EliminationSystem(mu, kind, degree, engine)
 
 
 def clear_memo() -> None:
     _engine.cache_clear()
-    _elimination_system.cache_clear()
 
 
 def mu_ideal_generators(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
@@ -347,7 +341,8 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 
 def _ggist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
-    engine = elimination_system(mu, kind, degree=delta).engine
+    engine = _engine(mu, kind)
+    engine.extend(delta)
     nf = engine.normal_form(engine.ring.densify(F))
     # the z fields are the n least significant: an r-free monomial is below 2^(16 n)
     if any(mon >> (FIELD * mu.n) for mon in nf):

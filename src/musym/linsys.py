@@ -9,13 +9,14 @@ solvability decides symmetry and any solution assembles a gist.
 A depends only on (mu, delta, kind); only b comes from F.  ``lsgist``
 keeps one layout per shape: the basis indices, the distinct rows of A
 with the monomials that share each, and A's rank profile, the pivot
-rows R and pivot columns P.  The first call for a shape eliminates the
-distinct rows of [A | b] once and reads R and P off that elimination.
-Every later call solves only the square pivot subsystem A_RP x = b_R
-afresh, and accepts x only after checking A x = b exactly on every
-row: the system is consistent exactly when that check passes, and
-then x, with the free variables 0, is the solution a full elimination
-gives.
+rows R and pivot columns P.  One routine, ``_solve``, serves every
+call.  The first call for a shape eliminates [A | b] on every distinct
+row of A and reads R and P off that elimination; every later call
+eliminates only the square pivot subsystem [A_RP | b_R], afresh.
+Either way x is back-substituted over ints and accepted only after
+checking A x = b exactly on every monomial's row: the system is
+consistent exactly when that check passes, and then x, with the free
+variables 0, is the solution a full elimination gives.
 
 Elimination is fraction-free (Bareiss) on Python ints; rationals appear
 only in the solutions and kernel vectors handed out.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
+from ._packed import integer_form
 from .gistresult import GistResult
 from .polys import Polynomial, Term, rat, term_from_exps
 
@@ -56,7 +58,9 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
     right of it are updated.
     A row is only ever combined with rows above it, so the input rows
     that end in the first k places span what the first k echelon rows
-    span; ``order``, a tag per row, is permuted with the rows.
+    span; ``order``, a tag per row, is permuted with the rows, and the
+    tags in the first rank places name independent input rows.  ls
+    reads its pivot rows R off them.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -234,49 +238,37 @@ def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 def _lsgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
     layout = _layout(mu, delta, kind)
-    f = symfun._root_ring(mu.m).densify(F)
-    den = math.lcm(*(c.denominator for c in f.values()))
-    b = {mon: c.numerator * (den // c.denominator) for mon, c in f.items()}  # F's b, times den
-    solved = _first_solve(layout, b) if layout.profile is None else _pivot_solve(layout, b)
+    b, den = integer_form(symfun._root_ring(mu.m).densify(F))  # F's b, times den
+    solved = _solve(layout, b)
     if solved is None:
         return GistResult.not_symmetric(mu, kind)
     dx, d = solved
     return GistResult.from_coeffs(mu, kind, layout.alphas, [rat(v, d * den) for v in dx])
 
 
-def _first_solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
-    """(D x, D) for a solution x of A x = b, or None, from one elimination
-    of the distinct rows of [A | b], which also records A's rank profile:
-    A's columns come first, so their pivots do not depend on b."""
-    cols = len(layout.alphas)
-    distinct: dict[tuple, int] = {}
-    for i, (row, mons) in enumerate(zip(layout.rows, layout.groups)):
-        for mon in mons:
-            distinct.setdefault((*row, b.get(mon, 0)), i)
-    m = [list(row) for row in distinct]
-    order = list(distinct.values())
-    pivots = _bareiss(m, order)
-    P = [c for c in pivots if c < cols]
-    layout.profile = (order[: len(P)], P)
-    if len(P) < len(pivots):
-        return None  # pivot in the constants column: inconsistent
-    det = m[len(P) - 1][P[-1]] if P else 1
-    return _cramer(m, P, det, cols)[:cols], det
+def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
+    """(D x, D) for the solution x of A x = b with the free variables 0,
+    or None when A x = b has no solution.
 
-
-def _pivot_solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
-    """(D x, D) for the solution x of A_RP x = b_R with the free variables
-    0, or None unless A x = b holds exactly on every row."""
-    R, P = layout.profile
-    square = [[layout.rows[i][j] for j in P] for i in R]
-    x = solve_particular(square, [b.get(layout.groups[i][0], 0) for i in R])
-    d = math.lcm(*(v.denominator for v in x))
-    dx = [v.numerator * (d // v.denominator) for v in x]
+    The first call for a layout eliminates [A | b] on every distinct row
+    of A and records A's rank profile from that elimination: A's columns
+    come first, so their pivots do not depend on b.  Later calls
+    eliminate only [A_RP | b_R].  Either way x solves the pivot
+    subsystem, and it is accepted only if A x = b holds exactly on the
+    row of every monomial.
+    """
+    R, P = layout.profile or (range(len(layout.rows)), range(len(layout.alphas)))
+    m = [[layout.rows[i][j] for j in P] + [b.get(layout.groups[i][0], 0)] for i in R]
+    order = list(R)
+    pivots = [c for c in _bareiss(m, order) if c < len(P)]
+    if layout.profile is None:
+        layout.profile = (order[: len(pivots)], pivots)
+    det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    dx = [0] * len(layout.alphas)
+    for c, v in zip(P, _cramer(m, pivots, det, len(P))):
+        dx[c] = v
     for row, mons in zip(layout.rows, layout.groups):
-        s = sum(row[j] * v for j, v in zip(P, dx))
-        if any(b.get(mon, 0) * d != s for mon in mons):
+        s = sum(a * v for a, v in zip(row, dx) if v)
+        if any(b.get(mon, 0) * det != s for mon in mons):
             return None
-    out = [0] * len(layout.alphas)
-    for j, v in zip(P, dx):
-        out[j] = v
-    return out, d
+    return dx, det

@@ -311,11 +311,8 @@ def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> Canon
     """Canonical sequence and quotients for the specialized degree-delta
     basis of the given kind, memoized in process: the first call for a
     (mu, delta, kind) canonizes, later calls share its result.
-    ``cache_info()`` reports on the memo and ``clear_memo()`` empties it."""
+    ``clear_memo()`` empties the memo."""
     return _canonical_system(mu, delta, kind)
-
-
-canonical_system.cache_info = _canonical_system.cache_info
 
 
 def clear_memo() -> None:

@@ -222,6 +222,21 @@ def test_bench_decides_as_gist_does(f, gist, tmp_path, capsys):
     assert all(row[c] for c in ("groebner_prep_ms", "groebner_nf_ms", "canonize_ms", "reduce_ms", "solve_ms"))
 
 
+def test_bench_prep_canonizes_once(monkeypatch):
+    from musym import cli, reduction
+    from musym.symfun import Partition
+
+    calls = []
+    real = reduction._canonize_packed
+    monkeypatch.setattr(reduction, "_canonize_packed", lambda *a: calls.append(a) or real(*a))
+    mu = Partition.of(2, 2, 1)
+    reduction.clear_memo()
+    for _ in range(2):
+        assert cli._prep_ms("cr", [10], mu, "e") >= 0.0
+    assert len(calls) == 1
+    reduction.clear_memo()
+
+
 def test_bench_library_errors_name_the_entry(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps([{"id": "bad", "f": "r3", "mu": "2,1"}]))
