@@ -124,16 +124,21 @@ def cmd_gist(args) -> int:
     return 0 if result.symmetric else 1
 
 
+def _parse_delta(text: str, ranges: bool = False) -> range:
+    """--delta as a number N, or, with ranges, also as a range LO..HI."""
+    lo, dots, hi = text.partition("..") if ranges else (text, "", "")
+    try:
+        return range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        forms = "a number N or a range LO..HI" if ranges else "a number N"
+        raise UsageError(f"bad --delta {text!r}; expected {forms}") from None
+
+
 def cmd_dims(args) -> int:
     mu = Partition.parse(args.mu)
-    text = args.delta
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        deltas = list(range(int(lo), int(hi) + 1))
-    else:
-        deltas = [int(text)]
+    deltas = _parse_delta(args.delta, ranges=True)
     if not deltas:
-        raise UsageError(f"empty delta range {text!r}")
+        raise UsageError(f"empty delta range {args.delta!r}")
     rows = []
     for delta in deltas:
         dim_sym, dim_mu = symfun.sym_dimensions(mu, delta, args.basis)
@@ -168,7 +173,7 @@ def cmd_ideal(args) -> int:
 
 def cmd_canonize(args) -> int:
     mu = Partition.parse(args.mu)
-    delta = int(args.delta)
+    (delta,) = _parse_delta(args.delta)
     system = reduction.canonical_system(mu, delta, args.basis)
     sequence = system.sequence
     payload = {
@@ -275,7 +280,7 @@ def _bench_row(entry, repeat: int, check: bool):
     mu = Partition.parse(str(entry["mu"]))
     F = _suite_input(str(entry["f"]), mu)
     # checks F before any system is built, as compute_gist would
-    degrees = [delta for delta, _ in symfun.root_parts(F, mu)]
+    degrees = [delta for delta, _, _ in symfun.root_parts(F, mu)]
     rows = []
     for kind in bases:
         if kind not in symfun.BASIS_KINDS:

@@ -37,15 +37,15 @@ class GistResult:
     @staticmethod
     def from_parts(F: Polynomial, mu: symfun.Partition, kind: str, decide) -> "GistResult":
         """Decide F one homogeneous part at a time, as ``symfun.root_parts``
-        splits it: each part of degree delta >= 1 goes to decide(part,
-        delta, mu, kind).  F is mu-symmetric exactly when every part is, and
-        the part gists add up."""
+        splits and packs it: each part ints/den of degree delta >= 1 goes to
+        decide(delta, ints, den, mu, kind), which may consume ints.  F is
+        mu-symmetric exactly when every part is, and the part gists add up."""
         combo = []
-        for delta, part in symfun.root_parts(F, mu):
+        for delta, ints, den in symfun.root_parts(F, mu):
             if delta:
-                res = decide(part, delta, mu, kind)
+                res = decide(delta, ints, den, mu, kind)
             else:  # a constant is its own gist, the empty generator product
-                res = GistResult.from_coeffs(mu, kind, [(0,) * mu.n], [part.constant_value()])
+                res = GistResult.from_coeffs(mu, kind, [(0,) * mu.n], [rat(ints[0], den)])
             if not res.symmetric:
                 return res
             combo.extend(res.combo)

@@ -1,6 +1,7 @@
 """Front door for the three mu-symmetry algorithms: the basis and
-algorithm names are checked here, and each algorithm's decider splits F
-into homogeneous parts through ``GistResult.from_parts``."""
+algorithm names are checked here, and each algorithm's decider takes F's
+homogeneous parts through ``GistResult.from_parts``, packed once by
+``symfun.root_parts``."""
 
 from __future__ import annotations
 

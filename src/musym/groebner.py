@@ -78,14 +78,6 @@ def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> tuple[dic
     return out, den
 
 
-def _rational_normal_form(f: dict, basis: Basis, guard: int) -> dict:
-    """Normal form of a rational dict f against an integer basis."""
-    ints, den = integer_form(f)
-    out, scale = _full_reduce(ints, basis, guard)
-    den *= scale
-    return {m: rat(c, den) for m, c in out.items()}
-
-
 def _spoly(i: int, j: int, lcm: int, basis: Basis) -> dict:
     """lcm(lc_i, lc_j) times the S-polynomial of basis[i] and basis[j]."""
     lc_i, lc_j = basis.lcs[i], basis.lcs[j]
@@ -172,11 +164,11 @@ class _GradedEngine:
                 basis.add(primitive(r))
                 self._update(len(basis) - 1)
 
-    def normal_form(self, f: dict) -> dict:
-        """Full normal form of the rational dict f against the basis as
-        extended so far."""
+    def normal_form(self, f: dict) -> tuple[dict, int]:
+        """(out, scale), where out/scale is the full normal form of the
+        integer dict f against the basis as extended so far."""
         with self.lock:
-            return _rational_normal_form(f, self.basis, self.guard)
+            return _full_reduce(f, self.basis, self.guard)
 
     def reduced_snapshot(self, bound: int | None = None) -> list[dict]:
         """Reduced basis of the elements at weighted degree <= bound."""
@@ -230,7 +222,9 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder = ORDER
     dense = Basis()
     for g in basis:
         dense.add(_make_primitive(ring.densify(g)))
-    return ring.undensify(_rational_normal_form(ring.densify(f), dense, ring.guard_mask))
+    ints, den = integer_form(ring.densify(f))
+    out, scale = _full_reduce(ints, dense, ring.guard_mask)
+    return ring.undensify({m: rat(c, den * scale) for m, c in out.items()})
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder = ORDER_RZ) -> Polynomial:
@@ -340,16 +334,18 @@ def ggist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     return GistResult.from_parts(F, mu, kind, _ggist_part)
 
 
-def _ggist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+def _ggist_part(delta: int, ints: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
     engine = _engine(mu, kind)
     engine.extend(delta)
-    nf = engine.normal_form(engine.ring.densify(F))
-    # the z fields are the n least significant: an r-free monomial is below 2^(16 n)
-    if any(mon >> (FIELD * mu.n) for mon in nf):
+    # root monomials move up past the n z fields, the least significant:
+    # an r-free monomial is below 2^(16 n)
+    shift = FIELD * mu.n
+    nf, scale = engine.normal_form({mon << shift: c for mon, c in ints.items()})
+    if any(mon >> shift for mon in nf):
         return GistResult.not_symmetric(mu, kind)
     alphas = []
     for mon in nf:  # z_1^e_1 ... z_n^e_n is the capped index with e_i parts i
         exps = engine.ring.unpack(mon)[mu.m:]
         parts = [i for i in range(mu.n, 0, -1) for _ in range(exps[i - 1])]
         alphas.append(tuple(parts) + (0,) * (delta - len(parts)))
-    return GistResult.from_coeffs(mu, kind, alphas, nf.values())
+    return GistResult.from_coeffs(mu, kind, alphas, [rat(c, den * scale) for c in nf.values()])

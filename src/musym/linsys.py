@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import integer_form
 from .gistresult import GistResult
 from .polys import Polynomial, Term, rat, term_from_exps
 
@@ -188,12 +187,11 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> Linear
     parts = symfun.root_parts(F, mu)
     if len(parts) != 1 or not parts[0][0]:
         raise ValueError("a linear system needs a homogeneous F of degree 1 or more")
-    delta = parts[0][0]
+    ((delta, f, den),) = parts
     layout = _layout(mu, delta, kind)
     row_of = {mon: row for row, mons in zip(layout.rows, layout.groups) for mon in mons}
-    f = symfun._root_ring(mu.m).densify(F)
     A = [list(row_of[mon]) for mon in layout.monomials]
-    return LinearSystem(A, [f.get(mon, 0) for mon in layout.monomials], list(layout.alphas), mu.m, delta)
+    return LinearSystem(A, [rat(f.get(mon, 0), den) for mon in layout.monomials], list(layout.alphas), mu.m, delta)
 
 
 @dataclass
@@ -236,10 +234,9 @@ def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     return GistResult.from_parts(F, mu, kind, _lsgist_part)
 
 
-def _lsgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+def _lsgist_part(delta: int, b: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
     layout = _layout(mu, delta, kind)
-    b, den = integer_form(symfun._root_ring(mu.m).densify(F))  # F's b, times den
-    solved = _solve(layout, b)
+    solved = _solve(layout, b)  # the part's b, times den
     if solved is None:
         return GistResult.not_symmetric(mu, kind)
     dx, d = solved

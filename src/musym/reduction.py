@@ -124,14 +124,12 @@ def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -
     Returns R with F = sum(coeffs[i] * C[i]) + R and no leading term of
     C in the support of R.
     """
-    all_vars = set(F.variables()).union(*(c.variables() for c in C)) if C else set(F.variables())
-    ring = ring_for(all_vars, order)
+    ring = ring_for(set(F.variables()).union(*(c.variables() for c in C)), order)
+    (work, den), *members = [integer_form(ring.densify(p)) for p in (F, *C)]
     seq = Basis()
-    for k, c in enumerate(C):
-        member, den = integer_form(ring.densify(c))
-        member[~k] = den
+    for k, (member, member_den) in enumerate(members):
+        member[~k] = member_den
         seq.add(primitive(member))
-    work, den = integer_form(ring.densify(F))
     remainder, den, loops = _reduce_packed(work, seq, den)
     coeffs = tuple(rat(-remainder.pop(~k, 0), den) for k in range(len(C)))
     return ReduceResult(ring.undensify({m: rat(c, den) for m, c in remainder.items()}), coeffs, loops)
@@ -332,9 +330,8 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
     return GistResult.from_parts(F, mu, kind, _crgist_part)
 
 
-def _crgist_part(F: Polynomial, delta: int, mu: symfun.Partition, kind: str) -> GistResult:
+def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
     system = canonical_system(mu, delta, kind)
-    work, den = integer_form(symfun._root_ring(mu.m).densify(F))
     remainder, den, _ = _reduce_packed(work, system.dense, den)
     if max(remainder) >= 0:
         return GistResult.not_symmetric(mu, kind)

@@ -305,9 +305,15 @@ def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> d
 @lru_cache(maxsize=None)
 def _spec_monomial_packed(alpha: tuple[int, ...], mu: Partition) -> dict:
     """The specialized monomial symmetric function m_alpha, packed in the
-    root ring with int coefficients."""
-    packed = _root_ring(mu.m).densify(specialize(monomial_generator(alpha, mu.n), mu))
-    return {mon: int(c) for mon, c in packed.items()}
+    root ring with int coefficients: each distinct rearrangement beta of
+    alpha adds 1 at the monomial with beta_j in the field of x_j's root."""
+    root = _root_ring(mu.m).shifts[::-1]  # the field of r_j is root[j - 1]
+    shifts = [root[block - 1] for block in _block_map(mu).values()]
+    out: dict = {}
+    for beta in distinct_permutations(alpha):
+        mon = sum(e << s for e, s in zip(beta, shifts, strict=True))
+        out[mon] = out.get(mon, 0) + 1
+    return out
 
 
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
@@ -341,25 +347,33 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
 
 
-def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, Polynomial]]:
-    """F's homogeneous parts with their degrees, ascending, in one walk
-    that also rejects an input the algorithms cannot decide: a variable
-    other than r_1..r_m, or a degree beyond the packed exponent limit."""
+def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, dict, int]]:
+    """F's homogeneous parts, ascending by degree, as (delta, ints, den),
+    the part being ints/den with ints a fresh packed int dict in the root
+    ring, which the caller may consume.  The one walk that packs them also
+    refuses an input the algorithms cannot decide: a variable other than
+    r_1..r_m, or a degree beyond the packed exponent limit."""
+    m = mu.m
+    shifts = _root_ring(m).shifts[::-1]  # the field of r_j is shifts[j - 1]
     buckets: dict[int, dict] = {}
-    top = 0
+    excess = 0  # the largest index above m, refused after the walk
     for t, c in F.items():
-        if any(s != "r" for s, _, _ in t):
-            raise ValueError("input must be a polynomial in the r variables")
-        top = max(top, t[-1][1] if t else 0)
-        buckets.setdefault(sum(e for _, _, e in t), {})[t] = c
-    if top > mu.m:
-        raise ValueError(f"r{top} exceeds m={mu.m} distinct roots for mu={mu}")
+        mon = degree = 0
+        for s, i, e in t:
+            if s != "r":
+                raise ValueError("input must be a polynomial in the r variables")
+            if i > m:  # never shifted by: that would build a huge int
+                excess = max(excess, i)
+            else:
+                mon += e << shifts[i - 1]
+            degree += e
+        buckets.setdefault(degree, {})[mon] = c
+    if excess:
+        raise ValueError(f"r{excess} exceeds m={m} distinct roots for mu={mu}")
     degrees = sorted(buckets)
     if degrees and degrees[-1] > _packed.MAX_EXP:
         raise ValueError(f"degree {degrees[-1]} exceeds the limit {_packed.MAX_EXP}")
-    if len(degrees) == 1:
-        return [(degrees[0], F)]  # homogeneous: F itself is the part, not a copy
-    return [(d, Polynomial(buckets[d])) for d in degrees]
+    return [(d, *_packed.integer_form(buckets[d])) for d in degrees]
 
 
 def z_term_for(alpha: tuple[int, ...]) -> Term:
@@ -382,26 +396,25 @@ def _difference_product(indices: list[int], space: str) -> Polynomial:
     return out
 
 
-def dplus(mu: Partition) -> Polynomial:
-    """prod over i<j of (r_i - r_j)^(mu_i + mu_j), expanded."""
+def _root_difference_power(name: str, mu: Partition, k) -> Polynomial:
+    """prod over i<j of (r_i - r_j)^k(mu_i, mu_j), expanded."""
     if mu.m < 2:
-        raise ValueError("dplus needs at least two distinct roots")
+        raise ValueError(f"{name} needs at least two distinct roots")
     out = Polynomial.constant(1)
     for i, j in itertools.combinations(range(1, mu.m + 1), 2):
         diff = Polynomial.variable("r", i) - Polynomial.variable("r", j)
-        out = out * diff ** (mu.parts[i - 1] + mu.parts[j - 1])
+        out = out * diff ** k(mu.parts[i - 1], mu.parts[j - 1])
     return out
+
+
+def dplus(mu: Partition) -> Polynomial:
+    """prod over i<j of (r_i - r_j)^(mu_i + mu_j), expanded."""
+    return _root_difference_power("dplus", mu, lambda a, b: a + b)
 
 
 def dstar(mu: Partition) -> Polynomial:
     """prod over i<j of (r_i - r_j)^(2 mu_i mu_j), expanded."""
-    if mu.m < 2:
-        raise ValueError("dstar needs at least two distinct roots")
-    out = Polynomial.constant(1)
-    for i, j in itertools.combinations(range(1, mu.m + 1), 2):
-        diff = Polynomial.variable("r", i) - Polynomial.variable("r", j)
-        out = out * diff ** (2 * mu.parts[i - 1] * mu.parts[j - 1])
-    return out
+    return _root_difference_power("dstar", mu, lambda a, b: 2 * a * b)
 
 
 def delta_squares(m: int) -> Polynomial:

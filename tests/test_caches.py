@@ -48,7 +48,9 @@ def test_clear_functions_empty_every_memo():
         compute_gist(dplus(mu), mu, "e", algo)
     compute_gist(dplus(mu), mu, "m", "cr")
     symfun.subdiscriminant(3, 1)
-    symfun.generator("e", 2, 3)  # the x-variable family; gists build theirs in the root ring
+    # the x-variable families; gists build theirs in the root ring
+    symfun.generator("e", 2, 3)
+    symfun.monomial_generator((2, 1, 0), 3)
     memos = _memos()
     assert [name for name, fn in memos.items() if not fn.cache_info().currsize] == []
     groebner.clear_memo()
@@ -97,7 +99,11 @@ def test_warm_gist_and_dims_never_unpack(monkeypatch, algo):
     def unpack(self, d):
         raise AssertionError("the packed basis was unpacked")
 
+    def repack(self, p):  # symfun.root_parts packs F in its own walk
+        raise AssertionError("F was packed again")
+
     monkeypatch.setattr(_packed.Ring, "undensify", unpack)
+    monkeypatch.setattr(_packed.Ring, "densify", repack)
     assert compute_gist(F, mu, "e", algo).symmetric
     assert symfun.sym_dimensions(mu, 9) == (23, 21)
     reduction.clear_memo()

@@ -318,6 +318,20 @@ def test_dims_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, forms",
+    [
+        (("dims", "--mu", "2,1", "--delta", "1..x"), "a number N or a range LO..HI"),
+        (("canonize", "--mu", "2,1", "--delta", "x"), "a number N"),
+    ],
+    ids=["dims", "canonize"],
+)
+def test_bad_delta_names_the_option(capsys, argv, forms):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad --delta {argv[-1]!r}; expected {forms}\n"
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     import argparse
 

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_combo_is_the_coefficient_vector(algo, kind, text, parts, monkeypatch):
     assert res.mcombo == (res.combo if kind == "m" else None)
     assert (res.gist is None) == (kind == "m")
     # substituted() sums the packed members, with no z-substitution
-    for delta, _ in symfun.root_parts(F, mu):
+    for delta, _, _ in symfun.root_parts(F, mu):
         if delta:
             symfun.spec_basis(kind, delta, mu)
 
@@ -234,13 +235,30 @@ def test_input_errors_read_the_same_everywhere(text, mu, message):
 
 
 def test_root_parts_splits_by_degree():
+    # each part comes packed in the root ring as ints/den
     mu = Partition.of(2, 1)
-    F = P("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + 5")
-    assert symfun.root_parts(F, mu) == homogeneous_parts(F)
+    ring = symfun._root_ring(mu.m)
+    for F in (P("3*r1^2 + 2*r1*r2 + r2^2 + 2*r1 + 5"), P("r1*r2/3 + r2^2/2 - r1/4"), P("r1*r2 + r2^2")):
+        parts = symfun.root_parts(F, mu)
+        assert all(type(c) is int for _, ints, den in parts for c in (den, *ints.values()))
+        unpacked = [ring.undensify({m: Fraction(c, den) for m, c in ints.items()}) for _, ints, den in parts]
+        assert list(zip([delta for delta, _, _ in parts], unpacked)) == homogeneous_parts(F)
     assert symfun.root_parts(Polynomial.zero(), mu) == []
-    homogeneous = P("r1*r2 + r2^2")
-    ((delta, part),) = symfun.root_parts(homogeneous, mu)
-    assert delta == 2 and part is homogeneous
+
+
+def test_root_parts_refuses_a_huge_index_without_shifting_by_it():
+    F = P("r100000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="r100000000 exceeds m=2 distinct roots for mu=2,1"):
+            symfun.root_parts(F, Partition.of(2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a foreign variable is still named first, wherever it stands in F
+    with pytest.raises(ValueError, match="input must be a polynomial in the r variables"):
+        symfun.root_parts(P("r9 + z1"), Partition.of(2, 1))
 
 
 def test_evaluate_takes_exactly_n_values():

@@ -291,9 +291,10 @@ def test_gists_for_dplus_221_agree_up_to_relations():
 SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 1, 1), (2, 2, 1), (3, 1, 1)]
 
 
-def _full_solve_part(F, delta, mu, kind):
+def _full_solve_part(delta, ints, den, mu, kind):
     """The reference decider: solve_particular on every row of A k = b,
     with A read off the basis polynomials rather than ls's layout."""
+    F = symfun._root_ring(mu.m).undensify({m: rat(c, den) for m, c in ints.items()})
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
     members = [spec_basis_element(kind, a, mu) for a in alphas]
     terms = degree_terms(mu.m, delta)

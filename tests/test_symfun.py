@@ -16,6 +16,7 @@ from musym.symfun import (
     dstar,
     generator,
     monomial_generator,
+    spec_basis_element,
     spec_generator,
     spec_subdiscriminant,
     specialize,
@@ -139,6 +140,17 @@ def test_spec_generator_matches_specialized_expansion(kind):
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=f"generator index {bad} out of range 1..3"):
             spec_generator(kind, bad, mu_(2, 1))
+
+
+@pytest.mark.parametrize(
+    "parts, delta",
+    [((2, 2, 1), 10), ((3, 2, 1), 12), ((2, 2, 1, 1), 12), ((2, 1, 1, 1, 1), 12), ((1, 1, 1), 7), ((3,), 4), ((4, 4), 6)],
+)
+def test_monomial_basis_matches_specialized_expansion(parts, delta):
+    # built from the block map, m_alpha equals its expansion in x1..xn specialized
+    mu = Partition(parts)
+    for alpha in weak_partitions(delta, mu.n, "exact"):
+        assert spec_basis_element("m", alpha, mu) == specialize(monomial_generator(alpha, mu.n), mu), alpha
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 2), (2, 2, 1), (4, 1, 1), (3, 3, 2, 1)])
