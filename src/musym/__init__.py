@@ -12,12 +12,7 @@ from .gists import compute_gist
 from .groebner import buchberger, ggist, mu_ideal_generators, normal_form
 from .linsys import build_system, lsgist
 from .polys import (
-    ORDER_R,
-    ORDER_RZ,
-    ORDER_X,
-    Lex,
     Polynomial,
-    ProductOrder,
     format_poly,
     gist_weight,
     homogeneous_parts,
@@ -46,11 +41,6 @@ __all__ = [
     "GistResult",
     "Partition",
     "Polynomial",
-    "Lex",
-    "ProductOrder",
-    "ORDER_R",
-    "ORDER_RZ",
-    "ORDER_X",
     "basis_element",
     "build_system",
     "buchberger",

@@ -2,10 +2,9 @@
 Groebner engine.
 
 Monomials become integers with one 16-bit field per variable, most
-significant field first, so that integer comparison realizes a
-lexicographic(-product) term order, multiplication is addition, and
-divisibility is a borrow check against the guard bits.  Exponents must
-stay below 2^15.
+significant field first, so that integer comparison realizes the term
+order, multiplication is addition, and divisibility is a borrow check
+against the guard bits.  Exponents must stay below 2^15.
 
 A packed polynomial is a dict from monomial to nonzero coefficient.
 Every product, reduction and S-polynomial is built from one primitive,
@@ -17,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .polys import Lex, Polynomial, ProductOrder, Term, TermOrder, Var, term_from_exps
+from .polys import Polynomial, Term, Var, term_from_exps, var_rank
 
 FIELD = 16
 GUARD_BIT = 1 << (FIELD - 1)
@@ -181,18 +180,5 @@ class Basis:
         return len(self.lts)
 
 
-def check_lex_like(order: TermOrder) -> None:
-    if isinstance(order, Lex):
-        return
-    if isinstance(order, ProductOrder):
-        check_lex_like(order.first)
-        check_lex_like(order.second)
-        return
-    raise TypeError("packed kernel supports lexicographic(-product) orders only")
-
-
-def ring_for(variables: set[Var], order: TermOrder) -> Ring:
-    check_lex_like(order)
-    unit = {v: order.key(term_from_exps({v: 1})) for v in variables}
-    vars_ = sorted(variables, key=unit.get, reverse=True)
-    return Ring(vars_)
+def ring_for(variables: set[Var]) -> Ring:
+    return Ring(sorted(variables, key=var_rank, reverse=True))

@@ -29,9 +29,6 @@ from .polys import (
 )
 from .symfun import Partition
 
-NOT_SYMMETRIC_MSG = "F is not mu-symmetric"
-
-
 class UsageError(Exception):
     pass
 
@@ -58,7 +55,7 @@ def named_input(name: str, mu: Partition) -> Polynomial:
         try:
             k = int(name.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad subdiscriminant index in {name!r}") from None
+            raise ValueError(f"bad subdiscriminant index in {name!r}") from None
         return symfun.spec_subdiscriminant(k, mu)
     return parse_poly(name)
 

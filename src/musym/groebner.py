@@ -1,13 +1,13 @@
 """Fraction-free Buchberger engine and the elimination route to gists.
 
 The mu-ideal <z_1 - g_1, ..., z_n - g_n> (g_i the specialized
-generators) is processed with a product order that ranks any term
-containing an r variable above every r-free term.  Any Groebner basis
-of this ideal then decides everything at once: its r-free members
-generate the ideal of relations among the g_i, and the normal form of
-F(r), which is the same modulo every Groebner basis, is r-free exactly
-when F is mu-symmetric, in which case it is a gist of minimal weighted
-degree.
+generators) is processed in the term order of ``polys``, which ranks
+any term containing an r variable above every r-free term.  Any
+Groebner basis of this ideal then decides everything at once: its
+r-free members generate the ideal of relations among the g_i, and the
+normal form of F(r), which is the same modulo every Groebner basis, is
+r-free exactly when F is mu-symmetric, in which case it is a gist of
+minimal weighted degree.
 
 The generators are homogeneous for the weighting that gives z_i weight
 i and every r variable weight 1, and pairs are selected by the weighted
@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from . import symfun
 from ._packed import FIELD, Basis, Ring, cancel, integer_form, primitive, ring_for, submul
 from .gistresult import GistResult
-from .polys import ORDER_RZ, Polynomial, TermOrder, rat
+from .polys import Polynomial, rat
 
 
 def _make_primitive(d: dict) -> dict:
@@ -202,23 +202,23 @@ class _GradedEngine:
 # -- public API ---------------------------------------------------------
 
 
-def buchberger(gens: list[Polynomial], order: TermOrder = ORDER_RZ) -> list[Polynomial]:
+def buchberger(gens: list[Polynomial]) -> list[Polynomial]:
     """Reduced Groebner basis: monic, interreduced, sorted by leading term."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
-    ring = ring_for(set().union(*(g.variables() for g in nonzero)), order)
+    ring = ring_for(set().union(*(g.variables() for g in nonzero)))
     engine = _GradedEngine([ring.densify(g) for g in nonzero], ring)
     engine.extend(None)
     return [ring.undensify(d) for d in engine.reduced_snapshot(None)]
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder = ORDER_RZ) -> Polynomial:
+def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of f modulo the basis: unique for a reduced basis."""
     if f.is_zero:
         return f
     all_vars = set(f.variables()).union(*(g.variables() for g in basis))
-    ring = ring_for(all_vars, order)
+    ring = ring_for(all_vars)
     dense = Basis()
     for g in basis:
         dense.add(_make_primitive(ring.densify(g)))
@@ -227,8 +227,8 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder = ORDER
     return ring.undensify({m: rat(c, den * scale) for m, c in out.items()})
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder = ORDER_RZ) -> Polynomial:
-    ring = ring_for(set(f.variables()) | set(g.variables()), order)
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    ring = ring_for(set(f.variables()) | set(g.variables()))
     basis = Basis()
     for p in (f, g):
         basis.add(_make_primitive(ring.densify(p)))
@@ -237,12 +237,12 @@ def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder = ORDER_RZ) -> Po
     return ring.undensify({m: rat(c, scale) for m, c in _spoly(0, 1, lcm, basis).items()})
 
 
-def is_groebner(basis: list[Polynomial], order: TermOrder = ORDER_RZ) -> bool:
+def is_groebner(basis: list[Polynomial]) -> bool:
     """Buchberger criterion: every S-polynomial reduces to zero."""
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j], order)
-            if not s.is_zero and not normal_form(s, basis, order).is_zero:
+            s = spolynomial(basis[i], basis[j])
+            if not s.is_zero and not normal_form(s, basis).is_zero:
                 return False
     return True
 

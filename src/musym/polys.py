@@ -323,73 +323,33 @@ def _coerce(value):
     return NotImplemented
 
 
-# -- term orders ------------------------------------------------------
+# -- the term order ---------------------------------------------------
+
+# The one term order is lex on a fixed ranking of the variables: every r
+# variable above every x variable, every x above every z; within r and
+# within x the highest index is most significant, within z it is z1.  A
+# term containing an r variable thus dominates every r-free term, so an
+# r-free normal form certifies elimination; putting z1 first matches the
+# reduced bases this library is tested against.
+_SPACE_RANK = {"r": 2, "x": 1, "z": 0}
 
 
-class TermOrder:
-    """Total multiplicative order on terms, realized as a sort key."""
-
-    def key(self, term: Term):
-        raise NotImplementedError
-
-    def max_term(self, terms: Iterable[Term]) -> Term:
-        return max(terms, key=self.key)
+def var_rank(v: Var) -> tuple[int, int]:
+    """Sort key of a variable in the ranking; larger is more significant."""
+    space, index = v
+    return _SPACE_RANK[space], -index if space == "z" else index
 
 
-class Lex(TermOrder):
-    """Lexicographic order within one variable space.
-
-    With ``ascending=True`` the highest index is most significant
-    (x1 < x2 < ... < xn); with ``ascending=False`` index 1 is most
-    significant (z1 > z2 > ... > zn).  Entries from other spaces are
-    ignored, so combine spaces with ProductOrder.
-    """
-
-    def __init__(self, space: str, ascending: bool = True):
-        if space not in SPACES:
-            raise ValueError(f"unknown variable space {space!r}")
-        self.space = space
-        self.ascending = ascending
-
-    def key(self, term: Term):
-        if self.ascending:
-            return tuple((i, e) for s, i, e in reversed(term) if s == self.space)
-        return tuple((-i, e) for s, i, e in term if s == self.space)
-
-    def __repr__(self):
-        direction = "asc" if self.ascending else "desc"
-        return f"Lex({self.space!r}, {direction})"
+def term_key(t: Term) -> tuple:
+    """Sort key of a term in the term order."""
+    return tuple(sorted(((var_rank((s, i)), e) for s, i, e in t), reverse=True))
 
 
-class ProductOrder(TermOrder):
-    """Compare under ``first``; break ties under ``second``."""
-
-    def __init__(self, first: TermOrder, second: TermOrder):
-        self.first = first
-        self.second = second
-
-    def key(self, term: Term):
-        return (self.first.key(term), self.second.key(term))
-
-    def __repr__(self):
-        return f"ProductOrder({self.first!r}, {self.second!r})"
-
-
-ORDER_X = Lex("x")
-ORDER_R = Lex("r")
-# Elimination order: any term containing an r variable dominates every
-# r-free term, so r-free normal forms certify elimination.  The z side
-# makes z1 most significant, matching the reduced bases this library
-# is tested against.
-ORDER_Z_ELIM = Lex("z", ascending=False)
-ORDER_RZ = ProductOrder(ORDER_R, ORDER_Z_ELIM)
-
-
-def leading(p: Polynomial, order: TermOrder) -> tuple[Term, object]:
+def leading(p: Polynomial) -> tuple[Term, object]:
     """Leading (term, coefficient) of a nonzero polynomial."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    t = order.max_term(p.support())
+    t = max(p.support(), key=term_key)
     return t, p.coeff(t)
 
 

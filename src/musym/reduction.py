@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from . import symfun
 from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
 from .gistresult import GistResult
-from .polys import ORDER_R, Polynomial, TermOrder, leading, rat
+from .polys import Polynomial, leading, rat, term_key
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,13 @@ def _reduce_packed(work: dict, seq: Basis, den: int):
     return remainder, den, loops
 
 
-def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> ReduceResult:
+def reduce(F: Polynomial, C: Sequence[Polynomial]) -> ReduceResult:
     """Reduce F against a canonical sequence C.
 
     Returns R with F = sum(coeffs[i] * C[i]) + R and no leading term of
     C in the support of R.
     """
-    ring = ring_for(set(F.variables()).union(*(c.variables() for c in C)), order)
+    ring = ring_for(set(F.variables()).union(*(c.variables() for c in C)))
     (work, den), *members = [integer_form(ring.densify(p)) for p in (F, *C)]
     seq = Basis()
     for k, (member, member_den) in enumerate(members):
@@ -135,15 +135,15 @@ def reduce(F: Polynomial, C: Sequence[Polynomial], order: TermOrder = ORDER_R) -
     return ReduceResult(ring.undensify({m: rat(c, den) for m, c in remainder.items()}), coeffs, loops)
 
 
-def is_canonical(C: Sequence[Polynomial], order: TermOrder = ORDER_R) -> bool:
+def is_canonical(C: Sequence[Polynomial]) -> bool:
     """Strictly increasing leading terms (independence follows)."""
-    keys = [order.key(leading(c, order)[0]) for c in C if not c.is_zero]
+    keys = [term_key(leading(c)[0]) for c in C if not c.is_zero]
     if len(keys) != len(C):
         return False
     return all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
 
-def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeResult:
+def canonize(B: Sequence[Polynomial]) -> CanonizeResult:
     """Build a canonical sequence spanning the same space as B.
 
     Members of B are consumed in the given order; each is reduced
@@ -151,7 +151,7 @@ def canonize(B: Sequence[Polynomial], order: TermOrder = ORDER_R) -> CanonizeRes
     leading term) when nonzero.  The quotient matrix expresses the
     output in terms of the input.
     """
-    ring = ring_for(set().union(*(b.variables() for b in B)), order)
+    ring = ring_for(set().union(*(b.variables() for b in B)))
     forms = [integer_form(ring.densify(b)) for b in B]
     seq = _canonize_packed([d for d, _ in forms], [den for _, den in forms])
     return CanonizeResult([_unpack(ring, d) for d in seq.polys], _quotients(seq, len(B)))
@@ -247,7 +247,6 @@ def nreduce(
     F: Polynomial,
     C: Sequence[Polynomial],
     chooser: StepChooser = greedy_chooser,
-    order: TermOrder = ORDER_R,
 ) -> tuple[Polynomial, int]:
     """Apply proper single-term reduction steps until none applies.
 
@@ -256,7 +255,7 @@ def nreduce(
     a canonical sequence the result equals ``reduce`` regardless of the
     choices; only the step count varies.  Returns (remainder, steps).
     """
-    lts = [leading(c, order) for c in C]
+    lts = [leading(c) for c in C]
     steps = 0
     while True:
         support = F.support()

@@ -276,7 +276,7 @@ def _compositions(total: int, caps: tuple[int, ...]):
 @lru_cache(maxsize=None)
 def _root_ring(m: int) -> _packed.Ring:
     """Packed ring of r1..rm with r_m most significant, so that integer
-    order on packed monomials is ORDER_R."""
+    order on packed monomials is the term order."""
     return _packed.Ring([("r", i) for i in range(m, 0, -1)])
 
 

@@ -239,10 +239,11 @@ def test_bench_prep_canonizes_once(monkeypatch):
 
 def test_bench_library_errors_name_the_entry(tmp_path, capsys):
     path = tmp_path / "suite.json"
-    path.write_text(json.dumps([{"id": "bad", "f": "r3", "mu": "2,1"}]))
-    code, out, err = run(capsys, "bench", str(path))
-    assert code == 2 and out == ""
-    assert "r3 exceeds" in err and "'bad'" in err and err.count("\n") == 1
+    for f, message in [("r3", "r3 exceeds"), ("subdisc:x", "bad subdiscriminant index in 'subdisc:x'")]:
+        path.write_text(json.dumps([{"id": "bad", "f": f, "mu": "2,1"}]))
+        code, out, err = run(capsys, "bench", str(path))
+        assert code == 2 and out == ""
+        assert message in err and "(suite entry 'bad')" in err and err.count("\n") == 1
 
 
 def test_bench_refuses_a_huge_degree_before_any_system(tmp_path, capsys, monkeypatch):

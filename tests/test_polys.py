@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musym._packed import ring_for
 from musym.polys import (
-    ORDER_R,
-    ORDER_RZ,
-    ORDER_X,
-    Lex,
+    SPACES,
     Polynomial,
     format_poly,
     gist_weight,
@@ -19,6 +17,7 @@ from musym.polys import (
     rat,
     rat_from_str,
     term_from_exps,
+    term_key,
     wdeg,
 )
 
@@ -59,7 +58,7 @@ def test_pow_and_scalar_ops():
 def test_leading_elementary():
     n = 4
     e1 = sum((Polynomial.variable("x", i) for i in range(1, n + 1)), Polynomial.zero())
-    t, c = leading(e1, ORDER_X)
+    t, c = leading(e1)
     assert t == term_from_exps({("x", n): 1}) and c == 1
 
 
@@ -68,15 +67,15 @@ def test_leading_e1_e2_product():
     xs = [Polynomial.variable("x", i) for i in range(1, n + 1)]
     e1 = sum(xs, Polynomial.zero())
     e2 = sum((xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)), Polynomial.zero())
-    t, _ = leading(e1 * e2, ORDER_X)
+    t, _ = leading(e1 * e2)
     assert t == term_from_exps({("x", n): 2, ("x", n - 1): 1})
 
 
 def test_leading_constant_and_zero():
-    t, c = leading(Polynomial.constant(5), ORDER_X)
+    t, c = leading(Polynomial.constant(5))
     assert t == () and c == 5
     with pytest.raises(ValueError):
-        leading(Polynomial.zero(), ORDER_X)
+        leading(Polynomial.zero())
 
 
 def test_wdeg_examples():
@@ -114,20 +113,26 @@ def test_weighted_homogeneous_constraint():
 
 def test_product_order_ranks_r_first():
     # any term with an r variable beats every r-free term
-    assert ORDER_RZ.key(term_from_exps({("r", 1): 1})) > ORDER_RZ.key(
-        term_from_exps({("z", 3): 5})
-    )
+    assert term_key(term_from_exps({("r", 1): 1})) > term_key(term_from_exps({("z", 3): 5}))
     # z1 outranks z5 on the elimination side
-    assert ORDER_RZ.key(term_from_exps({("z", 1): 1})) > ORDER_RZ.key(
-        term_from_exps({("z", 5): 1})
-    )
+    assert term_key(term_from_exps({("z", 1): 1})) > term_key(term_from_exps({("z", 5): 1}))
 
 
 def test_lex_directions():
-    asc = Lex("x")
-    desc = Lex("z", ascending=False)
-    assert asc.key(term_from_exps({("x", 2): 1})) > asc.key(term_from_exps({("x", 1): 9}))
-    assert desc.key(term_from_exps({("z", 1): 1})) > desc.key(term_from_exps({("z", 2): 9}))
+    assert term_key(term_from_exps({("x", 2): 1})) > term_key(term_from_exps({("x", 1): 9}))
+    assert term_key(term_from_exps({("z", 1): 1})) > term_key(term_from_exps({("z", 2): 9}))
+
+
+variables = st.tuples(st.sampled_from(SPACES), st.integers(1, 4))
+terms = st.dictionaries(variables, st.integers(1, 3), max_size=4).map(term_from_exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, terms)
+def test_term_key_is_the_packed_order(s, t):
+    ring = ring_for({(sp, i) for sp, i, _ in s + t})
+    assert (term_key(s) < term_key(t)) == (ring.pack_term(s) < ring.pack_term(t))
+    assert (term_key(s) == term_key(t)) == (s == t)
 
 
 def test_format_examples():
@@ -350,9 +355,9 @@ def test_ring_axioms(p, q, s):
 def test_leading_term_multiplicative(p, q):
     if p.is_zero or q.is_zero:
         return
-    tp, cp = leading(p, ORDER_R)
-    tq, cq = leading(q, ORDER_R)
-    tpq, cpq = leading(p * q, ORDER_R)
+    tp, cp = leading(p)
+    tq, cq = leading(q)
+    tpq, cpq = leading(p * q)
     from musym.polys import term_mul
 
     assert tpq == term_mul(tp, tq)

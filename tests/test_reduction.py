@@ -7,13 +7,13 @@ import pytest
 from musym import cli, gists, reduction, symfun
 from musym.linsys import matrix_rank
 from musym.polys import (
-    ORDER_R,
     Polynomial,
     Rational,
     leading,
     parse_poly,
     rat,
     term_from_exps,
+    term_key,
 )
 from musym.reduction import (
     ReduceResult,
@@ -86,7 +86,7 @@ def test_reduce_decomposition_identity(rng):
             bound = len(F) - 1 + sum(len(c) for c in C)
             assert res.loops <= bound
         # no leading term of the sequence survives in the remainder
-        lts = {tuple(sorted(c.support(), key=ORDER_R.key))[-1] for c in C}
+        lts = {tuple(sorted(c.support(), key=term_key))[-1] for c in C}
         assert not (lts & res.remainder.support())
 
 
@@ -229,6 +229,18 @@ def test_nreduce_confluence(rng):
         assert R == expected
 
 
+
+@pytest.mark.parametrize("B", [["x1 + x2", "x2"], ["z1 + z2", "z1"], ["r1*z1 + r1*z2", "r1*z2"]])
+def test_canonize_is_canonical_in_every_space(B):
+    # one total order ranks every variable, so the sequence canonize builds
+    # is canonical and nreduce agrees with reduce whatever the hash seed
+    B = [P(b) for b in B]
+    C = canonize(B).sequence
+    assert is_canonical(C)
+    for v in sorted(set().union(*(b.variables() for b in B))):
+        F = Polynomial.variable(*v)
+        assert nreduce(F, C)[0] == reduce(F, C).remainder
+
 def test_crgist_worked_examples():
     mu = Partition.of(2, 1)
     assert not crgist(P("3*r1^2 + 4*r1*r2 + r2^2"), mu).symmetric
@@ -320,14 +332,14 @@ def test_cache_dir_changes_no_verdict(stale, tmp_path, monkeypatch, capsys):
 
 def _reference_reduce(F, C):
     """The single sweep over rational coefficients, on Polynomials."""
-    key = ORDER_R.key
-    lts = [leading(c, ORDER_R) for c in C]
+    key = term_key
+    lts = [leading(c) for c in C]
     work, remainder = F, Polynomial.zero()
     coeffs = [rat(0)] * len(C)
     i, loops = len(C), 0
     while not work.is_zero and i > 0:
         loops += 1
-        t, a = leading(work, ORDER_R)
+        t, a = leading(work)
         lt, lc = lts[i - 1]
         if key(t) > key(lt):
             remainder = remainder + Polynomial.monomial(t, a)
@@ -341,7 +353,7 @@ def _reference_reduce(F, C):
 
 
 def _reference_canonize(B):
-    key = ORDER_R.key
+    key = term_key
     seq, combos = [], []
     for idx, b in enumerate(B):
         res = _reference_reduce(b, seq)
@@ -351,8 +363,8 @@ def _reference_canonize(B):
         for j, c in enumerate(res.coeffs):
             for k, q in combos[j].items():
                 combo[k] = combo.get(k, rat(0)) - c * q
-        lt = key(leading(res.remainder, ORDER_R)[0])
-        pos = sum(1 for s in seq if key(leading(s, ORDER_R)[0]) < lt)
+        lt = key(leading(res.remainder)[0])
+        pos = sum(1 for s in seq if key(leading(s)[0]) < lt)
         seq.insert(pos, res.remainder)
         combos.insert(pos, combo)
     return seq, [[combo.get(i, rat(0)) for combo in combos] for i in range(len(B))]
@@ -389,7 +401,7 @@ def test_integer_sweep_matches_rational_reference():
         assert got.qmatrix == ref_q
         seen["rank_deficient"] += len(ref_seq) < len(B)
         for c in ref_seq:
-            lc = leading(c, ORDER_R)[1]
+            lc = leading(c)[1]
             seen["negative_lead"] += lc < 0
             seen["non_unit_lead"] += abs(lc) != 1
         for _ in range(3):

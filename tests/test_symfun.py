@@ -360,7 +360,6 @@ def test_sym_dimensions_single_root():
 
 def test_cross_basis_spans_agree():
     # all four families span the same space of symmetric polynomials
-    from musym.polys import ORDER_X
     from musym.symfun import index_flavor
 
     for n in range(2, 5):
@@ -371,11 +370,11 @@ def test_cross_basis_spans_agree():
                 alphas = weak_partitions(delta, n, index_flavor(kind))
                 fam = [basis_element(kind, a, n) for a in alphas]
                 families[kind] = fam
-                ranks[kind] = len(canonize(fam, ORDER_X).sequence)
+                ranks[kind] = len(canonize(fam).sequence)
             dim = len(weak_partitions(delta, n, "capped"))
             assert set(ranks.values()) == {dim}
             # pairwise unions do not enlarge the span
             for k1 in families:
                 for k2 in families:
-                    joint = canonize(families[k1] + families[k2], ORDER_X)
+                    joint = canonize(families[k1] + families[k2])
                     assert len(joint.sequence) == dim
