@@ -14,15 +14,19 @@ canonical sequences and the reduce sweep in ``reduction``, and
 ``linsys``'s elimination) hold Python ints internally and meet these
 rationals only at their edges.
 
-``parse_poly`` makes one walk of ``ast.parse``'s tree over plain
-``{term: coeff}`` dicts, with loops along the ``+ -`` and ``* /``
-chains; only a factor of several terms is multiplied out, and one
-Polynomial is built at the end.
+``parse_poly`` has two readers, and both fill a plain ``{term: coeff}``
+dict from which one Polynomial is built at the end.  Text that is a flat
+sum of monomials, the form ``format_poly`` writes, is scanned term by
+term with one regular expression.  Any other text (parentheses, a power
+of a sum, a coefficient after a variable) takes one walk of
+``ast.parse``'s tree, with loops along the ``+ -`` and ``* /`` chains;
+only a factor of several terms is multiplied out.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from fractions import Fraction as Rational
 from typing import Callable, Iterable
 
@@ -427,10 +431,26 @@ def parse_poly(text: str) -> Polynomial:
     and variables like ``r1``, ``z12``.  Division is restricted to
     constant divisors.  Text nested deeper than Python's parser can
     follow raises ValueError, like any other bad text.
+
+    A flat sum of monomials is scanned in one pass: runs of ``+`` and
+    ``-``, each term an optional integer or ``n/d`` coefficient followed
+    by ``*``-joined powers ``v^e`` or ``v**e`` of x, r and z variables,
+    with ASCII digits, no leading zeros and spaces only.  Every other
+    text, and a flat one with a zero denominator or an integer past
+    Python's digit limit, is read by walking ``ast.parse``'s tree.  Both
+    readers give the same polynomial and the same error for a text they
+    both take; a flat sum too long or too deeply signed for Python's
+    parser is scanned all the same.
     """
     source = text.replace("^", "**").strip()
     if not source:
         raise ValueError("empty polynomial text")
+    coeffs = _scan(source)
+    return Polynomial(_walk(source, text) if coeffs is None else coeffs)
+
+
+def _walk(source: str, text: str) -> dict[Term, object]:
+    """{term: nonzero coeff} of any text, read from ``ast.parse``'s tree."""
     quoted = _quote(text)
     try:
         node = ast.parse(source, mode="eval").body
@@ -441,12 +461,62 @@ def parse_poly(text: str) -> Polynomial:
     except (RecursionError, MemoryError):  # the parser's depth and stack limits
         raise ValueError(_TOO_DEEP) from None
     try:
-        return Polynomial(_sum(node, quoted))
+        return _sum(node, quoted)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
 
 
 _TOO_DEEP = "polynomial text nests too deeply"
+
+# one item of a flat sum: a run of signs, which starts a term, a "*", or
+# nothing at the start of the text; then an integer or n/d coefficient, or
+# a variable with an optional power
+_ITEM = re.compile(
+    r"([-+][-+ ]*|\* *)?"
+    r"(?:(0|[1-9][0-9]*)(?: */ *(0|[1-9][0-9]*))?|([xrz])([1-9][0-9]*)(?: *\*\* *(0|[1-9][0-9]*))?) *"
+)
+
+
+def _scan(source: str) -> dict[Term, object] | None:
+    """{term: nonzero coeff} of a flat sum of monomials, read item by item,
+    or None for a text the ast walk must read."""
+    out: dict[Term, object] = {}
+    coeff, exps, pos = None, {}, 0
+    try:
+        while pos < len(source):
+            item = _ITEM.match(source, pos)
+            if item is None:
+                return None
+            sep, num, den, space, index, exp = item.groups()
+            if sep is None or sep[0] != "*":  # a new term
+                if sep is None and pos:
+                    return None  # two items with nothing between
+                _add_term(out, coeff, exps)
+                coeff, exps = -1 if sep and sep.count("-") % 2 else 1, {}
+            elif num is not None or not pos:
+                return None  # a coefficient after "*", or a leading "*"
+            if num is not None:
+                if den == "0":
+                    return None
+                coeff *= int(num) if den is None else rat(int(num), int(den))
+            else:
+                key = (space, int(index))
+                exps[key] = exps.get(key, 0) + (1 if exp is None else int(exp))
+            pos = item.end()
+    except ValueError:  # an integer past Python's digit limit
+        return None
+    _add_term(out, coeff, exps)
+    return out
+
+
+def _add_term(out: dict[Term, object], coeff, exps: dict) -> None:
+    if coeff:
+        t = tuple(sorted((s, i, e) for (s, i), e in exps.items() if e))
+        c = out.get(t, 0) + coeff
+        if c:
+            out[t] = c
+        else:
+            del out[t]
 
 
 def _quote(text: str) -> str:
@@ -506,7 +576,7 @@ def _product(node, quoted: str) -> dict[Term, object]:
         d = _factor(base, quoted)
         if base is not factor:
             k = factor.right
-            if not (isinstance(k, ast.Constant) and isinstance(k.value, int)):
+            if not (isinstance(k, ast.Constant) and type(k.value) is int):
                 raise ValueError(f"exponent must be an integer literal in {quoted}")
             k = k.value
         if len(d) > 1:
@@ -530,7 +600,7 @@ def _factor(node, quoted: str) -> dict[Term, object]:
             return {((space, int(digits), 1),): 1}
         raise ValueError(f"unknown variable {node.id!r}")
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
+        if type(node.value) is int:  # not a bool
             return {(): node.value} if node.value else {}
         raise ValueError(f"non-integer literal in {quoted}")
     if isinstance(node, (ast.BinOp, ast.UnaryOp)):

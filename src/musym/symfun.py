@@ -371,8 +371,8 @@ def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, dict, int]]:
     if excess:
         raise ValueError(f"r{excess} exceeds m={m} distinct roots for mu={mu}")
     degrees = sorted(buckets)
-    if degrees and degrees[-1] > _packed.MAX_EXP:
-        raise ValueError(f"degree {degrees[-1]} exceeds the limit {_packed.MAX_EXP}")
+    if degrees:
+        _check_degree(degrees[-1])
     return [(d, *_packed.integer_form(buckets[d])) for d in degrees]
 
 
@@ -388,40 +388,59 @@ def z_term_for(alpha: tuple[int, ...]) -> Term:
 # -- concrete root functions -------------------------------------------
 
 
-def _difference_product(indices: list[int], space: str) -> Polynomial:
-    """prod over i<j of (v_i - v_j) for the given variable indices."""
+def _difference_product(indices: list[int]) -> Polynomial:
+    """prod over i<j of (x_i - x_j) for the given variable indices."""
     out = Polynomial.constant(1)
     for a, b in itertools.combinations(indices, 2):
-        out = out * (Polynomial.variable(space, a) - Polynomial.variable(space, b))
+        out = out * (Polynomial.variable("x", a) - Polynomial.variable("x", b))
     return out
 
 
-def _root_difference_power(name: str, mu: Partition, k) -> Polynomial:
-    """prod over i<j of (r_i - r_j)^k(mu_i, mu_j), expanded."""
+def _check_degree(degree: int) -> None:
+    if degree > _packed.MAX_EXP:
+        raise ValueError(f"degree {degree} exceeds the limit {_packed.MAX_EXP}")
+
+
+def _difference_powers(m: int, degree: int, powers) -> dict:
+    """prod of (r_i - r_j)^k over the (i, j, k) in ``powers``, a packed int
+    dict in the root ring.  ``degree`` is the product's total degree: above
+    the packed exponent limit, where fields would overflow, it is refused
+    before anything is built."""
+    _check_degree(degree)
+    shifts = _root_ring(m).shifts[::-1]  # the field of r_j is shifts[j - 1]
+    out = {0: 1}
+    for i, j, k in powers:
+        si, sj = shifts[i - 1], shifts[j - 1]
+        binomial = {(a << si) + ((k - a) << sj): (-1) ** (k - a) * math.comb(k, a) for a in range(k + 1)}
+        out = _packed.mul(out, binomial)
+    return out
+
+
+def _root_difference_power(name: str, mu: Partition, degree: int, k) -> Polynomial:
+    """prod over i<j of (r_i - r_j)^k(mu_i, mu_j), of total degree
+    ``degree``, expanded."""
     if mu.m < 2:
         raise ValueError(f"{name} needs at least two distinct roots")
-    out = Polynomial.constant(1)
-    for i, j in itertools.combinations(range(1, mu.m + 1), 2):
-        diff = Polynomial.variable("r", i) - Polynomial.variable("r", j)
-        out = out * diff ** k(mu.parts[i - 1], mu.parts[j - 1])
-    return out
+    powers = ((i, j, k(mu.parts[i - 1], mu.parts[j - 1])) for i, j in itertools.combinations(range(1, mu.m + 1), 2))
+    return _root_ring(mu.m).undensify(_difference_powers(mu.m, degree, powers))
 
 
 def dplus(mu: Partition) -> Polynomial:
     """prod over i<j of (r_i - r_j)^(mu_i + mu_j), expanded."""
-    return _root_difference_power("dplus", mu, lambda a, b: a + b)
+    return _root_difference_power("dplus", mu, (mu.m - 1) * mu.n, lambda a, b: a + b)
 
 
 def dstar(mu: Partition) -> Polynomial:
     """prod over i<j of (r_i - r_j)^(2 mu_i mu_j), expanded."""
-    return _root_difference_power("dstar", mu, lambda a, b: 2 * a * b)
+    return _root_difference_power("dstar", mu, mu.n**2 - sum(p * p for p in mu.parts), lambda a, b: 2 * a * b)
 
 
 def delta_squares(m: int) -> Polynomial:
     """prod over i<j of (r_i - r_j)^2 in r1..rm."""
     if m < 2:
         raise ValueError("need at least two distinct roots")
-    return _difference_product(list(range(1, m + 1)), "r") ** 2
+    powers = ((i, j, 2) for i, j in itertools.combinations(range(1, m + 1), 2))
+    return _root_ring(m).undensify(_difference_powers(m, m * (m - 1), powers))
 
 
 @lru_cache(maxsize=None)
@@ -438,7 +457,7 @@ def subdiscriminant(n: int, k: int) -> Polynomial:
         return Polynomial.constant(1)
     out = Polynomial.zero()
     for subset in itertools.combinations(range(1, n + 1), n - k):
-        v = _difference_product(list(subset), "x")
+        v = _difference_product(list(subset))
         out = out + v * v
     return out
 
@@ -458,14 +477,13 @@ def spec_subdiscriminant(k: int, mu: Partition) -> Polynomial:
         raise ValueError(f"subdiscriminant index {k} out of range 0..{n - 1}")
     if k == n - 1:
         return Polynomial.constant(1)
-    out = Polynomial.zero()
-    for subset in itertools.combinations(range(1, mu.m + 1), n - k):
-        v = _difference_product(list(subset), "r")
-        weight = 1
-        for j in subset:
-            weight *= mu.parts[j - 1]
-        out = out + weight * v * v
-    return out
+    size = n - k
+    out: dict = {}
+    for subset in itertools.combinations(range(1, mu.m + 1), size):
+        powers = ((i, j, 2) for i, j in itertools.combinations(subset, 2))
+        weight = math.prod(mu.parts[j - 1] for j in subset)
+        _packed.submul(out, -weight, 0, _difference_powers(mu.m, size * (size - 1), powers))
+    return _root_ring(mu.m).undensify(out)
 
 
 def delta_lift(mu: Partition) -> Polynomial:

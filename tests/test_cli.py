@@ -261,6 +261,19 @@ def test_bench_refuses_a_huge_degree_before_any_system(tmp_path, capsys, monkeyp
     assert err == "error: degree 40000 exceeds the limit 32767 (suite entry 'huge')\n"
 
 
+def test_gist_refuses_a_huge_named_input_before_expanding_it(capsys, monkeypatch):
+    # (r1 - r2)^32768 is never multiplied out
+    import musym._packed
+
+    def boom(*args):
+        raise RuntimeError("a product was built")
+
+    monkeypatch.setattr(musym._packed, "mul", boom)
+    code, out, err = run(capsys, "gist", "dstar", "--mu", "128,128")
+    assert code == 2 and out == ""
+    assert err == "error: degree 32768 exceeds the limit 32767\n"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("algos", "cr"), ("bases", "ep"), ("algos", [])],

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from musym._packed import ring_for
+from musym.polys import _scan, _walk
 from musym.polys import (
     SPACES,
     Polynomial,
@@ -154,6 +155,8 @@ def test_parse_rejects_garbage():
         ("1.5*r1", "non-integer literal in '1.5*r1'"),
         ("r1/0", "division by zero in 'r1/0'"),
         ("r1/(r1-r1)", "division by zero in 'r1/(r1-r1)'"),
+        ("True", "non-integer literal in 'True'"),
+        ("False", "non-integer literal in 'False'"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_poly(bad)
@@ -306,6 +309,84 @@ def _build(node) -> Polynomial:
 @given(_exprs())
 def test_parse_matches_polynomial_operators(tree):
     assert parse_poly(_render(tree)) == _build(tree)
+
+
+# flat sums of monomials, the text the scan reads: sign runs, an optional
+# integer or n/d coefficient, powers of x, r and z variables joined by "*",
+# and zero, one or two spaces around every operator
+_SIGN_RUNS = ("+", "-", "+ -", "--", "- -", "-+-")
+
+
+@st.composite
+def _flat_texts(draw):
+    def gap():
+        return draw(st.sampled_from(("", " ", "  ")))
+
+    pieces = []
+    for n in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(_SIGN_RUNS if n else ("",) + _SIGN_RUNS))
+        factors = []
+        num = draw(st.one_of(st.none(), st.integers(0, 40)))
+        if num is not None:
+            den = draw(st.one_of(st.none(), st.integers(1, 12)))
+            factors.append(str(num) if den is None else f"{num}{gap()}/{gap()}{den}")
+        for _ in range(draw(st.integers(0 if factors else 1, 4))):
+            var = draw(st.sampled_from(SPACES)) + str(draw(st.sampled_from((1, 2, 3, 12))))
+            op = draw(st.sampled_from(("", "^", "**")))
+            factors.append(var + (op and f"{gap()}{op}{gap()}{draw(st.integers(0, 4))}"))
+        pieces.append(f"{gap()}{sign}{gap()}" + f"{gap()}*{gap()}".join(factors))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_texts())
+def test_scan_matches_the_ast_walk(text):
+    source = text.replace("^", "**").strip()
+    coeffs = _scan(source)
+    assert coeffs is not None, text
+    assert parse_poly(text) == Polynomial(coeffs) == Polynomial(_walk(source, text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="rxz0123+-*/^ ", min_size=1, max_size=14))
+def test_scan_never_changes_a_reading(text):
+    # short texts over the scan's alphabet, mostly not polynomials: the
+    # scan reads the same polynomial as the walk, or leaves the text to it
+    def reading(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return str(exc)
+
+    source = text.replace("^", "**").strip()
+    assume(source)
+    assert reading(lambda: parse_poly(text)) == reading(lambda: Polynomial(_walk(source, text)))
+
+
+def test_parse_flat_looking_text_takes_the_walk():
+    # each text is left by the scan to the ast walk, which reads it as
+    # before: leading zeros, a zero denominator, a power of a power, a
+    # coefficient after a variable, a tab, a comment, an integer past
+    # Python's digit limit (4300 by default)
+    r1, r2 = Polynomial.variable("r", 1), Polynomial.variable("r", 2)
+    digits = "1" * 5000 + "*r1"
+    for text, expected in (
+        ("00*r1", 0),
+        ("r01", r1),
+        ("1/0*r1", "division by zero in '1/0*r1'"),
+        ("r1^2^3", "exponent must be an integer literal in 'r1^2^3'"),
+        ("r1*2", 2 * r1),
+        ("r1 +\tr2", r1 + r2),
+        ("r1 # comment", r1),
+        (digits, f"cannot parse polynomial: {digits[:40] + ' ... ' + digits[-30:]!r} (5003 characters)"),
+    ):
+        assert _scan(text.replace("^", "**")) is None, text
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                parse_poly(text)
+            assert str(exc.value) == expected
+        else:
+            assert parse_poly(text) == expected
 
 
 def test_evaluate():

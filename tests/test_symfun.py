@@ -227,6 +227,58 @@ def test_delta_squares():
     assert delta_squares(3) == (P("r1-r2") * P("r1-r3") * P("r2-r3")) ** 2
 
 
+def _difference_powers(indices, k) -> Polynomial:
+    """prod over i<j in indices of (r_i - r_j)^k(i, j), multiplied out as
+    Polynomials: the definition the packed builders are checked against."""
+    out = Polynomial.constant(1)
+    for i, j in itertools.combinations(indices, 2):
+        out = out * (Polynomial.variable("r", i) - Polynomial.variable("r", j)) ** k(i, j)
+    return out
+
+
+ROOT_CASES = [parts for n in range(2, 8) for parts in all_partitions(n) if 2 <= len(parts) <= 5]
+
+
+@pytest.mark.parametrize("parts", ROOT_CASES)
+def test_root_functions_match_their_products(parts):
+    mu = Partition(parts)
+    roots = range(1, mu.m + 1)
+    mult = dict(zip(roots, parts))
+    assert dplus(mu) == _difference_powers(roots, lambda i, j: mult[i] + mult[j])
+    assert dstar(mu) == _difference_powers(roots, lambda i, j: 2 * mult[i] * mult[j])
+    assert delta_squares(mu.m) == _difference_powers(roots, lambda i, j: 2)
+    assert spec_subdiscriminant(mu.n - 1, mu) == 1
+    for k in range(mu.n - 1):
+        expected = Polynomial.zero()
+        for subset in itertools.combinations(roots, mu.n - k):
+            weight = 1
+            for j in subset:
+                weight *= mult[j]
+            expected = expected + weight * _difference_powers(subset, lambda i, j: 2)
+        assert spec_subdiscriminant(k, mu) == expected, k
+
+
+@pytest.mark.parametrize(
+    "build, degree",
+    [
+        (lambda: dplus(mu_(16384, 16384)), 32768),
+        (lambda: dstar(mu_(128, 128)), 32768),
+        (lambda: delta_squares(182), 32942),
+        (lambda: spec_subdiscriminant(0, Partition((1,) * 182)), 32942),
+    ],
+)
+def test_root_functions_refuse_a_huge_degree_before_multiplying(build, degree, monkeypatch):
+    # packing past the exponent limit would corrupt the fields
+    import musym._packed
+
+    def boom(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(musym._packed, "mul", boom)
+    with pytest.raises(ValueError, match=f"^degree {degree} exceeds the limit 32767$"):
+        build()
+
+
 def test_subdiscriminant_pair_convention():
     # unordered pairs squared: for two variables the 0th subdiscriminant
     # is exactly the squared difference
