@@ -223,9 +223,9 @@ def _load_suite(path: str | None):
         raise UsageError(f"cannot read suite file: {exc}") from None
     if not isinstance(suite, list):
         raise UsageError("suite file must hold a JSON list of entries")
-    for entry in suite:
+    for number, entry in enumerate(suite, 1):
         if not isinstance(entry, dict) or "f" not in entry or "mu" not in entry:
-            raise UsageError("each suite entry needs at least 'f' and 'mu'")
+            raise UsageError(f"suite entry {number} needs at least 'f' and 'mu'")
         for key in ("algos", "bases"):
             # a string would be iterated as its characters; _bench_row
             # checks each name

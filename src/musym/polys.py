@@ -12,7 +12,9 @@ All arithmetic is exact.  Every coefficient is a ``fractions.Fraction``
 kernels behind the cr, ls and dims routes (``symfun.spec_basis``, the
 canonical sequences and the reduce sweep in ``reduction``, and
 ``linsys``'s elimination) hold Python ints internally and meet these
-rationals only at their edges.
+rationals only at their edges.  There every ``{term: coeff}`` dict grows
+by one rule, ``_accumulate``: add each (term, coeff) in place and drop a
+term that cancels, as ``_packed.submul`` does for packed dicts.
 
 ``parse_poly`` has two readers, and both fill a plain ``{term: coeff}``
 dict from which one Polynomial is built at the end.  Text that is a flat
@@ -196,14 +198,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._c)
-        for t, c in other._c.items():
-            s = out.get(t, 0) + c
-            if s == 0:
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return _raw(out)
+        return _raw(_accumulate(dict(self._c), other._c.items()))
 
     __radd__ = __add__
 
@@ -239,16 +234,8 @@ class Polynomial:
                 pass  # an exponent beyond _packed.MAX_EXP
             else:
                 return ring.undensify(_packed.mul(d1, d2))
-        out: dict[Term, object] = {}
-        for t1, c1 in self._c.items():
-            for t2, c2 in other._c.items():
-                t = term_mul(t1, t2)
-                s = out.get(t, 0) + c1 * c2
-                if s == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return _raw(out)
+        products = ((term_mul(t1, t2), c1 * c2) for t1, c1 in self._c.items() for t2, c2 in other._c.items())
+        return _raw(_accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -311,6 +298,18 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _accumulate(out: dict[Term, object], items: Iterable[tuple[Term, object]]) -> dict[Term, object]:
+    """Add each (term, coeff) of items into out in place, dropping a term
+    whose coefficient cancels; returns out."""
+    for t, c in items:
+        s = out.get(t, 0) + c
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
 
 
 def _raw(coeffs: dict[Term, object]) -> Polynomial:
@@ -460,6 +459,12 @@ def _walk(source: str, text: str) -> dict[Term, object]:
         raise ValueError(f"cannot parse polynomial: {quoted}") from exc
     except (RecursionError, MemoryError):  # the parser's depth and stack limits
         raise ValueError(_TOO_DEEP) from None
+    # Python folds a name by NFKC, "r１" into "r1", so a name whose text
+    # spans more bytes than its id was folded
+    if not source.isascii():
+        for name in ast.walk(node):
+            if isinstance(name, ast.Name) and name.end_col_offset - name.col_offset != len(name.id.encode()):
+                raise ValueError(f"unknown variable {_quote(ast.get_source_segment(source, name))}")
     try:
         return _sum(node, quoted)
     except RecursionError:
@@ -512,11 +517,7 @@ def _scan(source: str) -> dict[Term, object] | None:
 def _add_term(out: dict[Term, object], coeff, exps: dict) -> None:
     if coeff:
         t = tuple(sorted((s, i, e) for (s, i), e in exps.items() if e))
-        c = out.get(t, 0) + coeff
-        if c:
-            out[t] = c
-        else:
-            del out[t]
+        _accumulate(out, ((t, coeff),))
 
 
 def _quote(text: str) -> str:
@@ -525,6 +526,19 @@ def _quote(text: str) -> str:
     if len(text) <= 80:
         return repr(text)
     return f"{text[:40] + ' ... ' + text[-30:]!r} ({len(text)} characters)"
+
+
+_NAME = re.compile(r"([xrz])([0-9]+)")
+
+
+def _variable(name: str) -> Var | None:
+    """(space, index) of a variable name such as ``r12``, or None: the
+    index must be ASCII digits within Python's digit limit."""
+    match = _NAME.fullmatch(name)
+    try:
+        return (match[1], int(match[2])) if match else None
+    except ValueError:  # an index past Python's digit limit
+        return None
 
 
 # the operators of the language; _sum reads any node made of them
@@ -540,12 +554,7 @@ def _sum(node, quoted: str) -> dict[Term, object]:
     out = _product(node, quoted)
     for n in reversed(spine):
         sign = -1 if isinstance(n.op, ast.Sub) else 1
-        for t, c in _product(n.right, quoted).items():
-            s = out.get(t, 0) + sign * c
-            if s:
-                out[t] = s
-            else:
-                del out[t]
+        _accumulate(out, ((t, sign * c) for t, c in _product(n.right, quoted).items()))
     return out
 
 
@@ -595,10 +604,10 @@ def _product(node, quoted: str) -> dict[Term, object]:
 def _factor(node, quoted: str) -> dict[Term, object]:
     """{term: nonzero coeff} of a power's base, or of a factor without sign."""
     if isinstance(node, ast.Name):
-        space, digits = node.id[0], node.id[1:]
-        if space in SPACES and digits.isdigit() and int(digits) >= 1:
-            return {((space, int(digits), 1),): 1}
-        raise ValueError(f"unknown variable {node.id!r}")
+        var = _variable(node.id)
+        if var and var[1] >= 1:
+            return {((*var, 1),): 1}
+        raise ValueError(f"unknown variable {_quote(node.id)}")
     if isinstance(node, ast.Constant):
         if type(node.value) is int:  # not a bool
             return {(): node.value} if node.value else {}
@@ -632,11 +641,9 @@ def poly_from_obj(obj: list[dict]) -> Polynomial:
     for entry in obj:
         exps = {}
         for name, e in entry.get("exps", {}).items():
-            space, digits = name[0], name[1:]
-            if space not in SPACES or not digits.isdigit():
-                raise ValueError(f"bad variable name {name!r}")
-            exps[(space, int(digits))] = int(e)
-        term = term_from_exps(exps)
-        c = rat_from_str(str(entry["coeff"]))
-        coeffs[term] = coeffs.get(term, rat(0)) + c
+            var = _variable(name)
+            if var is None:
+                raise ValueError(f"bad variable name {_quote(name)}")
+            exps[var] = int(e)
+        _accumulate(coeffs, ((term_from_exps(exps), rat_from_str(str(entry["coeff"]))),))
     return Polynomial(coeffs)

@@ -17,6 +17,7 @@ from . import _packed
 from .polys import (
     Polynomial,
     Term,
+    _accumulate,
     rat,
     term_from_exps,
 )
@@ -219,18 +220,14 @@ def specialize(p: Polynomial, mu: Partition) -> Polynomial:
             else:
                 key = (s, i)
             exps[key] = exps.get(key, 0) + e
-        term = term_from_exps(exps)
-        c0 = coeffs.get(term, rat(0)) + c
-        if c0 == 0:
-            coeffs.pop(term, None)
-        else:
-            coeffs[term] = c0
+        _accumulate(coeffs, ((term_from_exps(exps), c),))
     return Polynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
 def spec_generator(kind: str, i: int, mu: Partition) -> Polynomial:
     """sigma_mu of the i-th generator, an element of K[r]."""
+    _check_degree(i)
     packed = _spec_generator_packed(kind, i, mu)
     return _root_ring(mu.m).undensify({mon: rat(c) for mon, c in packed.items()})
 
@@ -332,6 +329,7 @@ def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
 
 
 def spec_basis_element(kind: str, alpha: tuple[int, ...], mu: Partition) -> Polynomial:
+    _check_degree(sum(alpha))
     return _root_ring(mu.m).undensify(_spec_packed(kind, alpha, mu))
 
 
@@ -341,8 +339,11 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
     The basis members are packed dicts in the root ring ``_root_ring(mu.m)``
     with Python int coefficients: every generator family here has integer
     coefficients, and so does its specialization.  They are the memoized
-    members themselves, shared by every caller: do not mutate them.
+    members themselves, shared by every caller: do not mutate them.  A
+    degree above the packed exponent limit is refused before any index is
+    enumerated.
     """
+    _check_degree(delta)
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
 
@@ -526,16 +527,12 @@ def dplus_gist_m2(mu: Partition) -> Polynomial:
 def dplus_gist_equal(mu: Partition) -> Polynomial:
     """Symmetric lift of dplus when all multiplicities are equal.
 
-    Returns (S / mu^m)^mu in K[x], where S is the (n-m)-th
-    subdiscriminant; its specialization is dplus(mu).
+    With every mu_i = mu_1, dplus(mu) is prod (r_i - r_j)^(2 mu_1), so its
+    lift is delta_lift(mu)^mu_1, an element of K[x].
     """
-    if mu.m < 2:
-        raise ValueError("need at least two distinct roots")
     if len(set(mu.parts)) != 1:
         raise ValueError("closed form requires all multiplicities equal")
-    common = mu.parts[0]
-    lift = subdiscriminant(mu.n, mu.n - mu.m) / (common ** mu.m)
-    return lift ** common
+    return delta_lift(mu) ** mu.parts[0]
 
 
 def clear_caches() -> None:

@@ -149,6 +149,56 @@ def test_canonize_json(capsys):
     assert payload["qmatrix"] == [["0", "1"], ["1", "0"]]
 
 
+def test_canonize_text(capsys):
+    code, out, _ = run(capsys, "canonize", "--mu", "2,1", "--delta", "2")
+    assert code == 0
+    assert out == (
+        "mu=2,1 delta=2 basis=e\n"
+        "rank 2 of 2 basis elements\n"
+        "r1^2 + 2*r1*r2\n"
+        "4*r1^2 + 4*r1*r2 + r2^2\n"
+        "qmatrix:\n"
+        "  0 1\n"
+        "  1 0\n"
+    )
+
+
+def test_ideal_json_matches_the_text(capsys):
+    code, out, _ = run(capsys, "ideal", "--mu", "2,2", "--json")
+    assert code == 0
+    relations = [poly_from_obj(obj) for obj in json.loads(out)]
+    _, text, _ = run(capsys, "ideal", "--mu", "2,2")
+    assert [str(g) for g in relations] == text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("canonize", "--mu", "1", "--delta", "32768"), ("dims", "--mu", "2,1", "--delta", "32768..32769")],
+    ids=["canonize", "dims"],
+)
+def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys, monkeypatch):
+    # past the packed exponent limit the fields would wrap; the parent
+    # printed "1" for canonize --mu 1 --delta 65536
+    import musym.symfun
+
+    def boom(*args):
+        raise RuntimeError("an index or a member was built")
+
+    monkeypatch.setattr(musym.symfun, "weak_partitions", boom)
+    monkeypatch.setattr(musym.symfun, "_spec_product_packed", boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: degree 32768 exceeds the limit 32767\n"
+
+
+def test_gist_refuses_a_variable_with_non_ascii_digits(capsys):
+    # Python reads the name r followed by ARABIC-INDIC DIGIT ONE; the
+    # parent read it as r1 and exited 1
+    code, out, err = run(capsys, "gist", "r\u0661", "--mu", "2,1")
+    assert code == 2 and out == ""
+    assert err == "error: unknown variable 'r\u0661'\n"
+
+
 def test_round_trip_of_emitted_gists(capsys):
     for f, mu in [("dplus", "2,1"), ("dplus", "2,2"), ("delta", "3,1"), ("subdisc:1", "2,2")]:
         code, out, _ = run(capsys, "gist", f, "--mu", mu, "--algo", "ls")
@@ -272,6 +322,43 @@ def test_gist_refuses_a_huge_named_input_before_expanding_it(capsys, monkeypatch
     code, out, err = run(capsys, "gist", "dstar", "--mu", "128,128")
     assert code == 2 and out == ""
     assert err == "error: degree 32768 exceeds the limit 32767\n"
+
+
+def test_bench_check_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    import musym.cli
+    from musym.gistresult import GistResult
+
+    real = musym.cli.compute_gist
+
+    def cr_says_no(F, mu, kind, algo):
+        return GistResult.not_symmetric(mu, kind) if algo == "cr" else real(F, mu, kind, algo)
+
+    monkeypatch.setattr(musym.cli, "compute_gist", cr_says_no)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"id": "a", "f": "dplus", "mu": "2,1", "algos": ["cr", "ls"]}]))
+    code, out, err = run(capsys, "bench", str(path), "--check", "--repeat", "1")
+    assert code == 1
+    assert err == "INCONSISTENT: algorithms disagree on at least one entry\n"
+    (row,) = out.splitlines()[1:]
+    assert row.split()[:8] == ["a", "dplus", "3", "2,1", "3", "e", "Y", "False"]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"id": "a", "mu": "2,1"}, "error: suite entry 2 needs at least 'f' and 'mu'\n"),
+        ({"id": "a", "f": "dplus"}, "error: suite entry 2 needs at least 'f' and 'mu'\n"),
+        ({"id": "a", "f": "dplus", "mu": "2,1", "algos": ["cr", "fast"]}, "error: unknown algorithm 'fast' in suite entry 'a'\n"),
+        ({"id": "a", "f": "dplus", "mu": "2,1", "bases": ["e", "q"]}, "error: unknown basis 'q' in suite entry 'a'\n"),
+    ],
+    ids=["no-f", "no-mu", "unknown-algorithm", "unknown-basis"],
+)
+def test_bench_bad_entries_are_named(entry, message, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"id": "ok", "f": "delta", "mu": "1,1", "algos": ["ls"]}, entry]))
+    code, out, err = run(capsys, "bench", str(path), "--repeat", "1")
+    assert code == 2 and out == ""
+    assert err == message
 
 
 @pytest.mark.parametrize(

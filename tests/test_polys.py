@@ -157,6 +157,11 @@ def test_parse_rejects_garbage():
         ("r1/(r1-r1)", "division by zero in 'r1/(r1-r1)'"),
         ("True", "non-integer literal in 'True'"),
         ("False", "non-integer literal in 'False'"),
+        # an index of non-ASCII digits; Python's parser folds the
+        # fullwidth ones into ASCII, the text is what counts
+        ("r\u0661", "unknown variable 'r\u0661'"),
+        ("r1 + r\uff11", "unknown variable 'r\uff11'"),
+        ("\uff52" + "1", "unknown variable '\uff52" + "1'"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_poly(bad)
@@ -175,10 +180,20 @@ def test_parse_errors_quote_long_text_by_its_ends():
         ("r1/" + "+".join(["r2"] * 40), "division by a non-constant in 'r1/r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r2+r ... +r2+r2+r2+r2+r2+r2+r2+r2+r2+r2' (122 characters)"),
         ("r1 + " * 15 + "r12 +", "cannot parse polynomial: '" + "r1 + " * 15 + "r12 +'"),  # 80 characters
         ("1" * 80 + "x", "cannot parse polynomial: '" + "1" * 40 + " ... " + "1" * 29 + "x' (81 characters)"),
+        # an index past Python's digit limit (4300 by default)
+        ("r" + "1" * 5000, "unknown variable 'r" + "1" * 39 + " ... " + "1" * 30 + "' (5001 characters)"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_poly(bad)
         assert str(exc.value) == message, bad
+    for name, message in (
+        ("r\u00b2", "bad variable name 'r\u00b2'"),
+        ("q1", "bad variable name 'q1'"),
+        ("r" + "1" * 5000, "bad variable name 'r" + "1" * 39 + " ... " + "1" * 30 + "' (5001 characters)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            poly_from_obj([{"coeff": "1", "exps": {name: 1}}])
+        assert str(exc.value) == message, name
 
 
 def test_parse_parenthesis_depth_is_too_deep():
@@ -480,6 +495,18 @@ def test_text_round_trip(p):
 @given(polys(nvars=3))
 def test_json_round_trip(p):
     assert poly_from_obj(poly_to_obj(p)) == p
+
+
+def test_multiplication_past_the_packed_exponent_limit_expands_termwise():
+    # 8 x 8 terms would take the packed path, but r1^40000 does not pack
+    terms = [P("r1^40000")] + [Polynomial.variable("r", i) for i in range(2, 9)]
+    expected = {}
+    for i, a in enumerate(terms):
+        for b in terms[i:]:
+            ((t, c),) = (a * b).items()
+            expected[t] = c if a is b else 2 * c
+    square = parse_poly("(r1^40000 + r2 + r3 + r4 + r5 + r6 + r7 + r8)^2")
+    assert len(expected) == 36 and square == Polynomial(expected)
 
 
 def test_packed_multiplication_matches_generic():

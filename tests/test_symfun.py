@@ -16,6 +16,7 @@ from musym.symfun import (
     dstar,
     generator,
     monomial_generator,
+    spec_basis,
     spec_basis_element,
     spec_generator,
     spec_subdiscriminant,
@@ -279,6 +280,28 @@ def test_root_functions_refuse_a_huge_degree_before_multiplying(build, degree, m
         build()
 
 
+@pytest.mark.parametrize(
+    "build, degree",
+    [
+        (lambda: spec_basis("e", 32768, mu_(1)), 32768),
+        (lambda: spec_basis("m", 65536, mu_(2, 1)), 65536),
+        (lambda: spec_basis_element("p", (32768,), mu_(2, 1)), 32768),
+        (lambda: spec_generator("p", 40000, mu_(40000)), 40000),
+    ],
+)
+def test_specialized_basis_refuses_a_huge_degree_before_enumerating(build, degree, monkeypatch):
+    # packing past the exponent limit would wrap into the next field
+    import musym.symfun
+
+    def boom(*args):
+        raise AssertionError("an index or a member was built")
+
+    for name in ("weak_partitions", "_spec_product_packed", "_spec_monomial_packed", "_spec_generator_packed"):
+        monkeypatch.setattr(musym.symfun, name, boom)
+    with pytest.raises(ValueError, match=f"^degree {degree} exceeds the limit 32767$"):
+        build()
+
+
 def test_subdiscriminant_pair_convention():
     # unordered pairs squared: for two variables the 0th subdiscriminant
     # is exactly the squared difference
@@ -379,8 +402,10 @@ def test_dplus_gist_equal_cases():
         mu = Partition(parts)
         lift = dplus_gist_equal(mu)
         assert specialize(lift, mu) == dplus(mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closed form requires all multiplicities equal$"):
         dplus_gist_equal(mu_(2, 1))
+    with pytest.raises(ValueError, match="^need at least two distinct roots$"):
+        dplus_gist_equal(mu_(3))
 
 
 def test_spec_e1sq_e2_independent():
