@@ -177,8 +177,8 @@ def test_ideal_json_matches_the_text(capsys):
     ids=["canonize", "dims"],
 )
 def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys, monkeypatch):
-    # past the packed exponent limit the fields would wrap; the parent
-    # printed "1" for canonize --mu 1 --delta 65536
+    # past the packed exponent limit the fields would wrap: unchecked,
+    # canonize --mu 1 --delta 65536 prints the member 1
     import musym.symfun
 
     def boom(*args):
@@ -192,8 +192,8 @@ def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys
 
 
 def test_gist_refuses_a_variable_with_non_ascii_digits(capsys):
-    # Python reads the name r followed by ARABIC-INDIC DIGIT ONE; the
-    # parent read it as r1 and exited 1
+    # r followed by ARABIC-INDIC DIGIT ONE names no variable; read as r1
+    # it would give the verdict "F is not mu-symmetric"
     code, out, err = run(capsys, "gist", "r\u0661", "--mu", "2,1")
     assert code == 2 and out == ""
     assert err == "error: unknown variable 'r\u0661'\n"
