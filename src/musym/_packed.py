@@ -7,8 +7,9 @@ order, multiplication is addition, and divisibility is a borrow check
 against the guard bits.  Exponents must stay below 2^15.
 
 A packed polynomial is a dict from monomial to nonzero coefficient.
-Every product, reduction and S-polynomial is built from one primitive,
-``submul``: work -= q * x^shift * g.
+Products accumulate their terms in ``mul``, which drops cancelled terms
+once at the end; every reduction and S-polynomial is built from one
+primitive, ``submul``: work -= q * x^shift * g.
 """
 
 from __future__ import annotations
@@ -149,12 +150,22 @@ def primitive(d: dict) -> dict:
 
 
 def mul(d1: dict, d2: dict) -> dict:
-    """Product of packed polynomials (monomial product = integer add)."""
+    """Product of packed polynomials (monomial product = integer add).
+
+    Term products are summed without a test per term; the zeros that
+    cancellation leaves are dropped once at the end, and only a signed
+    product can leave one.
+    """
     if len(d1) > len(d2):
         d1, d2 = d2, d1
     out: dict = {}
+    get = out.get
     for m1, a in d1.items():
-        submul(out, -a, m1, d2)
+        for m2, c in d2.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + a * c
+    if not all(out.values()):
+        out = {m: c for m, c in out.items() if c}
     return out
 
 

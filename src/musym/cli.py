@@ -359,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gist", help="check one polynomial and print its gist")
-    p.add_argument("f", help="polynomial text or a named input (dplus, dstar, delta, subdisc:k)")
+    p.add_argument(
+        "f",
+        help="polynomial text, a file holding it, or a named input (dplus, dstar, delta, subdisc:k); "
+        'put text that starts with a minus after --, as in: gist --mu 1,1 -- "-r1*r2"',
+    )
     p.add_argument("--mu", required=True, help="multiplicity structure, e.g. 2,2,1")
     p.add_argument("--algo", choices=ALGORITHMS, default="ls")
     p.add_argument("--basis", choices=symfun.BASIS_KINDS, default="e")

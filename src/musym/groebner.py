@@ -170,13 +170,15 @@ class _GradedEngine:
         with self.lock:
             return _full_reduce(f, self.basis, self.guard)
 
-    def reduced_snapshot(self, bound: int | None = None) -> list[dict]:
-        """Reduced basis of the elements at weighted degree <= bound."""
+    def reduced_snapshot(self, bound: int | None = None, below: int | None = None) -> list[dict]:
+        """Reduced basis of the elements at weighted degree <= bound, or of
+        those among them whose lead is below ``below``."""
         ring, guard, basis = self.ring, self.guard, self.basis
         with self.lock:
             chosen = [
                 idx for idx in range(len(basis))
-                if bound is None or ring.wdeg(basis.lts[idx]) <= bound
+                if (bound is None or ring.wdeg(basis.lts[idx]) <= bound)
+                and (below is None or basis.lts[idx] < below)
             ]
             minimal: list[int] = []
             for idx in sorted(chosen, key=lambda k: basis.lts[k]):
@@ -283,7 +285,12 @@ class EliminationSystem:
 
     @cached_property
     def zonly(self) -> list[Polynomial]:
-        return [p for p in self.basis if "r" not in p.spaces()]
+        # a member is r-free exactly when its lead is below 2^(16 n), and
+        # no r lead divides an r-free term: the r-free members interreduce
+        # among themselves
+        ring = self.engine.ring
+        below = 1 << (FIELD * self.mu.n)
+        return [ring.undensify(d) for d in self.engine.reduced_snapshot(self.degree, below)]
 
 
 @lru_cache(maxsize=None)

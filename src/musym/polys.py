@@ -637,6 +637,8 @@ def poly_to_obj(p: Polynomial) -> list[dict]:
 
 
 def poly_from_obj(obj: list[dict]) -> Polynomial:
+    """The inverse of ``poly_to_obj``.  Exponents must be ints (not bools)
+    and coefficients ``"num"`` or ``"num/den"`` text or ints."""
     coeffs: dict[Term, object] = {}
     for entry in obj:
         exps = {}
@@ -644,6 +646,15 @@ def poly_from_obj(obj: list[dict]) -> Polynomial:
             var = _variable(name)
             if var is None:
                 raise ValueError(f"bad variable name {_quote(name)}")
-            exps[var] = int(e)
-        _accumulate(coeffs, ((term_from_exps(exps), rat_from_str(str(entry["coeff"]))),))
+            if type(e) is not int:
+                raise ValueError(f"bad exponent {_quote(repr(e))} of {_quote(name)}")
+            exps[var] = e
+        if "coeff" not in entry:
+            raise ValueError(f"no coeff in {_quote(repr(entry))}")
+        text = str(entry["coeff"])
+        try:
+            coeff = rat_from_str(text)
+        except ValueError:
+            raise ValueError(f"bad coefficient {_quote(text)}") from None
+        _accumulate(coeffs, ((term_from_exps(exps), coeff),))
     return Polynomial(coeffs)

@@ -278,25 +278,16 @@ def _root_ring(m: int) -> _packed.Ring:
 
 
 @lru_cache(maxsize=None)
-def _spec_product_packed(kind: str, counts: tuple[int, ...], mu: Partition) -> dict:
-    """prod_i spec_generator(kind, i, mu)^counts[i-1], packed in the root
-    ring with int coefficients.
+def _spec_products(kind: str, mu: Partition) -> dict:
+    """The memo of specialized products for (kind, mu), filled by
+    ``_spec_packed``: counts -> prod_i spec_generator(kind, i, mu)^counts[i-1],
+    packed in the root ring with int coefficients.
 
-    Built from its prefix, the product with one factor of the highest
-    index fewer, which ``_spec_packed`` has memoized one step before,
-    times the generator, taken from its own unit-count entry so that it
-    is built once.
     Keyed by counts rather than by the parts, so the keys of a chain of
-    L factors hold O(L n) entries, not O(L^2).
+    L factors hold O(L n) entries, not O(L^2).  Each generator is stored
+    at its unit count, and the empty product at the zero count.
     """
-    high = next((i for i in range(len(counts) - 1, -1, -1) if counts[i]), None)
-    if high is None:
-        return {0: 1}
-    prefix = counts[:high] + (counts[high] - 1,) + counts[high + 1:]
-    if not any(prefix):
-        return _spec_generator_packed(kind, high + 1, mu)
-    unit = (0,) * high + (1,) + (0,) * (len(counts) - high - 1)
-    return _packed.mul(_spec_product_packed(kind, prefix, mu), _spec_product_packed(kind, unit, mu))
+    return {(0,) * mu.n: {0: 1}}
 
 
 @lru_cache(maxsize=None)
@@ -317,14 +308,25 @@ def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
     if kind == "m":
         return _spec_monomial_packed(tuple(alpha), mu)
     # alpha is weakly decreasing, walked from its smallest part: each
-    # step's prefix is the step before, so the memoized product recurses
-    # one level, however long alpha is
-    counts = [0] * mu.n
-    out = _spec_product_packed(kind, tuple(counts), mu)
+    # step's product is the step before times the generator of the new
+    # part, so a long alpha costs no recursion depth.  Stored through
+    # setdefault, so threads that race on a product share the one kept.
+    products = _spec_products(kind, mu)
+    n = mu.n
+    counts = [0] * n
+    out = products[tuple(counts)]
     for a in reversed(alpha):
         if a:
             counts[a - 1] += 1
-            out = _spec_product_packed(kind, tuple(counts), mu)
+            key = tuple(counts)
+            step = products.get(key)
+            if step is None:
+                unit = (0,) * (a - 1) + (1,) + (0,) * (n - a)
+                gen = products.get(unit)
+                if gen is None:
+                    gen = products.setdefault(unit, _spec_generator_packed(kind, a, mu))
+                step = gen if key == unit else products.setdefault(key, _packed.mul(out, gen))
+            out = step
     return out
 
 
@@ -544,7 +546,7 @@ def clear_caches() -> None:
     generator.cache_clear()
     monomial_generator.cache_clear()
     spec_generator.cache_clear()
-    _spec_product_packed.cache_clear()
+    _spec_products.cache_clear()
     _spec_monomial_packed.cache_clear()
     _root_ring.cache_clear()
     subdiscriminant.cache_clear()

@@ -107,3 +107,58 @@ def test_warm_gist_and_dims_never_unpack(monkeypatch, algo):
     assert compute_gist(F, mu, "e", algo).symmetric
     assert symfun.sym_dimensions(mu, 9) == (23, 21)
     reduction.clear_memo()
+
+
+def test_spec_basis_builds_each_product_once(monkeypatch):
+    # one multiplication per product with two or more factors: every
+    # capped index of degree 1..10 but the five single generators
+    mu = Partition.of(2, 2, 1)
+    symfun.clear_caches()
+    products = []
+    real = _packed.mul
+
+    def counting(d1, d2):
+        products.append(real(d1, d2))
+        return products[-1]
+
+    generators = []
+    real_generator = symfun._spec_generator_packed
+
+    def generator_counting(kind, i, mu):
+        generators.append(i)
+        return real_generator(kind, i, mu)
+
+    monkeypatch.setattr(_packed, "mul", counting)
+    monkeypatch.setattr(symfun, "_spec_generator_packed", generator_counting)
+    indices = sum(len(symfun.spec_basis("e", delta, mu)[0]) for delta in range(1, 11))
+    assert len(products) == indices - 5 and sorted(generators) == [1, 2, 3, 4, 5]
+    stored = symfun._spec_products("e", mu).values()
+    assert all(any(p is q for q in stored) for p in products)
+    for delta in range(1, 11):
+        symfun.spec_basis("e", delta, mu)
+    assert len(products) == indices - 5 and len(generators) == 5
+    symfun.clear_caches()
+
+
+def test_spec_basis_threads_share_equal_members():
+    import threading
+
+    mu = Partition.of(2, 2, 1)
+    symfun.clear_caches()
+    barrier = threading.Barrier(4)
+    results = []
+
+    def worker():
+        barrier.wait()
+        results.append(symfun.spec_basis("e", 8, mu))
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    symfun.clear_caches()
+    _, reference = symfun.spec_basis("e", 8, mu)
+    assert len(results) == 4
+    assert all(r[1] == reference and r[0] == results[0][0] for r in results)
+    symfun.clear_caches()

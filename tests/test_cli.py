@@ -87,6 +87,17 @@ def test_gist_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "system.csv").exists()
 
 
+def test_gist_text_with_a_leading_minus_goes_after_a_double_dash(capsys):
+    # argparse reads "-r1*r2" as an option and then misses f
+    with pytest.raises(SystemExit) as exc:
+        main(["gist", "-r1*r2", "--mu", "1,1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "the following arguments are required: f" in captured.err
+    code, out, err = run(capsys, "gist", "--mu", "1,1", "--", "-r1*r2")
+    assert (code, out, err) == (0, "-z2\n", "")
+
+
 def test_gist_reads_polynomial_from_file(tmp_path, capsys):
     path = tmp_path / "input.txt"
     path.write_text("3*r1^2 + 2*r1*r2 + r2^2\n")
@@ -185,7 +196,7 @@ def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys
         raise RuntimeError("an index or a member was built")
 
     monkeypatch.setattr(musym.symfun, "weak_partitions", boom)
-    monkeypatch.setattr(musym.symfun, "_spec_product_packed", boom)
+    monkeypatch.setattr(musym.symfun, "_spec_products", boom)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: degree 32768 exceeds the limit 32767\n"

@@ -268,10 +268,18 @@ def test_elimination_basis_unpacked_once_on_first_read():
     clear_memo()
     system = elimination_system(mu, "e", 6)
     assert "basis" not in vars(system) and "zonly" not in vars(system)
+    zonly = system.zonly
+    assert system.zonly is zonly and "basis" not in vars(system)  # read off the r-free members only
     basis = system.basis
     assert system.basis is basis
-    assert all(any(p is q for q in basis) for p in system.zonly)
+    assert zonly == [p for p in basis if "r" not in p.spaces()]
     clear_memo()
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (3, 2), (3, 1, 1), (2, 1, 1), (1, 1, 1, 1)])
+def test_zonly_is_the_r_free_part_of_the_basis(parts):
+    system = elimination_system(Partition(parts))
+    assert system.zonly == [p for p in system.basis if "r" not in p.spaces()]
 
 
 def test_ggist_zero():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from musym import _packed
 from musym._packed import ring_for
 from musym.polys import _scan, _walk
 from musym.polys import (
@@ -497,6 +498,26 @@ def test_json_round_trip(p):
     assert poly_from_obj(poly_to_obj(p)) == p
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([{"coeff": "1", "exps": {"r1": 2.7}}], "bad exponent '2.7' of 'r1'"),
+        ([{"coeff": "1", "exps": {"r1": True}}], "bad exponent 'True' of 'r1'"),
+        ([{"coeff": "1", "exps": {"r1": "x"}}], "bad exponent \"'x'\" of 'r1'"),
+        ([{"coeff": "1e5", "exps": {"r1": 1}}], "bad coefficient '1e5'"),
+        ([{"coeff": "x"}], "bad coefficient 'x'"),
+        ([{"exps": {"r1": 1}}], "no coeff in \"{'exps': {'r1': 1}}\""),
+    ],
+)
+def test_json_form_refuses_a_bad_exponent_or_coefficient(obj, message):
+    # before: 2.7 read as r1^2, True as r1, and the rest leaked int()'s
+    # text or a KeyError
+    with pytest.raises(ValueError) as exc:
+        poly_from_obj(obj)
+    assert str(exc.value) == message
+    assert poly_from_obj([{"coeff": 3, "exps": {"r1": 2}}, {"coeff": "-1/2"}]) == P("3*r1^2 - 1/2")
+
+
 def test_multiplication_past_the_packed_exponent_limit_expands_termwise():
     # 8 x 8 terms would take the packed path, but r1^40000 does not pack
     terms = [P("r1^40000")] + [Polynomial.variable("r", i) for i in range(2, 9)]
@@ -520,3 +541,18 @@ def test_packed_multiplication_matches_generic():
 
             direct = direct + Polynomial.monomial(term_mul(t, u), c * d)
     assert a * b == direct
+
+
+def test_packed_multiplication_drops_a_sum_that_cancelled():
+    # (1 + r1 + r1^2)(1 - r1 + r1^2): the r1^2 sum reaches 0 after the
+    # second term of the first factor and comes back with the third
+    d1 = {0: 1, 1: 1, 2: 1}
+    d2 = {0: 1, 1: -1, 2: 1}
+    termwise: dict = {}
+    for m1, a in d1.items():
+        for m2, c in d2.items():
+            termwise[m1 + m2] = termwise.get(m1 + m2, 0) + a * c
+    product = _packed.mul(d1, d2)
+    assert all(product.values())
+    assert product == {m: c for m, c in termwise.items() if c} == {0: 1, 2: 1, 4: 1}
+    assert _packed.mul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}

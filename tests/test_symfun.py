@@ -296,7 +296,7 @@ def test_specialized_basis_refuses_a_huge_degree_before_enumerating(build, degre
     def boom(*args):
         raise AssertionError("an index or a member was built")
 
-    for name in ("weak_partitions", "_spec_product_packed", "_spec_monomial_packed", "_spec_generator_packed"):
+    for name in ("weak_partitions", "_spec_products", "_spec_monomial_packed", "_spec_generator_packed"):
         monkeypatch.setattr(musym.symfun, name, boom)
     with pytest.raises(ValueError, match=f"^degree {degree} exceeds the limit 32767$"):
         build()
