@@ -247,8 +247,9 @@ def _median_ms(fn, repeat: int) -> float:
     return statistics.median(times)
 
 
-# per algorithm: the row column for its preprocessing (None for ls, which
-# has none) and for its per-instance time
+# per algorithm: the row column for its preprocessing and for its
+# per-instance time; ls has no preprocessing column, since the untimed
+# first call builds its layout and records its rank profile
 _COLUMNS = {
     "groebner": ("groebner_prep_ms", "groebner_nf_ms"),
     "cr": ("canonize_ms", "reduce_ms"),

@@ -229,26 +229,6 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     return ring.undensify({m: rat(c, den * scale) for m, c in out.items()})
 
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    ring = ring_for(set(f.variables()) | set(g.variables()))
-    basis = Basis()
-    for p in (f, g):
-        basis.add(_make_primitive(ring.densify(p)))
-    lcm = ring.lcm(basis.lts[0], basis.lts[1])
-    scale = math.lcm(*basis.lcs)
-    return ring.undensify({m: rat(c, scale) for m, c in _spoly(0, 1, lcm, basis).items()})
-
-
-def is_groebner(basis: list[Polynomial]) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j])
-            if not s.is_zero and not normal_form(s, basis).is_zero:
-                return False
-    return True
-
-
 GROEBNER_ON_M = (
     "the groebner algorithm is not available for the monomial basis: "
     "it needs the n-generator ideal presentation; use the cr or ls algorithm"

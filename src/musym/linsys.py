@@ -19,7 +19,7 @@ consistent exactly when that check passes, and then x, with the free
 variables 0, is the solution a full elimination gives.
 
 Elimination is fraction-free (Bareiss) on Python ints; rationals appear
-only in the solutions and kernel vectors handed out.
+only in the solutions handed out.
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ from functools import cached_property, lru_cache
 from . import symfun
 from .gistresult import GistResult
 from .polys import Polynomial, Term, rat, term_from_exps
-
-
-def _integer_rows(matrix: list[list]) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators; the row space,
-    and so every solution set, is unchanged.  Int cells pass through."""
-    out = []
-    for row in matrix:
-        scale = math.lcm(*(v.denominator for v in row if type(v) is not int))
-        out.append([v * scale if type(v) is int else v.numerator * (scale // v.denominator) for v in row])
-    return out
 
 
 def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
@@ -90,19 +80,6 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
     return pivots
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
-    """Bareiss echelon form of the distinct rows, its pivot columns, and
-    D, the last pivot.  Dropping repeated rows keeps the row space, and
-    so the pivots and every solution set."""
-    m = _integer_rows([list(row) for row in dict.fromkeys(map(tuple, rows))])
-    pivots = _bareiss(m)
-    return m, pivots, m[len(pivots) - 1][pivots[-1]] if pivots else 1
-
-
-def matrix_rank(matrix: list[list]) -> int:
-    return len(_echelon(matrix)[1])
-
-
 def _cramer(m: list[list[int]], pivots: list[int], det: int, col: int) -> list[int]:
     """D x, where x solves the pivot subsystem of the echelon form m with
     column col as right-hand side and every other entry 0.
@@ -122,33 +99,24 @@ def _cramer(m: list[list[int]], pivots: list[int], det: int, col: int) -> list[i
 def solve_particular(A: list[list], b: list) -> list | None:
     """A solution of A x = b with free variables pinned to 0, or None.
 
-    The free variables fix the solution, so it is the one the reduced
-    row echelon form of [A | b] gives; only the final D x / D are
-    rational.
+    Bareiss runs on the distinct rows of [A | b], each scaled by the lcm
+    of its denominators: the row space, and so the solution set, is
+    unchanged.  The free variables fix the solution, so it is the one
+    the reduced row echelon form of [A | b] gives; only the final
+    D x / D, with D the last pivot, are rational.
     """
     if not A:
         return []
     cols = len(A[0])
-    m, pivots, det = _echelon((*row, bv) for row, bv in zip(A, b))
+    m = []
+    for row in dict.fromkeys((*row, bv) for row, bv in zip(A, b)):
+        scale = math.lcm(*(v.denominator for v in row if type(v) is not int))
+        m.append([v * scale if type(v) is int else v.numerator * (scale // v.denominator) for v in row])
+    pivots = _bareiss(m)
     if cols in pivots:
         return None  # pivot in the constants column: inconsistent
+    det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     return [rat(v, det) for v in _cramer(m, pivots, det, cols)[:cols]]
-
-
-def nullspace(A: list[list]) -> list[list]:
-    """Basis of the kernel, one vector per free column f: v[f] = 1, the
-    other free entries 0, and the pivot entries -x, where x solves the
-    pivot subsystem with column f as right-hand side."""
-    if not A:
-        return []
-    m, pivots, det = _echelon(A)
-    basis = []
-    for f in range(len(A[0])):
-        if f not in pivots:
-            dx = _cramer(m, pivots, det, f)
-            dx[f] = -det
-            basis.append([rat(-v, det) for v in dx])
-    return basis
 
 
 @dataclass(frozen=True)

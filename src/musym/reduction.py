@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from . import symfun
 from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
 from .gistresult import GistResult
-from .polys import Polynomial, leading, rat, term_key
+from .polys import Polynomial, leading, rat
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,6 @@ def reduce(F: Polynomial, C: Sequence[Polynomial]) -> ReduceResult:
     remainder, den, loops = _reduce_packed(work, seq, den)
     coeffs = tuple(rat(-remainder.pop(~k, 0), den) for k in range(len(C)))
     return ReduceResult(ring.undensify({m: rat(c, den) for m, c in remainder.items()}), coeffs, loops)
-
-
-def is_canonical(C: Sequence[Polynomial]) -> bool:
-    """Strictly increasing leading terms (independence follows)."""
-    keys = [term_key(leading(c)[0]) for c in C if not c.is_zero]
-    if len(keys) != len(C):
-        return False
-    return all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
 
 def canonize(B: Sequence[Polynomial]) -> CanonizeResult:

@@ -553,8 +553,9 @@ def clear_caches() -> None:
 
 
 def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int]:
-    """(dim of degree-delta symmetric space, rank of its specialization)."""
+    """(dim of degree-delta symmetric space, rank of its specialization),
+    read off the memoized canonical system."""
     from . import reduction  # local import; reduction builds on this module
 
-    alphas, basis = spec_basis(kind, delta, mu)
-    return len(alphas), len(reduction._canonize_packed(basis))
+    system = reduction.canonical_system(mu, delta, kind)
+    return len(system.alphas), len(system.dense)

@@ -37,3 +37,43 @@ def random_homogeneous(rng, m, delta, max_coeff=6):
             if c:
                 coeffs[t] = rat(c)
     return Polynomial(coeffs)
+
+
+def rref(matrix):
+    """Reduced row echelon form over the rationals and its pivot columns,
+    whose count is the rank: the tests' one linear-algebra oracle."""
+    m = [[rat(v) for v in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = rat(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _rref_kernel(A):
+    """One kernel vector per free column of rref(A)."""
+    cols = len(A[0])
+    red, pivots = rref(A)
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [rat(0)] * cols
+        v[fc] = rat(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        kernel.append(v)
+    return kernel

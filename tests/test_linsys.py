@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import _rref_kernel, rref
 
 from musym import linsys, symfun
 from musym.gistresult import GistResult
@@ -10,11 +11,10 @@ from musym.linsys import (
     build_system,
     degree_terms,
     lsgist,
-    matrix_rank,
-    nullspace,
     solve_particular,
 )
 from musym.polys import Polynomial, parse_poly, rat, term_from_exps
+from musym.reduction import canonical_system, crgist
 from musym.symfun import (
     Partition,
     dplus,
@@ -42,48 +42,6 @@ def test_rref_homogeneous_and_inconsistent():
 def test_rref_pivots_and_rank():
     reduced, pivots = rref([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert pivots == [0, 2]
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([]) == 0
-
-
-def rref(matrix):
-    """Reduced row echelon form over the rationals and its pivot columns:
-    the reference that the fraction-free elimination must agree with."""
-    m = [[rat(v) for v in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = rat(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _rref_kernel(A):
-    """One kernel vector per free column of rref(A)."""
-    cols = len(A[0])
-    red, pivots = rref(A)
-    kernel = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [rat(0)] * cols
-        v[fc] = rat(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        kernel.append(v)
-    return kernel
 
 
 def _rref_particular(A, b):
@@ -116,27 +74,16 @@ def test_fraction_free_solve_matches_rref():
         if rng.random() < 0.5:
             b[rng.randrange(rows)] += 1
         assert solve_particular(A, b) == _rref_particular(A, b)
-        assert matrix_rank(A) == len(rref(A)[1])
-        assert nullspace(A) == _rref_kernel(A)
         picks = [dup.randrange(rows) for _ in range(dup.randint(1, 6))]
         A2, b2 = A + [list(A[i]) for i in picks], b + [b[i] for i in picks]
         order = list(range(len(A2)))
         dup.shuffle(order)
         A2, b2 = [A2[i] for i in order], [b2[i] for i in order]
         assert solve_particular(A2, b2) == _rref_particular(A2, b2) == _rref_particular(A, b)
-        assert nullspace(A2) == _rref_kernel(A)
         i = dup.randrange(rows)
         A3, b3 = A2 + [list(A[i])], b2 + [b[i] + dup.choice([-1, rat(1, 3)])]
         assert _rref_particular(A3, b3) is None
         assert solve_particular(A3, b3) is None
-
-
-def test_nullspace_vectors_solve():
-    A = [[1, 2, 0], [0, 0, 1]]
-    for v in nullspace(A):
-        for row in A:
-            assert sum(a * x for a, x in zip(row, v)) == 0
-    assert len(nullspace(A)) == 1
 
 
 def test_degree_terms_order():
@@ -216,7 +163,7 @@ def test_rank_consistency_with_dimensions():
         system = build_system(F, mu)
         dim_sym, dim_mu = sym_dimensions(mu, delta)
         assert len(system.column_index) == dim_sym
-        assert matrix_rank(system.A) == dim_mu
+        assert len(rref(system.A)[1]) == dim_mu
 
 
 def test_nullspace_gives_relations():
@@ -226,7 +173,7 @@ def test_nullspace_gives_relations():
     delta = 3
     F = spec_generator("e", 1, mu) ** delta
     system = build_system(F, mu)
-    kernel = nullspace(system.A)
+    kernel = _rref_kernel(system.A)
     assert kernel  # dimension drops for this mu
     from musym.symfun import z_term_for
 
@@ -365,6 +312,29 @@ def test_ls_matches_a_full_solve():
     for verdict in ("positive", "swap negative", "swap-fixed negative"):
         cases |= {verdict, ("cold", verdict), ("warm", verdict)}
     assert cases <= seen, cases - seen
+
+
+def test_cr_and_ls_return_one_vector():
+    # both return the unique solution supported on the leftmost independent
+    # basis members: canonize keeps exactly the inputs that leave a nonzero
+    # remainder, and ls pins A's free columns to 0
+    rng = random.Random(21)
+    for parts, kind, delta in itertools.product([*SHAPES, (1, 1, 1)], "epcm", range(1, 9)):
+        mu = Partition(parts)
+        for _ in range(3):
+            F = _random_symmetric(rng, mu, rng.choice("epcm"), delta)
+            cr, ls = crgist(F, mu, kind), lsgist(F, mu, kind)
+            assert cr.symmetric and cr.combo == ls.combo, (parts, kind, delta, str(F))
+
+
+def test_ls_pivot_columns_are_the_inputs_canonize_keeps():
+    # a canonical member's own input k is its lowest tag ~k, so k = ~min(d)
+    for parts, kind, delta in itertools.product([*SHAPES, (1, 1, 1)], "epcm", range(1, 9)):
+        mu = Partition(parts)
+        layout = linsys._layout(mu, delta, kind)
+        linsys._solve(layout, {})  # records the rank profile on a cold layout
+        kept = sorted(~min(d) for d in canonical_system(mu, delta, kind).dense.polys)
+        assert layout.profile[1] == kept, (parts, kind, delta)
 
 
 def test_warm_ls_solves_only_the_square_pivot_subsystem(monkeypatch):

@@ -3,9 +3,9 @@ import random
 from itertools import chain
 
 import pytest
+from conftest import rref
 
 from musym import cli, gists, reduction, symfun
-from musym.linsys import matrix_rank
 from musym.polys import (
     Polynomial,
     Rational,
@@ -23,7 +23,6 @@ from musym.reduction import (
     clear_memo,
     crgist,
     greedy_chooser,
-    is_canonical,
     nreduce,
     random_chooser,
     reduce,
@@ -33,10 +32,16 @@ from musym.symfun import Partition, dplus, spec_generator
 P = parse_poly
 
 
-def coeff_matrix(polys):
-    """Rows of coefficients over the union support (rank oracle)."""
+def is_canonical(C):
+    """Nonzero members with strictly increasing leading terms."""
+    keys = [term_key(leading(c)[0]) for c in C if not c.is_zero]
+    return len(keys) == len(C) and all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def rank(polys):
+    """Rank of the coefficient rows over the union support, by rref."""
     support = sorted({t for p in polys for t in p.support()})
-    return [[p.coeff(t) for t in support] for p in polys]
+    return len(rref([[p.coeff(t) for t in support] for p in polys])[1])
 
 
 def test_reduce_worked_example():
@@ -148,7 +153,7 @@ def test_canonize_rank_matches_linear_algebra(rng):
             continue
         out = canonize(B)
         assert is_canonical(out.sequence)
-        assert len(out.sequence) == matrix_rank(coeff_matrix(B))
+        assert len(out.sequence) == rank(B)
         # quotient exactness: every member of C is the stated combination
         for j, Cj in enumerate(out.sequence):
             combo = Polynomial.zero()
@@ -171,7 +176,7 @@ def test_reduced_remainder_extends_independence(rng):
         if R.is_zero:
             continue
         checked += 1
-        assert matrix_rank(coeff_matrix([R] + C)) == len(C) + 1
+        assert rank([R] + C) == len(C) + 1
     assert checked > 5
 
 
@@ -186,7 +191,7 @@ def test_reduce_zero_iff_in_span(rng):
             continue
         C = canonize(B).sequence
         F = random_homogeneous(rng, m, delta)
-        in_span = matrix_rank(coeff_matrix(B + [F])) == matrix_rank(coeff_matrix(B))
+        in_span = rank(B + [F]) == rank(B)
         assert reduce(F, C).remainder.is_zero == in_span
 
 
