@@ -4,7 +4,12 @@ Groebner engine.
 Monomials become integers with one 16-bit field per variable, most
 significant field first, so that integer comparison realizes the term
 order, multiplication is addition, and divisibility is a borrow check
-against the guard bits.  Exponents must stay below 2^15.
+against the guard bits.  Exponents must stay below 2^15, so no borrow
+crosses a field: lcm and weighted degree are word operations too.
+((a | guard) - b) & guard marks the fields where a >= b, whence the lcm;
+the weighted degree is one slot of one product, its fields spread into
+k interleaved groups so that slots are 16k bits wide, k the least with
+width * max weight * (2^15 - 1) < 2^(16k): no slot carries.
 
 A packed polynomial is a dict from monomial to nonzero coefficient.
 Products accumulate their terms in ``mul``, which drops cancelled terms
@@ -34,10 +39,25 @@ class Ring:
         self.pos = {v: i for i, v in enumerate(vars_)}
         # field 0 is the most significant: highest priority variable
         self.shifts = [(self.width - 1 - i) * FIELD for i in range(self.width)]
-        self.guard_mask = 0
-        for s in self.shifts:
-            self.guard_mask |= GUARD_BIT << s
+        self.guard_mask = sum(GUARD_BIT << s for s in self.shifts)
         self.weights = weights if weights is not None else (1,) * self.width
+        # field p (p = 0 least significant) of group g = p % k moves to
+        # slot p // k + g * per_group; the weight of slot s sits at slot
+        # top - s of the multiplier, so slot top of the product is wdeg
+        bound = self.width * max(self.weights, default=1) * MAX_EXP
+        k = max(1, -(-bound.bit_length() // FIELD))  # bound < 2^(16k)
+        per_group = -(-self.width // k)
+        top = k * per_group - 1
+        self.spread = [
+            (sum(FIELD_MASK << (FIELD * p) for p in range(g, self.width, k)), FIELD * g * top)
+            for g in range(k)
+        ]
+        self.wmul = sum(
+            w << (FIELD * k * (top - p // k - p % k * per_group))
+            for p, w in enumerate(reversed(self.weights))
+        )
+        self.wshift = FIELD * k * top
+        self.wmask = (1 << (FIELD * k)) - 1
 
     def pack(self, exps: list[int]) -> int:
         mon = 0
@@ -51,13 +71,14 @@ class Ring:
         return [(mon >> s) & FIELD_MASK for s in self.shifts]
 
     def lcm(self, a: int, b: int) -> int:
-        out = 0
-        for s in self.shifts:
-            out |= max((a >> s) & FIELD_MASK, (b >> s) & FIELD_MASK) << s
-        return out
+        m = ((((a | self.guard_mask) - b) & self.guard_mask) >> (FIELD - 1)) * FIELD_MASK
+        return (a & m) | (b & ~m)
 
     def wdeg(self, mon: int) -> int:
-        return sum(((mon >> s) & FIELD_MASK) * w for s, w in zip(self.shifts, self.weights))
+        x = 0
+        for mask, shift in self.spread:
+            x |= (mon & mask) << shift
+        return (x * self.wmul >> self.wshift) & self.wmask
 
     def pack_term(self, t: Term) -> int:
         exps = [0] * self.width

@@ -111,10 +111,6 @@ class _GradedEngine:
                 self.basis.add(_make_primitive(d), lt)
                 self._update(len(self.basis) - 1)
 
-    def _push(self, i: int, j: int, lcm: int) -> None:
-        self.pairs[(i, j)] = lcm
-        heapq.heappush(self.heap, (self.ring.wdeg(lcm), i, j))
-
     def _update(self, h: int) -> None:
         """Install pairs with element h, pruned the standard way: coprime
         leads are dropped, a pair whose lcm another new pair's lcm
@@ -122,11 +118,11 @@ class _GradedEngine:
         lead divides without matching either side are discarded."""
         ring, guard, basis = self.ring, self.guard, self.basis
         lt_h = basis.lts[h]
-        cand = [(ring.lcm(basis.lts[g], lt_h), g) for g in range(h)]
-        cand.sort(key=lambda kv: (ring.wdeg(kv[0]), kv[1]))
-        kept: list[tuple[int, int]] = []
+        lcms = [ring.lcm(lt_g, lt_h) for lt_g in basis.lts[:h]]
+        cand = sorted((ring.wdeg(lcm_g), g, lcm_g) for g, lcm_g in enumerate(lcms))
+        kept: list[tuple[int, int, int]] = []
         kept_lcms: list[int] = []
-        for lcm_g, g in cand:
+        for wd, g, lcm_g in cand:
             dominated = any(
                 l <= lcm_g and l != lcm_g and not (lcm_g - l) & guard for l in kept_lcms
             )
@@ -134,16 +130,14 @@ class _GradedEngine:
                 continue
             kept_lcms.append(lcm_g)
             if lcm_g != basis.lts[g] + lt_h:     # coprime pairs only eliminate
-                kept.append((g, lcm_g))
+                kept.append((wd, g, lcm_g))
         for (i, j), lcm_ij in list(self.pairs.items()):
             if lt_h <= lcm_ij and not (lcm_ij - lt_h) & guard:
-                if (
-                    ring.lcm(basis.lts[i], lt_h) != lcm_ij
-                    and ring.lcm(basis.lts[j], lt_h) != lcm_ij
-                ):
+                if lcms[i] != lcm_ij and lcms[j] != lcm_ij:
                     del self.pairs[(i, j)]
-        for g, lcm_g in kept:
-            self._push(g, h, lcm_g)
+        for wd, g, lcm_g in kept:
+            self.pairs[(g, h)] = lcm_g
+            heapq.heappush(self.heap, (wd, g, h))
 
     def extend(self, bound: int | None = None) -> None:
         """Treat every pair of weighted degree <= bound (all, if None)."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from musym._packed import Ring
 from musym.polys import Polynomial, rat, term_from_exps
 
 
@@ -77,3 +78,14 @@ def _rref_kernel(A):
             v[pc] = -red[r][fc]
         kernel.append(v)
     return kernel
+
+
+class FieldRing(Ring):
+    """A Ring whose lcm and weighted degree walk the fields one at a time:
+    the definitions the kernel's word operations must agree with."""
+
+    def lcm(self, a, b):
+        return self.pack([max(x, y) for x, y in zip(self.unpack(a), self.unpack(b))])
+
+    def wdeg(self, mon):
+        return sum(e * w for e, w in zip(self.unpack(mon), self.weights))

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import FieldRing
 
 from musym import groebner
 from musym.gists import compute_gist
@@ -276,6 +277,24 @@ def test_engine_adds_fully_reduced_members(parts):
         for lt in basis.lts[:h]:
             assert not any(m >= lt and not (m - lt) & guard for m in basis.polys[h])
     assert not hasattr(groebner, "_top_reduce")
+
+
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1)])
+def test_engine_work_matches_the_per_field_ring(monkeypatch, parts, kind):
+    # the word-operation lcm and weighted degree leave every pair, its
+    # order and every member as the per-field definitions have them
+    mu = Partition(parts)
+    engine = groebner._engine.__wrapped__(mu, kind)
+    monkeypatch.setattr(groebner, "Ring", FieldRing)
+    reference = groebner._engine.__wrapped__(mu, kind)
+    assert type(reference.ring) is FieldRing
+    engine.extend(8)
+    reference.extend(8)
+    assert engine.basis.lts == reference.basis.lts
+    assert [list(d.items()) for d in engine.basis.polys] == [list(d.items()) for d in reference.basis.polys]
+    assert list(engine.pairs.items()) == list(reference.pairs.items())
+    assert engine.heap == reference.heap
 
 
 def test_elimination_basis_unpacked_once_on_first_read():
