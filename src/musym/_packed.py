@@ -63,7 +63,7 @@ class Ring:
         mon = 0
         for e, s in zip(exps, self.shifts):
             if e > MAX_EXP:
-                raise OverflowError("exponent too large for packed monomials")
+                raise ValueError(f"exponent {e} exceeds the limit {MAX_EXP}")
             mon |= e << s
         return mon
 

@@ -61,21 +61,25 @@ class GistResult:
     def mcombo(self) -> tuple | None:
         return self.combo if self.kind == "m" else None
 
-    def substituted(self) -> Polynomial:
-        """Expand the gist back into K[r] as the sum of its coefficients
-        times the specialized basis members; must reproduce the input."""
+    def _expansion(self, mu: symfun.Partition) -> dict:
+        """The sum of the coefficients times the packed basis members at
+        mu, a packed dict in mu's root ring."""
         if not self.symmetric:
             raise ValueError("no gist: polynomial is not mu-symmetric")
         out: dict = {}
         for alpha, c in self.combo:
-            _packed.submul(out, -c, 0, symfun._spec_packed(self.kind, alpha, self.mu))
-        return symfun._root_ring(self.mu.m).undensify(out)
+            _packed.submul(out, -c, 0, symfun._spec_packed(self.kind, alpha, mu))
+        return out
+
+    def substituted(self) -> Polynomial:
+        """Expand the gist back into K[r] as the sum of its coefficients
+        times the specialized basis members; must reproduce the input."""
+        return symfun._root_ring(self.mu.m).undensify(self._expansion(self.mu))
 
     def lift(self) -> Polynomial:
-        """The symmetric polynomial in K[x] the gist denotes."""
-        if not self.symmetric:
-            raise ValueError("no gist: polynomial is not mu-symmetric")
-        return sum((c * symfun.basis_element(self.kind, a, self.mu.n) for a, c in self.combo), Polynomial.zero())
+        """The symmetric polynomial in K[x] the gist denotes: the same sum
+        at the trivial partition 1^n, read in x."""
+        return symfun._x_form(self._expansion(symfun._trivial(self.mu.n)), self.mu.n)
 
     def evaluate(self, values: list) -> object:
         """Evaluate the gist at n = mu.n given z-values (e/p/c bases only)."""

@@ -230,7 +230,7 @@ class Polynomial:
             ring = _packed.Ring(sorted(self.variables() | other.variables()))
             try:
                 d1, d2 = ring.densify(self), ring.densify(other)
-            except OverflowError:
+            except ValueError:
                 pass  # an exponent beyond _packed.MAX_EXP
             else:
                 return ring.undensify(_packed.mul(d1, d2))

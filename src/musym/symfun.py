@@ -4,6 +4,12 @@ A multiplicity structure is a partition mu = (mu_1 >= ... >= mu_m >= 1)
 of n.  The canonical specialization sends the formal roots x_1..x_n
 block-monotonically onto the distinct roots r_1..r_m, the i-th block
 having size mu_i.  Everything here is exact.
+
+Each family has one builder, packed in the root ring r_1..r_m with int
+coefficients.  At the trivial partition 1^n the specialization only
+renames x_i to r_i, so the families in x1..xn (``generator``,
+``monomial_generator``, ``basis_element``, ``subdiscriminant``) are
+those builders at 1^n, read back in x.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a partition needs at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in self.parts):
             raise ValueError("parts must be positive integers")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
@@ -120,28 +126,19 @@ def _check_generator(kind: str, i: int, n: int) -> None:
         raise ValueError(f"generator index {i} out of range 1..{n}")
 
 
-@lru_cache(maxsize=None)
+def _trivial(n: int) -> Partition:
+    return Partition((1,) * n)
+
+
+def _x_form(d: dict, n: int) -> Polynomial:
+    """A packed dict of the root ring of 1^n, read in x1..xn."""
+    return _packed.Ring([("x", i) for i in range(n, 0, -1)]).undensify(d)
+
+
 def generator(kind: str, i: int, n: int) -> Polynomial:
     """The i-th generator of the symmetric algebra in x1..xn."""
     _check_generator(kind, i, n)
-    if i == 0:
-        return Polynomial.constant(1)
-    if kind == "e":
-        coeffs = {}
-        for combo in itertools.combinations(range(1, n + 1), i):
-            coeffs[term_from_exps({("x", j): 1 for j in combo})] = 1
-        return Polynomial(coeffs)
-    if kind == "p":
-        coeffs = {term_from_exps({("x", j): i}): 1 for j in range(1, n + 1)}
-        return Polynomial(coeffs)
-    # complete homogeneous: every monomial of degree i, coefficient 1
-    coeffs = {}
-    for combo in itertools.combinations_with_replacement(range(1, n + 1), i):
-        exps: dict = {}
-        for j in combo:
-            exps[("x", j)] = exps.get(("x", j), 0) + 1
-        coeffs[term_from_exps(exps)] = 1
-    return Polynomial(coeffs)
+    return basis_element(kind, (i,), n)
 
 
 def distinct_permutations(alpha: tuple[int, ...]):
@@ -163,16 +160,14 @@ def distinct_permutations(alpha: tuple[int, ...]):
         a[i + 1:] = reversed(a[i + 1:])
 
 
-@lru_cache(maxsize=None)
 def monomial_generator(alpha: tuple[int, ...], n: int) -> Polynomial:
     """Sum of x^beta over the distinct permutations beta of alpha."""
     if len(alpha) != n:
         raise ValueError("monomial index must have exactly n parts")
-    coeffs = {}
-    for beta in distinct_permutations(alpha):
-        exps = {("x", j + 1): e for j, e in enumerate(beta) if e}
-        coeffs[term_from_exps(exps)] = 1
-    return Polynomial(coeffs)
+    if min(alpha, default=0) < 0:
+        raise ValueError("negative exponent")
+    _check_degree(sum(alpha))
+    return _x_form(_spec_monomial_packed(tuple(alpha), _trivial(n)), n) if n else Polynomial.constant(1)
 
 
 def basis_element(kind: str, alpha: tuple[int, ...], n: int) -> Polynomial:
@@ -181,24 +176,18 @@ def basis_element(kind: str, alpha: tuple[int, ...], n: int) -> Polynomial:
         return monomial_generator(tuple(alpha), n)
     if kind not in ("e", "p", "c"):
         raise ValueError(f"unknown basis kind {kind!r}")
-    out = Polynomial.constant(1)
-    for a in alpha:
-        if a:
-            out = out * generator(kind, a, n)
-    return out
+    for a in filter(None, alpha):
+        _check_generator(kind, a, n)
+    _check_degree(sum(alpha))
+    return _x_form(_spec_packed(kind, alpha, _trivial(n)), n) if any(alpha) else Polynomial.constant(1)
 
 
 # -- specialization ----------------------------------------------------
 
 
 def _block_map(mu: Partition) -> dict[int, int]:
-    mapping = {}
-    x_index = 1
-    for block, size in enumerate(mu.parts, start=1):
-        for _ in range(size):
-            mapping[x_index] = block
-            x_index += 1
-    return mapping
+    blocks = [block for block, size in enumerate(mu.parts, start=1) for _ in range(size)]
+    return dict(enumerate(blocks, start=1))
 
 
 def specialize(p: Polynomial, mu: Partition) -> Polynomial:
@@ -228,8 +217,7 @@ def specialize(p: Polynomial, mu: Partition) -> Polynomial:
 def spec_generator(kind: str, i: int, mu: Partition) -> Polynomial:
     """sigma_mu of the i-th generator, an element of K[r]."""
     _check_degree(i)
-    packed = _spec_generator_packed(kind, i, mu)
-    return _root_ring(mu.m).undensify({mon: rat(c) for mon, c in packed.items()})
+    return _root_ring(mu.m).undensify(_spec_generator_packed(kind, i, mu))
 
 
 def _spec_generator_packed(kind: str, i: int, mu: Partition) -> dict:
@@ -391,14 +379,6 @@ def z_term_for(alpha: tuple[int, ...]) -> Term:
 # -- concrete root functions -------------------------------------------
 
 
-def _difference_product(indices: list[int]) -> Polynomial:
-    """prod over i<j of (x_i - x_j) for the given variable indices."""
-    out = Polynomial.constant(1)
-    for a, b in itertools.combinations(indices, 2):
-        out = out * (Polynomial.variable("x", a) - Polynomial.variable("x", b))
-    return out
-
-
 def _check_degree(degree: int) -> None:
     if degree > _packed.MAX_EXP:
         raise ValueError(f"degree {degree} exceeds the limit {_packed.MAX_EXP}")
@@ -456,18 +436,19 @@ def subdiscriminant(n: int, k: int) -> Polynomial:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"subdiscriminant index {k} out of range 0..{n - 1}")
-    if k == n - 1:
-        return Polynomial.constant(1)
-    out = Polynomial.zero()
-    for subset in itertools.combinations(range(1, n + 1), n - k):
-        v = _difference_product(list(subset))
-        out = out + v * v
-    return out
+    return _x_form(_subdiscriminant_packed(k, _trivial(n)), n)
 
 
 def spec_subdiscriminant(k: int, mu: Partition) -> Polynomial:
     """specialize(subdiscriminant(mu.n, k), mu), without the n-variable
-    expansion.
+    expansion."""
+    if not 0 <= k <= mu.n - 1:
+        raise ValueError(f"subdiscriminant index {k} out of range 0..{mu.n - 1}")
+    return _root_ring(mu.m).undensify(_subdiscriminant_packed(k, mu))
+
+
+def _subdiscriminant_packed(k: int, mu: Partition) -> dict:
+    """The specialized k-th subdiscriminant, packed in the root ring.
 
     A subset of the x variables with two in one block specializes to 0,
     so only subsets with at most one x per block remain: the sum runs
@@ -475,28 +456,22 @@ def spec_subdiscriminant(k: int, mu: Partition) -> Polynomial:
     prod_{j in J} mu_j subsets of the x variables, of
     prod_{i<j in J} (r_i - r_j)^2.  It is 0 for k < n - m.
     """
-    n = mu.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"subdiscriminant index {k} out of range 0..{n - 1}")
-    if k == n - 1:
-        return Polynomial.constant(1)
-    size = n - k
+    size = mu.n - k
+    if size == 1:
+        return {0: 1}
     out: dict = {}
     for subset in itertools.combinations(range(1, mu.m + 1), size):
         powers = ((i, j, 2) for i, j in itertools.combinations(subset, 2))
         weight = math.prod(mu.parts[j - 1] for j in subset)
         _packed.submul(out, -weight, 0, _difference_powers(mu.m, size * (size - 1), powers))
-    return _root_ring(mu.m).undensify(out)
+    return out
 
 
 def delta_lift(mu: Partition) -> Polynomial:
     """Symmetric polynomial specializing to prod (r_i - r_j)^2 under mu."""
     if mu.m < 2:
         raise ValueError("need at least two distinct roots")
-    scale = 1
-    for p in mu.parts:
-        scale *= p
-    return subdiscriminant(mu.n, mu.n - mu.m) / scale
+    return subdiscriminant(mu.n, mu.n - mu.m) / math.prod(mu.parts)
 
 
 def dplus_gist_m2(mu: Partition) -> Polynomial:
@@ -543,8 +518,6 @@ def clear_caches() -> None:
     from . import linsys  # local import; linsys builds on this module
 
     linsys._layout.cache_clear()
-    generator.cache_clear()
-    monomial_generator.cache_clear()
     spec_generator.cache_clear()
     _spec_products.cache_clear()
     _spec_monomial_packed.cache_clear()

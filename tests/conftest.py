@@ -1,4 +1,7 @@
+import itertools
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -89,3 +92,65 @@ class FieldRing(Ring):
 
     def wdeg(self, mon):
         return sum(e * w for e, w in zip(self.unpack(mon), self.weights))
+
+
+# -- the x-variable families, enumerated term by term --------------------
+# The library builds each family once, in the root ring at mu = 1^n; these
+# enumerate the definitions in x1..xn directly.
+
+
+def oracle_generator(kind, i, n):
+    """The i-th e, p or c generator in x1..xn: every subset (e) or multiset
+    (c) of i variables, or every i-th power (p), with coefficient 1."""
+    if i == 0:
+        return Polynomial.constant(1)
+    if kind == "p":
+        return Polynomial({term_from_exps({("x", j): i}): 1 for j in range(1, n + 1)})
+    choose = itertools.combinations if kind == "e" else itertools.combinations_with_replacement
+    return Polynomial({
+        term_from_exps({("x", j): e for j, e in Counter(combo).items()}): 1
+        for combo in choose(range(1, n + 1), i)
+    })
+
+
+def oracle_monomial(alpha, n):
+    """m_alpha in x1..xn: x^beta once for each distinct rearrangement beta."""
+    assert len(alpha) == n
+    return Polynomial({
+        term_from_exps({("x", j + 1): e for j, e in enumerate(beta)}): 1
+        for beta in set(itertools.permutations(alpha))
+    })
+
+
+def oracle_basis_element(kind, alpha, n):
+    """m_alpha, or the product of the generators indexed by alpha's parts."""
+    if kind == "m":
+        return oracle_monomial(alpha, n)
+    out = Polynomial.constant(1)
+    for a in alpha:
+        out = out * oracle_generator(kind, a, n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_subdiscriminant(n, k):
+    """Sum over the (n-k)-subsets I of x1..xn of the squared difference
+    product prod_{i<j in I} (x_i - x_j)^2; 1 at k = n - 1.  Expanded over
+    exponent tuples with int coefficients, apart from the library's
+    polynomials and packed monomials."""
+    if k == n - 1:
+        return Polynomial.constant(1)
+    total = Counter()
+    for subset in itertools.combinations(range(n), n - k):
+        prod = {(0,) * n: 1}
+        for a, b in itertools.combinations(subset, 2):
+            square = {}  # (x_a - x_b)^2 = x_a^2 - 2 x_a x_b + x_b^2
+            for ea, eb, c in ((2, 0, 1), (1, 1, -2), (0, 2, 1)):
+                square[tuple(ea if j == a else eb if j == b else 0 for j in range(n))] = c
+            step = Counter()
+            for e1, c1 in prod.items():
+                for e2, c2 in square.items():
+                    step[tuple(x + y for x, y in zip(e1, e2))] += c1 * c2
+            prod = step
+        total.update(prod)
+    return Polynomial({term_from_exps({("x", j + 1): e for j, e in enumerate(exps)}): c for exps, c in total.items()})

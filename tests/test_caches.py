@@ -48,7 +48,7 @@ def test_clear_functions_empty_every_memo():
         compute_gist(dplus(mu), mu, "e", algo)
     compute_gist(dplus(mu), mu, "m", "cr")
     symfun.subdiscriminant(3, 1)
-    # the x-variable families; gists build theirs in the root ring
+    # the x-variable families fill the packed memos at mu = 1^n
     symfun.generator("e", 2, 3)
     symfun.monomial_generator((2, 1, 0), 3)
     memos = _memos()

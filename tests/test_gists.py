@@ -109,6 +109,31 @@ def test_lift_expands_to_symmetric_polynomial():
     assert specialize(lift, mu) == F
 
 
+@pytest.mark.parametrize("parts", [(2, 1, 1), (3, 2)])
+@pytest.mark.parametrize("algo, kind", [
+    (algo, kind) for algo in ("groebner", "cr", "ls") for kind in symfun.BASIS_KINDS
+    if (algo, kind) != ("groebner", "m")
+])
+def test_lift_is_the_symmetric_polynomial_the_gist_denotes(algo, kind, parts, rng):
+    # a random mu-symmetric F with a constant part and two degrees
+    from conftest import oracle_basis_element
+
+    mu = Partition(parts)
+    n = mu.n
+    F = P(str(rng.randint(1, 9)))
+    for delta in (2, 3):
+        for alpha in weak_partitions(delta, n, "capped"):
+            F = F + rng.randint(-5, 5) * spec_basis_element("e", alpha, mu)
+    res = compute_gist(F, mu, kind, algo)
+    assert res.symmetric
+    lift = res.lift()
+    for i in range(1, n):
+        swap = {("x", i): P(f"x{i+1}"), ("x", i + 1): P(f"x{i}")}
+        assert lift.substitute(swap) == lift
+    assert symfun.specialize(lift, mu) == F
+    assert lift == sum((c * oracle_basis_element(kind, alpha, n) for alpha, c in res.combo), Polynomial.zero())
+
+
 def test_single_distinct_root():
     # one distinct root: everything in K[r1] of one degree is symmetric
     mu = Partition.of(3)

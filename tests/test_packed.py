@@ -1,8 +1,10 @@
 import pytest
 from conftest import FieldRing
 
+import musym
 from musym import groebner
 from musym._packed import MAX_EXP, Ring
+from musym.polys import parse_poly
 from musym.symfun import Partition
 
 
@@ -54,3 +56,15 @@ def test_wdeg_on_a_ring_with_heavy_weights(rng):
         mon = ring.pack(random_exps(rng, 4))
         assert ring.wdeg(mon) == ref.wdeg(mon)
     assert ring.wdeg(ring.pack([MAX_EXP] * 4)) == sum(weights) * MAX_EXP
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: musym.reduce(f, [parse_poly("r1 - 1")]),
+    lambda f: musym.canonize([f]),
+    lambda f: musym.normal_form(f, [parse_poly("r1 - 1")]),
+    lambda f: musym.buchberger([f]),
+], ids=["reduce", "canonize", "normal_form", "buchberger"])
+def test_packed_edges_refuse_an_exponent_past_the_limit(call):
+    # every public entry that packs its operands refuses as the rest of the library does
+    with pytest.raises(ValueError, match="^exponent 40000 exceeds the limit 32767$"):
+        call(parse_poly("r1^40000 - 1"))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import oracle_basis_element, oracle_generator, oracle_monomial, oracle_subdiscriminant
 from musym.polys import Polynomial, parse_poly, rat, term_from_exps
 from musym.reduction import canonize
 from musym.symfun import (
@@ -15,6 +16,7 @@ from musym.symfun import (
     dplus_gist_m2,
     dstar,
     generator,
+    index_flavor,
     monomial_generator,
     spec_basis,
     spec_basis_element,
@@ -65,6 +67,10 @@ def test_partition_validation():
             Partition(tuple(bad))
     with pytest.raises(ValueError):
         Partition.parse("2,x")
+    # bools are ints to Python, but not parts
+    for bad in ((True, True), (2, False), (True,)):
+        with pytest.raises(ValueError, match="^parts must be positive integers$"):
+            Partition(bad)
 
 
 def test_weak_partitions_known_values():
@@ -124,6 +130,51 @@ def test_basis_element_examples():
     assert basis_element("m", (2, 0, 0), 3) == P("x1^2 + x2^2 + x3^2")
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_families_match_the_oracle(n):
+    # each x family is its root-ring builder read at 1^n; the oracle
+    # enumerates the definitions term by term in x1..xn
+    for kind in ("e", "p", "c"):
+        for i in range(n + 1):
+            assert generator(kind, i, n) == oracle_generator(kind, i, n), (kind, i)
+    for delta in range(1, 5):
+        for kind in ("e", "p", "c", "m"):
+            for alpha in weak_partitions(delta, n, index_flavor(kind)):
+                assert basis_element(kind, alpha, n) == oracle_basis_element(kind, alpha, n), (kind, alpha)
+                if kind == "m":
+                    assert monomial_generator(alpha, n) == oracle_monomial(alpha, n), alpha
+    for k in range(n):
+        assert subdiscriminant(n, k) == oracle_subdiscriminant(n, k), k
+
+
+def test_x_family_edge_cases():
+    one = Polynomial.constant(1)
+    assert generator("e", 0, 0) == one and generator("c", 0, 4) == one
+    assert monomial_generator((), 0) == one and monomial_generator((0, 0), 2) == one
+    assert basis_element("e", (), 3) == one and basis_element("p", (0, 0), 0) == one
+    assert basis_element("c", [2, 1], 2) == oracle_basis_element("c", (2, 1), 2)
+    assert subdiscriminant(1, 0) == one
+    refused = [
+        (lambda: generator("m", 1, 3), "indexed generators exist for kinds e, p, c only"),
+        (lambda: generator("e", 4, 3), "generator index 4 out of range 1..3"),
+        (lambda: generator("p", -1, 3), "generator index -1 out of range 1..3"),
+        (lambda: generator("e", 1, 0), "generator index 1 out of range 1..0"),
+        (lambda: monomial_generator((-1, 1), 2), "negative exponent"),
+        (lambda: monomial_generator((1,), 2), "monomial index must have exactly n parts"),
+        (lambda: basis_element("e", (4, 1), 3), "generator index 4 out of range 1..3"),
+        (lambda: basis_element("c", (1, -1), 3), "generator index -1 out of range 1..3"),
+        (lambda: basis_element("x", (1,), 3), "unknown basis kind 'x'"),
+        (lambda: basis_element("m", (1, 0), 3), "monomial index must have exactly n parts"),
+        (lambda: subdiscriminant(3, 3), "subdiscriminant index 3 out of range 0..2"),
+        (lambda: subdiscriminant(3, -1), "subdiscriminant index -1 out of range 0..2"),
+        (lambda: subdiscriminant(0, 0), "subdiscriminant index 0 out of range 0..-1"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_specialize_examples():
     mu = mu_(2, 1)
     assert spec_generator("e", 1, mu) == P("2*r1 + r2")
@@ -132,12 +183,12 @@ def test_specialize_examples():
 
 @pytest.mark.parametrize("kind", ["e", "p", "c"])
 def test_spec_generator_matches_specialized_expansion(kind):
-    # built in the root ring, it equals the x-variable generator specialized
+    # built in the root ring, it equals the enumerated x-variable generator specialized
     for n in range(1, 7):
         for parts in all_partitions(n):
             mu = Partition(parts)
             for i in range(n + 1):
-                assert spec_generator(kind, i, mu) == specialize(generator(kind, i, n), mu), (parts, i)
+                assert spec_generator(kind, i, mu) == specialize(oracle_generator(kind, i, n), mu), (parts, i)
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=f"generator index {bad} out of range 1..3"):
             spec_generator(kind, bad, mu_(2, 1))
@@ -151,7 +202,7 @@ def test_monomial_basis_matches_specialized_expansion(parts, delta):
     # built from the block map, m_alpha equals its expansion in x1..xn specialized
     mu = Partition(parts)
     for alpha in weak_partitions(delta, mu.n, "exact"):
-        assert spec_basis_element("m", alpha, mu) == specialize(monomial_generator(alpha, mu.n), mu), alpha
+        assert spec_basis_element("m", alpha, mu) == specialize(oracle_monomial(alpha, mu.n), mu), alpha
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 2), (2, 2, 1), (4, 1, 1), (3, 3, 2, 1)])
@@ -346,7 +397,7 @@ SUBDISC_CASES = [
 def test_spec_subdiscriminant_matches_specialized_expansion(parts, k):
     mu = Partition(parts)
     got = spec_subdiscriminant(k, mu)
-    assert got == specialize(subdiscriminant(mu.n, k), mu)
+    assert got == specialize(oracle_subdiscriminant(mu.n, k), mu)
     if k < mu.n - mu.m:
         assert got.is_zero  # more roots asked for than mu has
 
@@ -437,8 +488,6 @@ def test_sym_dimensions_single_root():
 
 def test_cross_basis_spans_agree():
     # all four families span the same space of symmetric polynomials
-    from musym.symfun import index_flavor
-
     for n in range(2, 5):
         for delta in range(1, 5):
             ranks = {}
