@@ -11,10 +11,12 @@ the weighted degree is one slot of one product, its fields spread into
 k interleaved groups so that slots are 16k bits wide, k the least with
 width * max weight * (2^15 - 1) < 2^(16k): no slot carries.
 
-A packed polynomial is a dict from monomial to nonzero coefficient.
-Products accumulate their terms in ``mul``, which drops cancelled terms
-once at the end; every reduction and S-polynomial is built from one
-primitive, ``submul``: work -= q * x^shift * g.
+A packed polynomial is a dict from monomial to nonzero int coefficient.
+``Ring.densify`` and ``Ring.undensify`` are the only door to a rational
+``Polynomial``: p goes in as (ints, den), p = ints/den, and d/den comes
+back out, divided once.  Products accumulate their terms in ``mul``,
+which drops cancelled terms once at the end; every reduction and
+S-polynomial is built from one primitive, ``submul``: work -= q * x^shift * g.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .polys import Polynomial, Term, Var, term_from_exps, var_rank
+from .polys import Polynomial, Term, Var, rat, term_from_exps, var_rank
 
 FIELD = 16
 GUARD_BIT = 1 << (FIELD - 1)
@@ -86,14 +88,17 @@ class Ring:
             exps[self.pos[(sp, i)]] = e
         return self.pack(exps)
 
-    def densify(self, p: Polynomial) -> dict:
-        return {self.pack_term(t): c for t, c in p.items()}
+    def densify(self, p: Polynomial) -> tuple[dict, int]:
+        """p as (ints, den): a packed int dict with p = ints/den."""
+        return integer_form({self.pack_term(t): c for t, c in p.items()})
 
-    def undensify(self, d: dict) -> Polynomial:
+    def undensify(self, d: dict, den: int = 1) -> Polynomial:
+        """d/den as a Polynomial; tag keys (negative) are skipped."""
         coeffs = {}
         for mon, c in d.items():
-            exps = self.unpack(mon)
-            coeffs[term_from_exps({v: e for v, e in zip(self.vars, exps) if e})] = c
+            if mon >= 0:
+                exps = zip(self.vars, self.unpack(mon))
+                coeffs[term_from_exps({v: e for v, e in exps if e})] = c if den == 1 else rat(c, den)
         return Polynomial(coeffs)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,25 +62,28 @@ class GistResult:
     def mcombo(self) -> tuple | None:
         return self.combo if self.kind == "m" else None
 
-    def _expansion(self, mu: symfun.Partition) -> dict:
+    def _expansion(self, mu: symfun.Partition) -> tuple[dict, int]:
         """The sum of the coefficients times the packed basis members at
-        mu, a packed dict in mu's root ring."""
+        mu, as (ints, den) in mu's root ring: the integer multiples of the
+        members over the coefficients' common denominator den."""
         if not self.symmetric:
             raise ValueError("no gist: polynomial is not mu-symmetric")
+        den = math.lcm(*(c.denominator for _, c in self.combo))
         out: dict = {}
         for alpha, c in self.combo:
-            _packed.submul(out, -c, 0, symfun._spec_packed(self.kind, alpha, mu))
-        return out
+            _packed.submul(out, -c.numerator * (den // c.denominator), 0, symfun._spec_packed(self.kind, alpha, mu))
+        return out, den
 
     def substituted(self) -> Polynomial:
         """Expand the gist back into K[r] as the sum of its coefficients
         times the specialized basis members; must reproduce the input."""
-        return symfun._root_ring(self.mu.m).undensify(self._expansion(self.mu))
+        return symfun._root_ring(self.mu.m).undensify(*self._expansion(self.mu))
 
     def lift(self) -> Polynomial:
         """The symmetric polynomial in K[x] the gist denotes: the same sum
         at the trivial partition 1^n, read in x."""
-        return symfun._x_form(self._expansion(symfun._trivial(self.mu.n)), self.mu.n)
+        ints, den = self._expansion(symfun._trivial(self.mu.n))
+        return symfun._x_form(ints, self.mu.n, den)
 
     def evaluate(self, values: list) -> object:
         """Evaluate the gist at n = mu.n given z-values (e/p/c bases only)."""

@@ -41,14 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import symfun
-from ._packed import FIELD, Basis, Ring, cancel, integer_form, primitive, ring_for, submul
+from ._packed import FIELD, Basis, Ring, cancel, primitive, ring_for, submul
 from .gistresult import GistResult
 from .polys import Polynomial, rat
-
-
-def _make_primitive(d: dict) -> dict:
-    """Scale to integer coefficients with content 1 and positive lead."""
-    return primitive(integer_form(d)[0])
 
 
 def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
@@ -108,7 +103,7 @@ class _GradedEngine:
         for d in gens:
             if d:
                 lt = max(d)
-                self.basis.add(_make_primitive(d), lt)
+                self.basis.add(primitive(d), lt)
                 self._update(len(self.basis) - 1)
 
     def _update(self, h: int) -> None:
@@ -164,9 +159,10 @@ class _GradedEngine:
         with self.lock:
             return _full_reduce(f, self.basis, self.guard)
 
-    def reduced_snapshot(self, bound: int | None = None, below: int | None = None) -> list[dict]:
+    def reduced_snapshot(self, bound: int | None = None, below: int | None = None) -> list[Polynomial]:
         """Reduced basis of the elements at weighted degree <= bound, or of
-        those among them whose lead is below ``below``."""
+        those among them whose lead is below ``below``: monic, sorted by
+        leading term."""
         ring, guard, basis = self.ring, self.guard, self.basis
         with self.lock:
             chosen = [
@@ -188,10 +184,9 @@ class _GradedEngine:
             for pos in range(len(reduced)):
                 d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, skip=pos)[0])
                 lc = d[reduced.lts[pos]]
-                out.append({m: rat(c, lc) for m, c in d.items()})
+                out.append(ring.undensify(d, lc))
                 reduced.polys[pos] = d
                 reduced.lcs[pos] = lc
-        out.sort(key=max)
         return out
 
 
@@ -204,9 +199,9 @@ def buchberger(gens: list[Polynomial]) -> list[Polynomial]:
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
     ring = ring_for(set().union(*(g.variables() for g in nonzero)))
-    engine = _GradedEngine([ring.densify(g) for g in nonzero], ring)
+    engine = _GradedEngine([ring.densify(g)[0] for g in nonzero], ring)
     engine.extend(None)
-    return [ring.undensify(d) for d in engine.reduced_snapshot(None)]
+    return engine.reduced_snapshot(None)
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -217,10 +212,11 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     ring = ring_for(all_vars)
     dense = Basis()
     for g in basis:
-        dense.add(_make_primitive(ring.densify(g)))
-    ints, den = integer_form(ring.densify(f))
+        if g:  # a zero member reduces nothing
+            dense.add(primitive(ring.densify(g)[0]))
+    ints, den = ring.densify(f)
     out, scale = _full_reduce(ints, dense, ring.guard_mask)
-    return ring.undensify({m: rat(c, den * scale) for m, c in out.items()})
+    return ring.undensify(out, den * scale)
 
 
 GROEBNER_ON_M = (
@@ -254,17 +250,14 @@ class EliminationSystem:
 
     @cached_property
     def basis(self) -> list[Polynomial]:
-        ring = self.engine.ring
-        return [ring.undensify(d) for d in self.engine.reduced_snapshot(self.degree)]
+        return self.engine.reduced_snapshot(self.degree)
 
     @cached_property
     def zonly(self) -> list[Polynomial]:
         # a member is r-free exactly when its lead is below 2^(16 n), and
         # no r lead divides an r-free term: the r-free members interreduce
         # among themselves
-        ring = self.engine.ring
-        below = 1 << (FIELD * self.mu.n)
-        return [ring.undensify(d) for d in self.engine.reduced_snapshot(self.degree, below)]
+        return self.engine.reduced_snapshot(self.degree, 1 << (FIELD * self.mu.n))
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +267,7 @@ def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
     vars_ = symfun._root_ring(mu.m).vars + [("z", i) for i in range(1, mu.n + 1)]
     weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
     ring = Ring(vars_, weights)
-    return _GradedEngine([ring.densify(g) for g in mu_ideal_basis(mu, kind)], ring)
+    return _GradedEngine([ring.densify(g)[0] for g in mu_ideal_basis(mu, kind)], ring)
 
 
 def elimination_system(

@@ -224,16 +224,17 @@ class Polynomial:
             k = self.constant_value()
             return Polynomial({t: c * k for t, c in other._c.items()})
         if len(self._c) * len(other._c) >= 64:
-            # large operands: term products become integer additions
+            # large operands: term products become integer additions, and
+            # the int coefficients are divided once at the end
             from . import _packed
 
             ring = _packed.Ring(sorted(self.variables() | other.variables()))
             try:
-                d1, d2 = ring.densify(self), ring.densify(other)
+                (d1, den1), (d2, den2) = ring.densify(self), ring.densify(other)
             except ValueError:
                 pass  # an exponent beyond _packed.MAX_EXP
             else:
-                return ring.undensify(_packed.mul(d1, d2))
+                return ring.undensify(_packed.mul(d1, d2), den1 * den2)
         products = ((term_mul(t1, t2), c1 * c2) for t1, c1 in self._c.items() for t2, c2 in other._c.items())
         return _raw(_accumulate({}, products))
 

@@ -38,7 +38,7 @@ from itertools import chain, compress
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, cancel, content, integer_form, primitive, ring_for
+from ._packed import Basis, cancel, content, primitive, ring_for
 from .gistresult import GistResult
 from .polys import Polynomial, leading, rat
 
@@ -54,12 +54,6 @@ class ReduceResult:
 class CanonizeResult:
     sequence: list[Polynomial]
     qmatrix: list[list]    # len(input) x len(sequence); C = B . Q
-
-
-def _unpack(ring, d: dict) -> Polynomial:
-    """The monomials of the tagged member d over its lowest tag."""
-    low = d[min(d)]
-    return ring.undensify({m: rat(c, low) for m, c in d.items() if m >= 0})
 
 
 def _quotients(seq: Basis, n: int) -> list[list]:
@@ -125,14 +119,14 @@ def reduce(F: Polynomial, C: Sequence[Polynomial]) -> ReduceResult:
     C in the support of R.
     """
     ring = ring_for(set(F.variables()).union(*(c.variables() for c in C)))
-    (work, den), *members = [integer_form(ring.densify(p)) for p in (F, *C)]
+    (work, den), *members = [ring.densify(p) for p in (F, *C)]
     seq = Basis()
     for k, (member, member_den) in enumerate(members):
         member[~k] = member_den
         seq.add(primitive(member))
     remainder, den, loops = _reduce_packed(work, seq, den)
     coeffs = tuple(rat(-remainder.pop(~k, 0), den) for k in range(len(C)))
-    return ReduceResult(ring.undensify({m: rat(c, den) for m, c in remainder.items()}), coeffs, loops)
+    return ReduceResult(ring.undensify(remainder, den), coeffs, loops)
 
 
 def canonize(B: Sequence[Polynomial]) -> CanonizeResult:
@@ -144,9 +138,9 @@ def canonize(B: Sequence[Polynomial]) -> CanonizeResult:
     output in terms of the input.
     """
     ring = ring_for(set().union(*(b.variables() for b in B)))
-    forms = [integer_form(ring.densify(b)) for b in B]
+    forms = [ring.densify(b) for b in B]
     seq = _canonize_packed([d for d, _ in forms], [den for _, den in forms])
-    return CanonizeResult([_unpack(ring, d) for d in seq.polys], _quotients(seq, len(B)))
+    return CanonizeResult([ring.undensify(d, d[min(d)]) for d in seq.polys], _quotients(seq, len(B)))
 
 
 def _canonize_packed(B: Sequence[dict], dens: Sequence[int] | None = None) -> Basis:
@@ -283,7 +277,7 @@ class CanonicalSystem:
     @cached_property
     def sequence(self) -> list[Polynomial]:
         ring = symfun._root_ring(self.mu.m)
-        return [_unpack(ring, d) for d in self.dense.polys]
+        return [ring.undensify(d, d[min(d)]) for d in self.dense.polys]
 
     @cached_property
     def qmatrix(self) -> list[list]:

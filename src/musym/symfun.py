@@ -10,6 +10,8 @@ coefficients.  At the trivial partition 1^n the specialization only
 renames x_i to r_i, so the families in x1..xn (``generator``,
 ``monomial_generator``, ``basis_element``, ``subdiscriminant``) are
 those builders at 1^n, read back in x.
+Every specialized member, of all four kinds, lives in ``_spec_products``:
+the Groebner seeds and the cr and ls bases read the same dicts.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ def _trivial(n: int) -> Partition:
     return Partition((1,) * n)
 
 
-def _x_form(d: dict, n: int) -> Polynomial:
-    """A packed dict of the root ring of 1^n, read in x1..xn."""
-    return _packed.Ring([("x", i) for i in range(n, 0, -1)]).undensify(d)
+def _x_form(d: dict, n: int, den: int = 1) -> Polynomial:
+    """d/den, d a packed dict of the root ring of 1^n, read in x1..xn."""
+    return _packed.Ring([("x", i) for i in range(n, 0, -1)]).undensify(d, den)
 
 
 def generator(kind: str, i: int, n: int) -> Polynomial:
@@ -160,25 +162,31 @@ def distinct_permutations(alpha: tuple[int, ...]):
         a[i + 1:] = reversed(a[i + 1:])
 
 
+def _checked_index(kind: str, alpha, n: int) -> tuple[int, ...]:
+    """alpha as a tuple, once checked in order: the kind, the m index's
+    length and sign, the degree, then the e/p/c parts."""
+    if kind not in BASIS_KINDS:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if kind == "m":
+        if len(alpha) != n:
+            raise ValueError("monomial index must have exactly n parts")
+        if min(alpha, default=0) < 0:
+            raise ValueError("negative exponent")
+    _check_degree(sum(alpha))
+    if kind != "m":
+        for a in filter(None, alpha):
+            _check_generator(kind, a, n)
+    return tuple(alpha)
+
+
 def monomial_generator(alpha: tuple[int, ...], n: int) -> Polynomial:
     """Sum of x^beta over the distinct permutations beta of alpha."""
-    if len(alpha) != n:
-        raise ValueError("monomial index must have exactly n parts")
-    if min(alpha, default=0) < 0:
-        raise ValueError("negative exponent")
-    _check_degree(sum(alpha))
-    return _x_form(_spec_monomial_packed(tuple(alpha), _trivial(n)), n) if n else Polynomial.constant(1)
+    return basis_element("m", alpha, n)
 
 
 def basis_element(kind: str, alpha: tuple[int, ...], n: int) -> Polynomial:
     """Basis member of degree sum(alpha): a product for e/p/c, m_alpha for m."""
-    if kind == "m":
-        return monomial_generator(tuple(alpha), n)
-    if kind not in ("e", "p", "c"):
-        raise ValueError(f"unknown basis kind {kind!r}")
-    for a in filter(None, alpha):
-        _check_generator(kind, a, n)
-    _check_degree(sum(alpha))
+    alpha = _checked_index(kind, alpha, n)
     return _x_form(_spec_packed(kind, alpha, _trivial(n)), n) if any(alpha) else Polynomial.constant(1)
 
 
@@ -213,11 +221,11 @@ def specialize(p: Polynomial, mu: Partition) -> Polynomial:
     return Polynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
 def spec_generator(kind: str, i: int, mu: Partition) -> Polynomial:
-    """sigma_mu of the i-th generator, an element of K[r]."""
-    _check_degree(i)
-    return _root_ring(mu.m).undensify(_spec_generator_packed(kind, i, mu))
+    """sigma_mu of the i-th generator, an element of K[r]: the unit
+    entry of the product memo."""
+    _check_generator(kind, i, mu.n)
+    return spec_basis_element(kind, (i,), mu)
 
 
 def _spec_generator_packed(kind: str, i: int, mu: Partition) -> dict:
@@ -229,10 +237,7 @@ def _spec_generator_packed(kind: str, i: int, mu: Partition) -> dict:
     a_j from block j: prod C(mu_j, a_j) of them, or
     prod C(mu_j + a_j - 1, a_j).
     """
-    _check_generator(kind, i, mu.n)
     shifts = _root_ring(mu.m).shifts[::-1]  # the field of r_j is shifts[j - 1]
-    if i == 0:
-        return {0: 1}
     if kind == "p":
         return {i << s: size for s, size in zip(shifts, mu.parts)}
     out = {}
@@ -267,18 +272,18 @@ def _root_ring(m: int) -> _packed.Ring:
 
 @lru_cache(maxsize=None)
 def _spec_products(kind: str, mu: Partition) -> dict:
-    """The memo of specialized products for (kind, mu), filled by
-    ``_spec_packed``: counts -> prod_i spec_generator(kind, i, mu)^counts[i-1],
-    packed in the root ring with int coefficients.
+    """The memo of the specialized basis members for (kind, mu), filled
+    by ``_spec_packed`` and packed in the root ring with int coefficients.
 
-    Keyed by counts rather than by the parts, so the keys of a chain of
-    L factors hold O(L n) entries, not O(L^2).  Each generator is stored
-    at its unit count, and the empty product at the zero count.
+    For e/p/c it maps counts -> prod_i spec_generator(kind, i, mu)^counts[i-1],
+    keyed by counts rather than by the parts, so the keys of a chain of
+    L factors hold O(L n) entries, not O(L^2); each generator is stored
+    at its unit count.  For m it maps each exact index alpha to m_alpha.
+    Either way the zero key, counts or index, holds the constant 1.
     """
     return {(0,) * mu.n: {0: 1}}
 
 
-@lru_cache(maxsize=None)
 def _spec_monomial_packed(alpha: tuple[int, ...], mu: Partition) -> dict:
     """The specialized monomial symmetric function m_alpha, packed in the
     root ring with int coefficients: each distinct rearrangement beta of
@@ -293,13 +298,14 @@ def _spec_monomial_packed(alpha: tuple[int, ...], mu: Partition) -> dict:
 
 
 def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
+    # Stored through setdefault, so threads that race on a member share
+    # the one kept.
+    products = _spec_products(kind, mu)
     if kind == "m":
-        return _spec_monomial_packed(tuple(alpha), mu)
+        return products.get(alpha) or products.setdefault(alpha, _spec_monomial_packed(alpha, mu))
     # alpha is weakly decreasing, walked from its smallest part: each
     # step's product is the step before times the generator of the new
-    # part, so a long alpha costs no recursion depth.  Stored through
-    # setdefault, so threads that race on a product share the one kept.
-    products = _spec_products(kind, mu)
+    # part, so a long alpha costs no recursion depth.
     n = mu.n
     counts = [0] * n
     out = products[tuple(counts)]
@@ -310,16 +316,16 @@ def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
             step = products.get(key)
             if step is None:
                 unit = (0,) * (a - 1) + (1,) + (0,) * (n - a)
-                gen = products.get(unit)
-                if gen is None:
-                    gen = products.setdefault(unit, _spec_generator_packed(kind, a, mu))
+                gen = products.get(unit) or products.setdefault(unit, _spec_generator_packed(kind, a, mu))
                 step = gen if key == unit else products.setdefault(key, _packed.mul(out, gen))
             out = step
     return out
 
 
 def spec_basis_element(kind: str, alpha: tuple[int, ...], mu: Partition) -> Polynomial:
-    _check_degree(sum(alpha))
+    """sigma_mu of the basis member alpha, checked as ``basis_element``
+    checks it."""
+    alpha = _checked_index(kind, alpha, mu.n)
     return _root_ring(mu.m).undensify(_spec_packed(kind, alpha, mu))
 
 
@@ -426,7 +432,6 @@ def delta_squares(m: int) -> Polynomial:
     return _root_ring(m).undensify(_difference_powers(m, m * (m - 1), powers))
 
 
-@lru_cache(maxsize=None)
 def subdiscriminant(n: int, k: int) -> Polynomial:
     """k-th subdiscriminant in x1..xn.
 
@@ -513,16 +518,13 @@ def dplus_gist_equal(mu: Partition) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop generator/product memos and the ls layouts built on them
+    """Drop the member memo and the ls layouts built on it
     (used for cold-start benchmarking)."""
     from . import linsys  # local import; linsys builds on this module
 
     linsys._layout.cache_clear()
-    spec_generator.cache_clear()
     _spec_products.cache_clear()
-    _spec_monomial_packed.cache_clear()
     _root_ring.cache_clear()
-    subdiscriminant.cache_clear()
 
 
 def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int]:

@@ -140,6 +140,29 @@ def test_spec_basis_builds_each_product_once(monkeypatch):
     symfun.clear_caches()
 
 
+def test_three_deciders_share_one_member_memo(monkeypatch):
+    # the Groebner seeds read the generators from the memo that cr and
+    # ls fill, so a cold groebner, cr, ls pass builds each one once
+    mu = Partition.of(2, 2, 1)
+    symfun.clear_caches()
+    reduction.clear_memo()
+    groebner.clear_memo()
+    generators = []
+    real_generator = symfun._spec_generator_packed
+
+    def generator_counting(kind, i, mu):
+        generators.append(i)
+        return real_generator(kind, i, mu)
+
+    monkeypatch.setattr(symfun, "_spec_generator_packed", generator_counting)
+    for algo in ("groebner", "cr", "ls"):
+        assert compute_gist(dplus(mu), mu, "e", algo).symmetric
+    assert sorted(generators) == [1, 2, 3, 4, 5]
+    assert sorted(name for name in _memos() if name.startswith("symfun.")) == ["symfun._root_ring", "symfun._spec_products"]
+    groebner.clear_memo()
+    reduction.clear_memo()
+
+
 def test_spec_basis_threads_share_equal_members():
     import threading
 

@@ -138,6 +138,12 @@ def test_normal_form_membership_and_fixed_point():
     assert normal_form(reduced, basis) == reduced
 
 
+def test_normal_form_skips_a_zero_member():
+    r1 = P("r1")
+    assert normal_form(r1, [Polynomial.zero()]) == r1
+    assert normal_form(r1 ** 2, [Polynomial.zero(), r1]).is_zero
+
+
 def test_normal_form_weighted_homogeneous():
     mu = Partition.of(2, 2)
     basis = elimination_system(mu).basis

@@ -1,10 +1,13 @@
+from itertools import chain
+
 import pytest
 from conftest import FieldRing
 
 import musym
-from musym import groebner
+from musym import _packed, gistresult, groebner, linsys, polys, reduction, symfun
 from musym._packed import MAX_EXP, Ring
-from musym.polys import parse_poly
+from musym.gists import compute_gist
+from musym.polys import parse_poly, term_from_exps
 from musym.symfun import Partition
 
 
@@ -68,3 +71,58 @@ def test_packed_edges_refuse_an_exponent_past_the_limit(call):
     # every public entry that packs its operands refuses as the rest of the library does
     with pytest.raises(ValueError, match="^exponent 40000 exceeds the limit 32767$"):
         call(parse_poly("r1^40000 - 1"))
+
+
+# the numbers each kernel computes with: operands, multiplier, leads
+KERNEL_NUMBERS = {
+    "mul": lambda d1, d2: chain(d1.values(), d2.values()),
+    "submul": lambda work, q, shift, g, *rest, **kw: chain(work.values(), (q,), g.values()),
+    "cancel": lambda work, t, basis, idx, heap, *scaled: chain(
+        work.values(), basis.lcs, basis.polys[idx].values(), *(d.values() for d in scaled)
+    ),
+}
+
+
+def test_no_kernel_sees_a_fraction(monkeypatch):
+    # rationals cross into the packed layer only through densify and
+    # undensify: the kernels compute with ints alone
+    called, fractional = set(), set()
+
+    def guarded(name, real):
+        def kernel(*args, **kwargs):
+            called.add(name)
+            if not all(isinstance(v, int) for v in KERNEL_NUMBERS[name](*args, **kwargs)):
+                fractional.add(name)
+            return real(*args, **kwargs)
+        return kernel
+
+    for name in KERNEL_NUMBERS:
+        real = getattr(_packed, name)
+        for module in (_packed, gistresult, groebner, linsys, polys, reduction, symfun):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, guarded(name, real))
+    symfun.clear_caches()
+    reduction.clear_memo()
+    groebner.clear_memo()
+    mu = Partition.of(2, 1)
+    F = parse_poly("(2*r1+r2)^3/3 - 5*(r1^2+2*r1*r2)/7")
+    for algo in ("groebner", "cr", "ls"):
+        for kind in symfun.BASIS_KINDS if algo != "groebner" else ("e", "p", "c"):
+            res = compute_gist(F, mu, kind, algo)
+            assert res.substituted() == F and symfun.specialize(res.lift(), mu) == F, (algo, kind)
+    member = parse_poly("r1/2 - r2/3")
+    cube = parse_poly("r1^3/2 - r2^3/3")
+    reduced = musym.reduce(F, [cube])
+    assert reduced.coeffs[0] * cube + reduced.remainder == F and reduced.coeffs[0] != 0
+    assert len(musym.canonize([F, member, parse_poly("r1^2/5")]).sequence) == 3
+    assert musym.normal_form(F, [member]) == F.substitute({("r", 2): parse_poly("3*r1/2")})
+    groebner_basis = musym.buchberger([member, parse_poly("r1*r2/5 - 1/7")])
+    assert groebner_basis == [parse_poly("r1^2 - 10/21"), parse_poly("r2 - 3*r1/2")]
+    a = parse_poly(" + ".join(f"r1^{i}*r2/{i + 2}" for i in range(8)))
+    b = parse_poly(" + ".join(f"r2^{i}/{i + 3}" for i in range(8)))
+    assert len(a) * len(b) >= 64 and (a * b).coeff(term_from_exps({("r", 1): 7, ("r", 2): 8})) == polys.rat(1, 90)
+    assert called == set(KERNEL_NUMBERS)
+    assert sorted(fractional) == []
+    symfun.clear_caches()
+    reduction.clear_memo()
+    groebner.clear_memo()

@@ -175,6 +175,17 @@ def test_x_family_edge_cases():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("kind, alpha", [("m", (3, -1, 0)), ("m", (2, 1)), ("e", (4,))])
+def test_specialized_members_are_checked_as_the_x_members(kind, alpha):
+    # a negative exponent would borrow across the packed fields, and a
+    # short m index or an index past n would fail deep in the builder
+    with pytest.raises(ValueError) as want:
+        basis_element(kind, alpha, 3)
+    with pytest.raises(ValueError) as got:
+        spec_basis_element(kind, alpha, mu_(2, 1))
+    assert str(got.value) == str(want.value)
+
+
 def test_specialize_examples():
     mu = mu_(2, 1)
     assert spec_generator("e", 1, mu) == P("2*r1 + r2")
