@@ -14,9 +14,12 @@ width * max weight * (2^15 - 1) < 2^(16k): no slot carries.
 A packed polynomial is a dict from monomial to nonzero int coefficient.
 ``Ring.densify`` and ``Ring.undensify`` are the only door to a rational
 ``Polynomial``: p goes in as (ints, den), p = ints/den, and d/den comes
-back out, divided once.  Products accumulate their terms in ``mul``,
-which drops cancelled terms once at the end; every reduction and
-S-polynomial is built from one primitive, ``submul``: work -= q * x^shift * g.
+back out, divided once, ``undensify`` reading each term in one pass.
+Every product of two non-constant Polynomials crosses this door, so an
+operand exponent above ``MAX_EXP`` is refused.  Products accumulate
+their terms in ``mul``, which drops cancelled terms once at the end;
+every reduction and S-polynomial is built from one primitive,
+``submul``: work -= q * x^shift * g.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .polys import Polynomial, Term, Var, rat, term_from_exps, var_rank
+from .polys import Polynomial, Term, Var, _raw, rat, var_rank
 
 FIELD = 16
 GUARD_BIT = 1 << (FIELD - 1)
@@ -41,6 +44,8 @@ class Ring:
         self.pos = {v: i for i, v in enumerate(vars_)}
         # field 0 is the most significant: highest priority variable
         self.shifts = [(self.width - 1 - i) * FIELD for i in range(self.width)]
+        # each field as (space, index, shift), in the order a Term lists them
+        self.fields = sorted((*v, s) for v, s in zip(vars_, self.shifts))
         self.guard_mask = sum(GUARD_BIT << s for s in self.shifts)
         self.weights = weights if weights is not None else (1,) * self.width
         # field p (p = 0 least significant) of group g = p % k moves to
@@ -93,13 +98,19 @@ class Ring:
         return integer_form({self.pack_term(t): c for t, c in p.items()})
 
     def undensify(self, d: dict, den: int = 1) -> Polynomial:
-        """d/den as a Polynomial; tag keys (negative) are skipped."""
+        """d/den as a Polynomial, each term read once; tag keys (negative)
+        are skipped.  d holds no zero: no kernel leaves one."""
+        fields = self.fields
         coeffs = {}
         for mon, c in d.items():
             if mon >= 0:
-                exps = zip(self.vars, self.unpack(mon))
-                coeffs[term_from_exps({v: e for v, e in exps if e})] = c if den == 1 else rat(c, den)
-        return Polynomial(coeffs)
+                term = []
+                for sp, i, s in fields:
+                    e = mon >> s & FIELD_MASK
+                    if e:
+                        term.append((sp, i, e))
+                coeffs[tuple(term)] = rat(c, den)
+        return _raw(coeffs)
 
 
 def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: int | None = None) -> None:

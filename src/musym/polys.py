@@ -12,9 +12,12 @@ All arithmetic is exact.  Every coefficient is a ``fractions.Fraction``
 kernels behind the cr, ls and dims routes (``symfun.spec_basis``, the
 canonical sequences and the reduce sweep in ``reduction``, and
 ``linsys``'s elimination) hold Python ints internally and meet these
-rationals only at their edges.  There every ``{term: coeff}`` dict grows
-by one rule, ``_accumulate``: add each (term, coeff) in place and drop a
-term that cancels, as ``_packed.submul`` does for packed dicts.
+rationals only at their edges.  Every product of two non-constant
+polynomials crosses the ``densify``/``undensify`` boundary to the packed
+ring and back, so an operand exponent above 32767 is refused.  At the
+edges every ``{term: coeff}`` dict grows by one rule, ``_accumulate``:
+add each (term, coeff) in place and drop a term that cancels, as
+``_packed.submul`` does for packed dicts.
 
 ``parse_poly`` has two readers, and both fill a plain ``{term: coeff}``
 dict from which one Polynomial is built at the end.  Text that is a flat
@@ -64,20 +67,6 @@ def term_from_exps(exps: dict[Var, int] | Iterable[tuple[Var, int]]) -> Term:
         if exp:
             out.append((space, index, exp))
     return tuple(sorted(out))
-
-
-def term_mul(t1: Term, t2: Term) -> Term:
-    if not t1:
-        return t2
-    if not t2:
-        return t1
-    exps: dict[Var, int] = {}
-    for s, i, e in t1:
-        exps[(s, i)] = e
-    for s, i, e in t2:
-        key = (s, i)
-        exps[key] = exps.get(key, 0) + e
-    return tuple(sorted((s, i, e) for (s, i), e in exps.items()))
 
 
 def term_degree(t: Term) -> int:
@@ -223,20 +212,13 @@ class Polynomial:
         if self.is_constant:
             k = self.constant_value()
             return Polynomial({t: c * k for t, c in other._c.items()})
-        if len(self._c) * len(other._c) >= 64:
-            # large operands: term products become integer additions, and
-            # the int coefficients are divided once at the end
-            from . import _packed
+        # one packed product: densify refuses an operand exponent above
+        # _packed.MAX_EXP, and undensify divides once
+        from . import _packed
 
-            ring = _packed.Ring(sorted(self.variables() | other.variables()))
-            try:
-                (d1, den1), (d2, den2) = ring.densify(self), ring.densify(other)
-            except ValueError:
-                pass  # an exponent beyond _packed.MAX_EXP
-            else:
-                return ring.undensify(_packed.mul(d1, d2), den1 * den2)
-        products = ((term_mul(t1, t2), c1 * c2) for t1, c1 in self._c.items() for t2, c2 in other._c.items())
-        return _raw(_accumulate({}, products))
+        ring = _packed.ring_for(self.variables() | other.variables())
+        (d1, den1), (d2, den2) = ring.densify(self), ring.densify(other)
+        return ring.undensify(_packed.mul(d1, d2), den1 * den2)
 
     __rmul__ = __mul__
 

@@ -83,6 +83,14 @@ def _rref_kernel(A):
     return kernel
 
 
+def oracle_term_product(t1, t2):
+    """The product of two terms: exponents added variable by variable."""
+    exps = Counter()
+    for s, i, e in t1 + t2:
+        exps[s, i] += e
+    return term_from_exps(exps)
+
+
 class FieldRing(Ring):
     """A Ring whose lcm and weighted degree walk the fields one at a time:
     the definitions the kernel's word operations must agree with."""

@@ -1,13 +1,16 @@
+from fractions import Fraction
 from itertools import chain
 
 import pytest
 from conftest import FieldRing
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import musym
 from musym import _packed, gistresult, groebner, linsys, polys, reduction, symfun
-from musym._packed import MAX_EXP, Ring
+from musym._packed import MAX_EXP, Ring, ring_for
 from musym.gists import compute_gist
-from musym.polys import parse_poly, term_from_exps
+from musym.polys import Polynomial, parse_poly, term_from_exps
 from musym.symfun import Partition
 
 
@@ -59,6 +62,53 @@ def test_wdeg_on_a_ring_with_heavy_weights(rng):
         mon = ring.pack(random_exps(rng, 4))
         assert ring.wdeg(mon) == ref.wdeg(mon)
     assert ring.wdeg(ring.pack([MAX_EXP] * 4)) == sum(weights) * MAX_EXP
+
+
+# the rings undensify reads in, built when drawn: the ring of a
+# polynomial's own variables (None), the root ring, the x ring of
+# symfun._x_form and a Groebner engine's ring
+READ_MU = Partition.of(2, 1)
+READ_RINGS = {
+    "ring_for": lambda: None,
+    "root": lambda: symfun._root_ring(READ_MU.m),
+    "x": lambda: Ring([("x", i) for i in range(READ_MU.n, 0, -1)]),
+    "engine": lambda: groebner._engine.__wrapped__(READ_MU, "e").ring,
+}
+exponents = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXP))
+coefficients = st.fractions(max_denominator=12).filter(bool)
+
+
+@st.composite
+def ring_polys(draw):
+    """(name, ring, p) with p's variables among the ring's; under
+    "ring_for", p mixes x, r and z and the ring is ring_for(p.variables())."""
+    name = draw(st.sampled_from(sorted(READ_RINGS)))
+    ring = READ_RINGS[name]()
+    variables = ring.vars if ring else [(s, i) for s in "xrz" for i in range(1, 4)]
+    terms = st.lists(st.tuples(st.sampled_from(variables), exponents), max_size=4)
+    p = Polynomial({
+        term_from_exps(dict(t)): c for t, c in draw(st.lists(st.tuples(terms, coefficients), max_size=6))
+    })
+    return name, ring or ring_for(p.variables()), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_polys())
+def test_undensify_reads_each_term_once_into_a_valid_polynomial(case):
+    name, ring, p = case
+    if name == "x":  # read as symfun._x_form reads
+        def read(d, den):
+            return symfun._x_form(d, READ_MU.n, den)
+    else:
+        read = ring.undensify
+    ints, den = ring.densify(p)
+    back = read(ints, den)
+    assert back == p
+    for t, c in back.items():
+        assert t == term_from_exps({(s, i): e for s, i, e in t})
+        assert type(c) is Fraction and c != 0
+    assert read({**ints, -1: 7, -(1 << 40): -3}, den) == p  # tag keys are skipped
+    assert back == read(ints, 1) / den
 
 
 @pytest.mark.parametrize("call", [

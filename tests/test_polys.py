@@ -1,4 +1,5 @@
 import pytest
+from conftest import oracle_term_product
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -455,9 +456,7 @@ def test_leading_term_multiplicative(p, q):
     tp, cp = leading(p)
     tq, cq = leading(q)
     tpq, cpq = leading(p * q)
-    from musym.polys import term_mul
-
-    assert tpq == term_mul(tp, tq)
+    assert tpq == oracle_term_product(tp, tq)
     assert cpq == cp * cq
 
 
@@ -518,28 +517,36 @@ def test_json_form_refuses_a_bad_exponent_or_coefficient(obj, message):
     assert poly_from_obj([{"coeff": 3, "exps": {"r1": 2}}, {"coeff": "-1/2"}]) == P("3*r1^2 - 1/2")
 
 
-def test_multiplication_past_the_packed_exponent_limit_expands_termwise():
-    # 8 x 8 terms would take the packed path, but r1^40000 does not pack
-    terms = [P("r1^40000")] + [Polynomial.variable("r", i) for i in range(2, 9)]
-    expected = {}
-    for i, a in enumerate(terms):
-        for b in terms[i:]:
-            ((t, c),) = (a * b).items()
-            expected[t] = c if a is b else 2 * c
-    square = parse_poly("(r1^40000 + r2 + r3 + r4 + r5 + r6 + r7 + r8)^2")
-    assert len(expected) == 36 and square == Polynomial(expected)
+def test_multiplication_past_the_packed_exponent_limit_is_refused():
+    # every product of two non-constant operands is packed, and r1^40000
+    # does not pack
+    message = "^exponent 40000 exceeds the limit 32767$"
+    with pytest.raises(ValueError, match=message):
+        P("r1^40000") * P("r2")
+    with pytest.raises(ValueError, match=message):
+        parse_poly("(r1^40000 + r2)^2")
+    # scaling and adding multiply no terms; a product field of 40000 fits
+    # its 16 bits and reads back exactly
+    ((t, c),) = P("r1^40000").items()
+    assert P("r1^40000") * 3 == Polynomial.monomial(t, 3 * c)
+    assert P("r1^40000") + P("r2") == Polynomial({t: c, term_from_exps({("r", 2): 1}): 1})
+    base = P("r1^20000 + r2")
+    expected = Polynomial.zero()
+    for t, c in base.items():
+        for u, d in base.items():
+            expected = expected + Polynomial.monomial(oracle_term_product(t, u), c * d)
+    square = parse_poly("(r1^20000 + r2)^2")
+    assert square == expected and square.coeff(term_from_exps({("r", 1): 40000})) == 1
 
 
 def test_packed_multiplication_matches_generic():
-    # large operands take the packed path; compare against direct expansion
+    # the packed product against a termwise expansion by the oracle
     a = (P("r1 + 2*r2 + 3*r3 + 1") ** 4) * P("r1 - r2")
     b = P("r1 - r2")
     direct = Polynomial.zero()
     for t, c in a.items():
         for u, d in b.items():
-            from musym.polys import term_mul
-
-            direct = direct + Polynomial.monomial(term_mul(t, u), c * d)
+            direct = direct + Polynomial.monomial(oracle_term_product(t, u), c * d)
     assert a * b == direct
 
 
