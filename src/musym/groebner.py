@@ -30,6 +30,10 @@ basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.7),
 so no member has a term that the lead of an earlier member divides.
 Rationals appear only in what is handed out: normal forms,
 S-polynomials and the reduced basis.
+
+The seeds z_i - g_i are packed straight from ``symfun._spec_products``.
+A verdict's normal form stops at its first irreducible root term, which
+already shows that F is not mu-symmetric.
 """
 
 from __future__ import annotations
@@ -53,9 +57,13 @@ def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
     return -1
 
 
-def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> tuple[dict, int]:
+def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1, stop: int | None = None) -> tuple[dict, int]:
     """Full normal form of the integer dict f: no remaining term divisible
-    by a basis lead.  Returns (out, den), the normal form being out/den."""
+    by a basis lead.  Returns (out, den), the normal form being out/den.
+
+    With ``stop``, the reduction ends at the first irreducible term at or
+    above it, which is then the one key of out: terms leave work largest
+    first, so that term is in the full normal form too."""
     work = dict(f)
     out: dict = {}
     den = 1
@@ -68,6 +76,8 @@ def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1) -> tuple[dic
         idx = _find_reducer(t, basis, guard, skip)
         if idx < 0:
             out[t] = work.pop(t)
+            if stop is not None and t >= stop:
+                break
         else:
             den *= cancel(work, t, basis, idx, heap, out)
     return out, den
@@ -153,11 +163,12 @@ class _GradedEngine:
                 basis.add(primitive(r))
                 self._update(len(basis) - 1)
 
-    def normal_form(self, f: dict) -> tuple[dict, int]:
+    def normal_form(self, f: dict, stop: int | None = None) -> tuple[dict, int]:
         """(out, scale), where out/scale is the full normal form of the
-        integer dict f against the basis as extended so far."""
+        integer dict f against the basis as extended so far, cut at its
+        first term at or above ``stop`` as ``_full_reduce`` cuts it."""
         with self.lock:
-            return _full_reduce(f, self.basis, self.guard)
+            return _full_reduce(f, self.basis, self.guard, stop=stop)
 
     def reduced_snapshot(self, bound: int | None = None, below: int | None = None) -> list[Polynomial]:
         """Reduced basis of the elements at weighted degree <= bound, or of
@@ -225,14 +236,29 @@ GROEBNER_ON_M = (
 )
 
 
-def mu_ideal_basis(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
-    """Generators z_i - g_i tying each z symbol to its specialization."""
+def _seeds(mu: symfun.Partition, kind: str) -> tuple[list[dict], Ring]:
+    """The generators z_i - g_i as packed int dicts, read straight off the
+    unit products of ``symfun._spec_products``, and their ring: r_m..r_1
+    of weight 1 above z_1..z_n, z_i of weight i.  Each root monomial moves
+    up past the n z fields, so an r-free monomial is below 2^(16 n)."""
     if kind == "m":
         raise ValueError(GROEBNER_ON_M)
-    return [
-        Polynomial.variable("z", i) - symfun.spec_generator(kind, i, mu)
-        for i in range(1, mu.n + 1)
-    ]
+    symfun._check_generator(kind, 1, mu.n)
+    vars_ = symfun._root_ring(mu.m).vars + [("z", i) for i in range(1, mu.n + 1)]
+    ring = Ring(vars_, tuple([1] * mu.m + list(range(1, mu.n + 1))))
+    seeds = []
+    for i in range(1, mu.n + 1):
+        seed = {mon << FIELD * mu.n: -c for mon, c in symfun._spec_packed(kind, (i,), mu).items()}
+        seed[1 << FIELD * (mu.n - i)] = 1
+        seeds.append(seed)
+    return seeds, ring
+
+
+def mu_ideal_basis(mu: symfun.Partition, kind: str = "e") -> list[Polynomial]:
+    """Generators z_i - g_i tying each z symbol to its specialization: the
+    engine's seeds, read back."""
+    seeds, ring = _seeds(mu, kind)
+    return [ring.undensify(d) for d in seeds]
 
 
 @dataclass(frozen=True)
@@ -263,11 +289,10 @@ class EliminationSystem:
 @lru_cache(maxsize=None)
 def _engine(mu: symfun.Partition, kind: str) -> _GradedEngine:
     """One graded engine per (mu, kind), advanced on demand: the one
-    Groebner memo."""
-    vars_ = symfun._root_ring(mu.m).vars + [("z", i) for i in range(1, mu.n + 1)]
-    weights = tuple([1] * mu.m + list(range(1, mu.n + 1)))
-    ring = Ring(vars_, weights)
-    return _GradedEngine([ring.densify(g)[0] for g in mu_ideal_basis(mu, kind)], ring)
+    Groebner memo.  Its seeds are packed from ``symfun._spec_products``,
+    and a verdict's normal form against it stops at its first
+    irreducible root term."""
+    return _GradedEngine(*_seeds(mu, kind))
 
 
 def elimination_system(
@@ -312,9 +337,11 @@ def _ggist_part(delta: int, ints: dict, den: int, mu: symfun.Partition, kind: st
     engine = _engine(mu, kind)
     engine.extend(delta)
     # root monomials move up past the n z fields, the least significant:
-    # an r-free monomial is below 2^(16 n)
+    # an r-free monomial is below 2^(16 n), and the normal form stops at
+    # its first irreducible root term, which already proves F is not
+    # mu-symmetric
     shift = FIELD * mu.n
-    nf, scale = engine.normal_form({mon << shift: c for mon, c in ints.items()})
+    nf, scale = engine.normal_form({mon << shift: c for mon, c in ints.items()}, 1 << shift)
     if any(mon >> shift for mon in nf):
         return GistResult.not_symmetric(mu, kind)
     alphas = []

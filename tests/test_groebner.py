@@ -3,8 +3,9 @@ import math
 import pytest
 from conftest import FieldRing
 
-from musym import groebner
+from musym import _packed, groebner, symfun
 from musym.gists import compute_gist
+from musym._packed import primitive
 from musym.groebner import (
     _GradedEngine,
     buchberger,
@@ -25,7 +26,15 @@ from musym.polys import (
     term_key,
     wdeg,
 )
-from musym.symfun import Partition, dplus, spec_generator, weak_partitions, z_term_for
+from musym.symfun import (
+    Partition,
+    dplus,
+    root_parts,
+    spec_basis_element,
+    spec_generator,
+    weak_partitions,
+    z_term_for,
+)
 
 P = parse_poly
 
@@ -301,6 +310,107 @@ def test_engine_work_matches_the_per_field_ring(monkeypatch, parts, kind):
     assert [list(d.items()) for d in engine.basis.polys] == [list(d.items()) for d in reference.basis.polys]
     assert list(engine.pairs.items()) == list(reference.pairs.items())
     assert engine.heap == reference.heap
+
+
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (1, 1, 1, 1)])
+def test_engine_seeds_are_packed_from_the_product_memo(monkeypatch, parts, kind):
+    # a cold engine reads its seeds z_i - g_i off the memoized unit
+    # products, with no Polynomial in between
+    mu = Partition(parts)
+    expected = mu_ideal_basis(mu, kind)
+    symfun.clear_caches()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("seed built through a Polynomial")
+
+    monkeypatch.setattr(groebner, "mu_ideal_basis", boom)
+    monkeypatch.setattr(symfun, "spec_generator", boom)
+    monkeypatch.setattr(_packed.Ring, "densify", boom)
+    engine = groebner._engine.__wrapped__(mu, kind)
+    monkeypatch.undo()
+    seeds = [primitive(engine.ring.densify(g)[0]) for g in expected]
+    assert engine.basis.polys[:mu.n] == seeds
+
+
+@pytest.mark.parametrize("kind", ["m", "x", "E"])
+def test_engine_refuses_other_kinds_before_building_members(kind):
+    # the kind is checked before any specialized member is built: without
+    # the check, any kind but e and p would build the c seeds
+    mu = Partition.of(2, 2, 1)
+    text = groebner.GROEBNER_ON_M if kind == "m" else "indexed generators exist for kinds e, p, c only"
+    clear_memo()
+    symfun.clear_caches()
+    for call in (lambda: ggist(dplus(mu), mu, kind), lambda: elimination_system(mu, kind, 4)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
+        assert symfun._spec_products.cache_info().currsize == 0
+
+
+def test_negative_ggist_stops_before_the_full_normal_form(monkeypatch):
+    mu = Partition.of(2, 2, 1)
+    F = dplus(mu) + P("r1^10 - r2^10")  # not fixed by swapping r1, r2
+    engine = elimination_system(mu, "e", 10).engine
+    steps = []
+    real = groebner.cancel
+    monkeypatch.setattr(groebner, "cancel", lambda *a: steps.append(a[1]) or real(*a))
+    assert not ggist(F, mu).symmetric
+    stopped = len(steps)
+    # the same input in full: F's one part, its root monomials moved up
+    # past the n z fields as ggist moves them
+    shift = groebner.FIELD * mu.n
+    [(_, ints, _)] = root_parts(F, mu)
+    nf, _ = engine.normal_form({mon << shift: c for mon, c in ints.items()})
+    full = len(steps) - stopped
+    assert 0 < stopped < full
+    assert any(mon >> shift for mon in nf)
+
+
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2)])
+def test_ggist_stopped_normal_form_agrees_with_the_full_one(monkeypatch, rng, parts, kind):
+    # a negative verdict's normal form ends at its first irreducible root
+    # term: the one term it keeps is a root term of the full normal form,
+    # and verdicts and gists are those of the full normal form
+    mu = Partition(parts)
+    # a and b of equal multiplicity where mu has two such roots
+    a, b = next(((i, i + 1) for i in range(1, mu.m) if parts[i - 1] == parts[i]), (1, 2))
+    c = mu.m if mu.m > 2 else 1
+    r = [None] + [Polynomial.variable("r", i) for i in range(1, mu.m + 1)]
+    stopped = []
+    real = groebner._full_reduce
+
+    def record(*args, stop=None, **kwargs):
+        out, den = real(*args, stop=stop, **kwargs)
+        if stop is not None:
+            stopped.append(out)
+        return out, den
+
+    monkeypatch.setattr(groebner, "_full_reduce", record)
+    for _ in range(3):
+        delta = rng.randint(4, 7)
+        alphas = weak_partitions(delta, mu.n, "capped")
+        positive = Polynomial.zero()
+        for alpha in rng.sample(alphas, min(3, len(alphas))):
+            positive = positive + rng.choice([-5, -2, 1, 3, 7]) * spec_basis_element(kind, alpha, mu)
+        j = delta // 2
+        swapped = positive + r[a] ** delta - r[b] ** delta
+        # fixed by swapping r_a and r_b, like the golden ls negative
+        fixed = positive + (r[a] * r[b]) ** j * r[c] ** (delta - 2 * j) - 3 * r[a] * r[b] * r[c] ** (delta - 2) + r[c] ** delta
+        basis = elimination_system(mu, kind, delta).basis
+        for F, symmetric in ((positive, True), (swapped, False), (fixed, False)):
+            stopped.clear()
+            res = ggist(F, mu, kind)
+            full = normal_form(F, basis)
+            assert res.symmetric is symmetric is ("r" not in full.spaces())
+            [out] = stopped
+            if symmetric:
+                assert res.gist == full
+                continue
+            [mon] = out
+            [(term, _)] = groebner._engine(mu, kind).ring.undensify({mon: 1}).items()
+            assert term in full.support() and any(v[0] == "r" for v in term)
 
 
 def test_elimination_basis_unpacked_once_on_first_read():
