@@ -19,7 +19,10 @@ Every product of two non-constant Polynomials crosses this door, so an
 operand exponent above ``MAX_EXP`` is refused.  Products accumulate
 their terms in ``mul``, which drops cancelled terms once at the end;
 every reduction and S-polynomial is built from one primitive,
-``submul``: work -= q * x^shift * g.
+``submul``: work -= q * x^shift * g.  A ``Basis`` stores each member
+primitive, with a positive lead; every elimination step is one
+``cancel``, which divides nothing and returns the scale it put on what
+it reduces.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class Ring:
         # top - s of the multiplier, so slot top of the product is wdeg
         bound = self.width * max(self.weights, default=1) * MAX_EXP
         k = max(1, -(-bound.bit_length() // FIELD))  # bound < 2^(16k)
-        per_group = -(-self.width // k)
+        per_group = max(1, -(-self.width // k))  # a ring with no variables has one slot
         top = k * per_group - 1
         self.spread = [
             (sum(FIELD_MASK << (FIELD * p) for p in range(g, self.width, k)), FIELD * g * top)
@@ -139,24 +142,25 @@ def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: i
                 del work[mm]
 
 
-def cancel(work: dict, t: int, basis: Basis, idx: int, heap: list, *scaled: dict) -> int:
+def cancel(work: dict, t: int, basis: Basis, idx: int, heap: list, other: dict) -> int:
     """Cancel term t of the integer dict work against basis[idx],
     without dividing.
 
-    With a = work[t] and lc the member's lead, work and every dict in
-    ``scaled`` are first multiplied by lc/gcd(a, lc), so that the
+    With a = work[t] and lc the member's lead coefficient, work and
+    ``other`` are first multiplied by lc/gcd(a, lc), so that the
     multiple of the member subtracted is the integer a/gcd(a, lc).
     Returns that scale.
     """
     a = work.pop(t)
-    lt, lc = basis.lts[idx], basis.lcs[idx]
+    lt, member = basis.lts[idx], basis.polys[idx]
+    lc = member[lt]
     d = math.gcd(a, lc)
     scale = lc // d
     if scale != 1:
-        for part in (work, *scaled):
+        for part in (work, other):
             for m in part:
                 part[m] *= scale
-    submul(work, a // d, t - lt, basis.polys[idx], heap, skip=lt)
+    submul(work, a // d, t - lt, member, heap, skip=lt)
     return scale
 
 
@@ -207,19 +211,19 @@ def mul(d1: dict, d2: dict) -> dict:
 
 
 class Basis:
-    """Parallel arrays: leading monomial, leading coefficient, polynomial."""
+    """Parallel arrays: leading monomial and member.  Each member is stored
+    primitive, with a positive lead, whatever multiple of it is added; its
+    lead coefficient is polys[i][lts[i]]."""
 
-    __slots__ = ("lts", "lcs", "polys")
+    __slots__ = ("lts", "polys")
 
     def __init__(self):
         self.lts: list[int] = []
-        self.lcs: list = []
         self.polys: list[dict] = []
 
     def insert(self, pos: int, d: dict, lt: int) -> None:
         self.lts.insert(pos, lt)
-        self.lcs.insert(pos, d[lt])
-        self.polys.insert(pos, d)
+        self.polys.insert(pos, primitive(d))
 
     def add(self, d: dict, lt: int | None = None) -> None:
         self.insert(len(self.lts), d, max(d) if lt is None else lt)

@@ -136,6 +136,8 @@ def cmd_dims(args) -> int:
     deltas = _parse_delta(args.delta, ranges=True)
     if not deltas:
         raise UsageError(f"empty delta range {args.delta!r}")
+    for end in (deltas[0], deltas[-1]):  # refused before the first row is computed
+        symfun._check_degree(end)
     rows = []
     for delta in deltas:
         dim_sym, dim_mu = symfun.sym_dimensions(mu, delta, args.basis)

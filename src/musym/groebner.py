@@ -85,7 +85,7 @@ def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1, stop: int | 
 
 def _spoly(i: int, j: int, lcm: int, basis: Basis) -> dict:
     """lcm(lc_i, lc_j) times the S-polynomial of basis[i] and basis[j]."""
-    lc_i, lc_j = basis.lcs[i], basis.lcs[j]
+    lc_i, lc_j = basis.polys[i][basis.lts[i]], basis.polys[j][basis.lts[j]]
     scale = math.lcm(lc_i, lc_j)
     out: dict = {}
     submul(out, -(scale // lc_i), lcm - basis.lts[i], basis.polys[i], skip=basis.lts[i])
@@ -112,8 +112,7 @@ class _GradedEngine:
         self.lock = threading.Lock()  # cached engines may be shared
         for d in gens:
             if d:
-                lt = max(d)
-                self.basis.add(primitive(d), lt)
+                self.basis.add(d)
                 self._update(len(self.basis) - 1)
 
     def _update(self, h: int) -> None:
@@ -160,7 +159,7 @@ class _GradedEngine:
                 r, _ = _full_reduce(_spoly(i, j, lcm, basis), basis, guard)
                 if not r:
                     continue
-                basis.add(primitive(r))
+                basis.add(r)
                 self._update(len(basis) - 1)
 
     def normal_form(self, f: dict, stop: int | None = None) -> tuple[dict, int]:
@@ -194,10 +193,8 @@ class _GradedEngine:
             out = []
             for pos in range(len(reduced)):
                 d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, skip=pos)[0])
-                lc = d[reduced.lts[pos]]
-                out.append(ring.undensify(d, lc))
+                out.append(ring.undensify(d, d[reduced.lts[pos]]))
                 reduced.polys[pos] = d
-                reduced.lcs[pos] = lc
         return out
 
 
@@ -224,7 +221,7 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     dense = Basis()
     for g in basis:
         if g:  # a zero member reduces nothing
-            dense.add(primitive(ring.densify(g)[0]))
+            dense.add(ring.densify(g)[0])
     ints, den = ring.densify(f)
     out, scale = _full_reduce(ints, dense, ring.guard_mask)
     return ring.undensify(out, den * scale)

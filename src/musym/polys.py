@@ -620,12 +620,16 @@ def poly_to_obj(p: Polynomial) -> list[dict]:
 
 
 def poly_from_obj(obj: list[dict]) -> Polynomial:
-    """The inverse of ``poly_to_obj``.  Exponents must be ints (not bools)
-    and coefficients ``"num"`` or ``"num/den"`` text or ints."""
+    """The inverse of ``poly_to_obj``.  Each entry is a dict whose
+    ``"exps"`` is a dict; exponents must be ints (not bools) and
+    coefficients ``"num"`` or ``"num/den"`` text or ints."""
     coeffs: dict[Term, object] = {}
     for entry in obj:
+        given = entry.get("exps", {}) if isinstance(entry, dict) else None
+        if not isinstance(given, dict):
+            raise ValueError(f"bad entry {_quote(repr(entry))}")
         exps = {}
-        for name, e in entry.get("exps", {}).items():
+        for name, e in given.items():
             var = _variable(name)
             if var is None:
                 raise ValueError(f"bad variable name {_quote(name)}")

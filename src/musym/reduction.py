@@ -34,11 +34,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, cancel, content, primitive, ring_for
+from ._packed import Basis, cancel, ring_for
 from .gistresult import GistResult
 from .polys import Polynomial, leading, rat
 
@@ -65,19 +65,18 @@ def _quotients(seq: Basis, n: int) -> list[list]:
 def _reduce_packed(work: dict, seq: Basis, den: int):
     """The reduction sweep on packed integer dicts, fraction-free.
 
-    The dict reduced is work/den, and the members of seq are integer
-    dicts with positive leads; tags may ride along in both.  Terms of
-    the work polynomial above the current sequence member move to the
-    remainder; a matching leading term triggers one cancellation;
+    The dict reduced is work/den, and the members of seq are primitive
+    integer dicts with positive leads; tags may ride along in both.
+    Terms of the work polynomial above the current sequence member move
+    to the remainder; a matching leading term triggers one cancellation;
     otherwise the sweep advances down the sequence.  Each member is used
     at most once, and the sweep stops once only tags remain.  To cancel
     a coefficient a against a lead lc, the work dict, the remainder and
     den are first scaled by lc/gcd(a, lc), so that the multiple of the
-    member subtracted is an integer; the common content of the three is
-    then stripped.  The largest key of ``work`` comes from a lazy
-    max-heap that may hold monomials already cancelled.  Returns
-    (remainder, den, loops): remainder/den, tags included, is what is
-    left of work/den.
+    member subtracted is an integer; nothing is divided out mid-sweep.
+    The largest key of ``work`` comes from a lazy max-heap that may hold
+    monomials already cancelled.  Returns (remainder, den, loops):
+    remainder/den, tags included, is what is left of work/den.
     """
     remainder: dict = {}
     heap = [-m for m in work]
@@ -98,15 +97,7 @@ def _reduce_packed(work: dict, seq: Basis, den: int):
         else:
             if t == lt_i:
                 heapq.heappop(heap)
-                scale = cancel(work, t, seq, i - 1, heap, remainder)
-                if scale != 1:
-                    den *= scale
-                    g = content(chain((den,), work.values(), remainder.values()))
-                    if g != 1:
-                        for part in (work, remainder):
-                            for m in part:
-                                part[m] //= g
-                        den //= g
+                den *= cancel(work, t, seq, i - 1, heap, remainder)
             i -= 1
     remainder.update(work)
     return remainder, den, loops
@@ -123,7 +114,7 @@ def reduce(F: Polynomial, C: Sequence[Polynomial]) -> ReduceResult:
     seq = Basis()
     for k, (member, member_den) in enumerate(members):
         member[~k] = member_den
-        seq.add(primitive(member))
+        seq.add(member)
     remainder, den, loops = _reduce_packed(work, seq, den)
     coeffs = tuple(rat(-remainder.pop(~k, 0), den) for k in range(len(C)))
     return ReduceResult(ring.undensify(remainder, den), coeffs, loops)
@@ -191,8 +182,8 @@ def _canonize_packed(B: Sequence[dict], dens: Sequence[int] | None = None) -> Ba
             if rows[j] is None:
                 rows[j] = dense(seq.polys[j])
             member, p = rows[j], column[lt]
-            g = math.gcd(a, seq.lcs[j])
-            scale, q = seq.lcs[j] // g, a // g
+            g = math.gcd(a, member[p])
+            scale, q = member[p] // g, a // g
             if scale != 1:
                 row[:p] = [scale * x for x in row[:p]]
             row[p:] = [scale * x - q * y for x, y in zip(row[p:], member[p:])]
@@ -201,7 +192,7 @@ def _canonize_packed(B: Sequence[dict], dens: Sequence[int] | None = None) -> Ba
         lt = max(work)
         if lt >= 0:
             pos = bisect_left(seq.lts, lt)
-            seq.insert(pos, primitive(work), lt)
+            seq.insert(pos, work, lt)
             rows.insert(pos, None)
     return seq
 

@@ -202,6 +202,20 @@ def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys
     assert err == "error: degree 32768 exceeds the limit 32767\n"
 
 
+def test_dims_refuses_an_out_of_range_top_before_the_first_row(capsys, monkeypatch):
+    # checked row by row, every in-limit degree up to 32767 was computed
+    # before 32768 was refused
+    import musym.symfun
+
+    def boom(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(musym.symfun, "sym_dimensions", boom)
+    code, out, err = run(capsys, "dims", "--mu", "2,1", "--delta", "1..40000")
+    assert code == 2 and out == ""
+    assert err == "error: degree 40000 exceeds the limit 32767\n"
+
+
 def test_gist_refuses_a_variable_with_non_ascii_digits(capsys):
     # r followed by ARABIC-INDIC DIGIT ONE names no variable; read as r1
     # it would give the verdict "F is not mu-symmetric"

@@ -75,6 +75,13 @@ def test_buchberger_single_generator():
     assert buchberger([P("3*x1^2 - 3")]) == [P("x1^2 - 1")]
 
 
+def test_buchberger_on_constant_generators():
+    # a ring with no variables still has one weighted-degree slot: before,
+    # its slot count was 0 and the shifts went negative
+    assert _packed.Ring([]).wdeg(0) == 0
+    assert buchberger([Polynomial.constant(2), Polynomial.constant(4)]) == [Polynomial.constant(1)]
+
+
 def test_buchberger_rejects_empty():
     with pytest.raises(ValueError):
         buchberger([Polynomial.zero()])
@@ -272,8 +279,7 @@ def test_cold_engine_runs_on_primitive_ints(monkeypatch):
     engine = elimination_system(Partition.of(2, 2, 1), "e", 10).engine
     assert calls == [] and len(engine.basis) > 5
     assert all(type(c) is int for d in engine.basis.polys for c in d.values())
-    assert all(type(lc) is int and lc > 0 for lc in engine.basis.lcs)
-    assert all(d[lt] == lc for d, lt, lc in zip(engine.basis.polys, engine.basis.lts, engine.basis.lcs))
+    assert all(type(d[lt]) is int and d[lt] > 0 for d, lt in zip(engine.basis.polys, engine.basis.lts))
     assert all(math.gcd(*d.values()) == 1 for d in engine.basis.polys)
     clear_memo()
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import musym
 from musym import _packed, gistresult, groebner, linsys, polys, reduction, symfun
-from musym._packed import MAX_EXP, Ring, ring_for
+from musym._packed import MAX_EXP, Basis, Ring, ring_for
 from musym.gists import compute_gist
 from musym.polys import Polynomial, parse_poly, term_from_exps
 from musym.symfun import Partition
@@ -123,12 +123,21 @@ def test_packed_edges_refuse_an_exponent_past_the_limit(call):
         call(parse_poly("r1^40000 - 1"))
 
 
+def test_basis_stores_each_member_primitive_with_a_positive_lead():
+    # the one place the member form is made: cancel and the S-polynomial
+    # read the lead coefficient off the stored member
+    for store in (lambda basis, d: basis.add(d), lambda basis, d: basis.insert(0, d, 5)):
+        basis = Basis()
+        store(basis, {5: -4, 3: 6})
+        assert basis.polys == [{5: 2, 3: -3}] and basis.lts == [5]
+
+
 # the numbers each kernel computes with: operands, multiplier, leads
 KERNEL_NUMBERS = {
     "mul": lambda d1, d2: chain(d1.values(), d2.values()),
     "submul": lambda work, q, shift, g, *rest, **kw: chain(work.values(), (q,), g.values()),
-    "cancel": lambda work, t, basis, idx, heap, *scaled: chain(
-        work.values(), basis.lcs, basis.polys[idx].values(), *(d.values() for d in scaled)
+    "cancel": lambda work, t, basis, idx, heap, other: chain(
+        work.values(), (d[lt] for d, lt in zip(basis.polys, basis.lts)), basis.polys[idx].values(), other.values()
     ),
 }
 

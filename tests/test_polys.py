@@ -506,6 +506,8 @@ def test_json_round_trip(p):
         ([{"coeff": "1e5", "exps": {"r1": 1}}], "bad coefficient '1e5'"),
         ([{"coeff": "x"}], "bad coefficient 'x'"),
         ([{"exps": {"r1": 1}}], "no coeff in \"{'exps': {'r1': 1}}\""),
+        ([1], "bad entry '1'"),
+        ([{"coeff": 1, "exps": [1]}], "bad entry \"{'coeff': 1, 'exps': [1]}\""),
     ],
 )
 def test_json_form_refuses_a_bad_exponent_or_coefficient(obj, message):

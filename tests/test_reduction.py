@@ -441,6 +441,28 @@ def test_canonize_on_specialized_bases_matches_rational_reference(parts, delta, 
     clear_memo()
 
 
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+def test_reduce_sweep_only_multiplies_its_den(kind, monkeypatch):
+    # each step of the sweep is den *= cancel(...): no content is divided
+    # out mid-sweep, so the den returned is the one given times every scale
+    mu = Partition.of(2, 2, 1)
+    ((delta, work, den),) = symfun.root_parts(dplus(mu), mu)
+    system = canonical_system(mu, delta, kind)
+    scales = []
+    real = reduction.cancel
+
+    def recording(*args):
+        scales.append(real(*args))
+        return scales[-1]
+
+    monkeypatch.setattr(reduction, "cancel", recording)
+    remainder, out_den, loops = reduction._reduce_packed(work, system.dense, den)
+    assert delta == 10 and loops > 0 and len(scales) > 1
+    assert out_den == den * math.prod(scales)
+    assert max(remainder) < 0  # dplus is (2,2,1)-symmetric
+    clear_memo()
+
+
 def test_cold_canonical_system_makes_no_rational(monkeypatch):
     # the quotients ride the integer sweep as tags; Q is read off on demand
     calls = []
@@ -463,7 +485,7 @@ def test_integer_kernels_keep_rationals_at_the_edges():
     for kind in ("e", "p"):
         system = canonical_system(mu, 8, kind)
         # the documented integer form: primitive members with positive leads
-        assert all(lc > 0 for lc in system.dense.lcs)
+        assert all(d[lt] > 0 for d, lt in zip(system.dense.polys, system.dense.lts))
         assert all(math.gcd(*d.values()) == 1 for d in system.dense.polys)
         assert all(isinstance(c, Rational) for p in system.sequence for _, c in p.items())
         assert all(isinstance(q, Rational) for row in system.qmatrix for q in row)
