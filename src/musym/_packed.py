@@ -213,7 +213,9 @@ def mul(d1: dict, d2: dict) -> dict:
 class Basis:
     """Parallel arrays: leading monomial and member.  Each member is stored
     primitive, with a positive lead, whatever multiple of it is added; its
-    lead coefficient is polys[i][lts[i]]."""
+    lead coefficient is polys[i][lts[i]].  ``add`` appends a member and
+    reads its lead off it as max(d); ``insert`` places one at pos with the
+    lead its caller already holds."""
 
     __slots__ = ("lts", "polys")
 
@@ -225,8 +227,8 @@ class Basis:
         self.lts.insert(pos, lt)
         self.polys.insert(pos, primitive(d))
 
-    def add(self, d: dict, lt: int | None = None) -> None:
-        self.insert(len(self.lts), d, max(d) if lt is None else lt)
+    def add(self, d: dict) -> None:
+        self.insert(len(self.lts), d, max(d))
 
     def __len__(self):
         return len(self.lts)

@@ -189,7 +189,7 @@ class _GradedEngine:
                     minimal.append(idx)
             reduced = Basis()
             for idx in minimal:
-                reduced.add(basis.polys[idx], basis.lts[idx])
+                reduced.add(basis.polys[idx])
             out = []
             for pos in range(len(reduced)):
                 d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, skip=pos)[0])
@@ -214,8 +214,6 @@ def buchberger(gens: list[Polynomial]) -> list[Polynomial]:
 
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of f modulo the basis: unique for a reduced basis."""
-    if f.is_zero:
-        return f
     all_vars = set(f.variables()).union(*(g.variables() for g in basis))
     ring = ring_for(all_vars)
     dense = Basis()

@@ -151,9 +151,6 @@ class Polynomial:
     def variables(self) -> set[Var]:
         return {(s, i) for t in self._c for s, i, _ in t}
 
-    def spaces(self) -> set[str]:
-        return {s for t in self._c for s, _, _ in t}
-
     def __len__(self) -> int:
         return len(self._c)
 
@@ -374,12 +371,6 @@ def homogeneous_parts(p: Polynomial, w: WeightFn = unit_weight) -> list[tuple[in
     for t, c in p.items():
         buckets.setdefault(term_wdeg(t, w), {})[t] = c
     return [(d, Polynomial(buckets[d])) for d in sorted(buckets)]
-
-
-def is_homogeneous(p: Polynomial, w: WeightFn = unit_weight) -> bool:
-    if p.is_zero:
-        return True
-    return len({term_wdeg(t, w) for t in p.support()}) == 1
 
 
 # -- text form ---------------------------------------------------------
@@ -617,31 +608,3 @@ def poly_to_obj(p: Polynomial) -> list[dict]:
             "exps": {f"{s}{i}": e for s, i, e in t},
         })
     return out
-
-
-def poly_from_obj(obj: list[dict]) -> Polynomial:
-    """The inverse of ``poly_to_obj``.  Each entry is a dict whose
-    ``"exps"`` is a dict; exponents must be ints (not bools) and
-    coefficients ``"num"`` or ``"num/den"`` text or ints."""
-    coeffs: dict[Term, object] = {}
-    for entry in obj:
-        given = entry.get("exps", {}) if isinstance(entry, dict) else None
-        if not isinstance(given, dict):
-            raise ValueError(f"bad entry {_quote(repr(entry))}")
-        exps = {}
-        for name, e in given.items():
-            var = _variable(name)
-            if var is None:
-                raise ValueError(f"bad variable name {_quote(name)}")
-            if type(e) is not int:
-                raise ValueError(f"bad exponent {_quote(repr(e))} of {_quote(name)}")
-            exps[var] = e
-        if "coeff" not in entry:
-            raise ValueError(f"no coeff in {_quote(repr(entry))}")
-        text = str(entry["coeff"])
-        try:
-            coeff = rat_from_str(text)
-        except ValueError:
-            raise ValueError(f"bad coefficient {_quote(text)}") from None
-        _accumulate(coeffs, ((term_from_exps(exps), coeff),))
-    return Polynomial(coeffs)

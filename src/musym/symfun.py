@@ -67,12 +67,6 @@ class Partition:
     def m(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
 
@@ -400,7 +394,10 @@ def _difference_powers(m: int, degree: int, powers) -> dict:
     out = {0: 1}
     for i, j, k in powers:
         si, sj = shifts[i - 1], shifts[j - 1]
-        binomial = {(a << si) + ((k - a) << sj): (-1) ** (k - a) * math.comb(k, a) for a in range(k + 1)}
+        binomial, c = {}, (-1) ** k  # c = (-1)^(k-a) C(k, a), stepped along the row
+        for a in range(k + 1):
+            binomial[(a << si) + ((k - a) << sj)] = c
+            c = -c * (k - a) // (a + 1)
         out = _packed.mul(out, binomial)
     return out
 
@@ -484,7 +481,7 @@ def dplus_gist_m2(mu: Partition) -> Polynomial:
 
     Even n: ((n-1) z1^2 - 2n z2)^(n/2) / (mu1 mu2)^(n/2).  Odd n picks
     up the cubic factor k1 z1^3 + k2 z1 z2 + k3 z3 with denominators
-    d = mu1 mu2 (mu1 - mu2), which must be nonzero.
+    d = mu1 mu2 (mu1 - mu2), nonzero because odd n forces mu1 != mu2.
     """
     if mu.m != 2:
         raise ValueError("closed form requires exactly two distinct roots")
@@ -497,8 +494,6 @@ def dplus_gist_m2(mu: Partition) -> Polynomial:
     if n % 2 == 0:
         return base ** (n // 2)
     d = mu1 * mu2 * (mu1 - mu2)
-    if d == 0:
-        raise ValueError("formula degenerate (d=0)")
     k1 = rat(-(n - 1) * (n - 2), d)
     k2 = rat(3 * n * (n - 2), d)
     k3 = rat(-3 * n * n, d)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from musym.cli import main
-from musym.polys import parse_poly, poly_from_obj
+from musym.polys import parse_poly, poly_to_obj
 
 P = parse_poly
 
@@ -46,8 +46,7 @@ def test_gist_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["symmetric"] is True
-    gist = poly_from_obj(payload["gist"])
-    assert gist == P("-z1^3 + 9/2*z1*z2 - 27/2*z3")
+    assert payload["gist"] == poly_to_obj(P("-z1^3 + 9/2*z1*z2 - 27/2*z3"))
 
 
 def test_gist_nonhomogeneous_decomposition(capsys):
@@ -155,8 +154,7 @@ def test_canonize_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["alphas"] == [[1, 1], [2, 0]]
-    seq = [poly_from_obj(obj) for obj in payload["sequence"]]
-    assert seq == [P("r1^2 + 2*r1*r2"), P("4*r1^2 + 4*r1*r2 + r2^2")]
+    assert payload["sequence"] == [poly_to_obj(P("r1^2 + 2*r1*r2")), poly_to_obj(P("4*r1^2 + 4*r1*r2 + r2^2"))]
     assert payload["qmatrix"] == [["0", "1"], ["1", "0"]]
 
 
@@ -177,9 +175,9 @@ def test_canonize_text(capsys):
 def test_ideal_json_matches_the_text(capsys):
     code, out, _ = run(capsys, "ideal", "--mu", "2,2", "--json")
     assert code == 0
-    relations = [poly_from_obj(obj) for obj in json.loads(out)]
+    relations = json.loads(out)
     _, text, _ = run(capsys, "ideal", "--mu", "2,2")
-    assert [str(g) for g in relations] == text.splitlines()
+    assert relations == [poly_to_obj(P(line)) for line in text.splitlines()]
 
 
 @pytest.mark.parametrize(
@@ -442,6 +440,8 @@ def test_dims_bad_range(capsys):
     assert code == 2 and err.strip()
     code, _, err = run(capsys, "dims", "--mu", "2,1", "--delta", "0..2")
     assert code == 2
+    code, out, err = run(capsys, "dims", "--mu", "2,1", "--delta", "5..3")
+    assert (code, out, err) == (2, "", "error: empty delta range '5..3'\n")
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,11 @@ def test_nonhomogeneous_negative_when_any_part_fails():
     # quadratic part is symmetric, linear part is not
     F = P("3*r1^2 + 2*r1*r2 + r2^2") + P("r1 + r2")
     for algo in ("groebner", "cr", "ls"):
-        assert not compute_gist(F, mu, algo=algo).symmetric
+        res = compute_gist(F, mu, algo=algo)
+        assert not res.symmetric
+        for expand in (res.substituted, res.lift):
+            with pytest.raises(ValueError, match="^no gist: polynomial is not mu-symmetric$"):
+                expand()
 
 
 def test_monomial_basis_combines_parts():
@@ -93,6 +97,9 @@ def test_zero_polynomial():
     res = compute_gist(Polynomial.zero(), Partition.of(2, 1), algo="cr")
     assert res.symmetric
     assert res.gist.is_zero
+    assert str(res) == "0"
+    res = compute_gist(Polynomial.zero(), Partition.of(2, 1), "m", "cr")
+    assert res.symmetric and res.combo == ()
     assert str(res) == "0"
 
 
@@ -216,9 +223,8 @@ def test_input_rules_walk_the_terms_once(algo, route, extra, monkeypatch):
 
     for info in pkgutil.iter_modules(musym.__path__):
         module = importlib.import_module(f"musym.{info.name}")
-        for name in ("is_homogeneous", "homogeneous_parts"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, boom)
+        if hasattr(module, "homogeneous_parts"):
+            monkeypatch.setattr(module, "homogeneous_parts", boom)
     monkeypatch.setattr(Polynomial, "total_degree", boom)
     res = compute_gist(F, mu, "e", algo) if route == "compute_gist" else DECIDERS[algo](F, mu, "e")
     assert res.symmetric

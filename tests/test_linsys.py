@@ -37,6 +37,7 @@ def test_rref_worked_example():
 def test_rref_homogeneous_and_inconsistent():
     assert solve_particular([[4, 1], [4, 2], [1, 0]], [0, 0, 0]) == [rat(0), rat(0)]
     assert solve_particular([[1], [0]], [0, 1]) is None
+    assert solve_particular([], []) == []
 
 
 def test_rref_pivots_and_rank():

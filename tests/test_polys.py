@@ -12,10 +12,8 @@ from musym.polys import (
     format_poly,
     gist_weight,
     homogeneous_parts,
-    is_homogeneous,
     leading,
     parse_poly,
-    poly_from_obj,
     poly_to_obj,
     rat,
     rat_from_str,
@@ -85,7 +83,7 @@ def test_wdeg_examples():
     assert wdeg(P("z1^3"), gist_weight) == 3
     p = P("z1*z2 + z3")
     assert wdeg(p, gist_weight) == 3
-    assert is_homogeneous(p, gist_weight)
+    assert len(homogeneous_parts(p, gist_weight)) == 1
     # direct formula: z2^2 weighs 2*2, z1 weighs 1
     assert wdeg(P("z2^2 + z1"), gist_weight) == 4
     with pytest.raises(ValueError):
@@ -188,14 +186,6 @@ def test_parse_errors_quote_long_text_by_its_ends():
         with pytest.raises(ValueError) as exc:
             parse_poly(bad)
         assert str(exc.value) == message, bad
-    for name, message in (
-        ("r\u00b2", "bad variable name 'r\u00b2'"),
-        ("q1", "bad variable name 'q1'"),
-        ("r" + "1" * 5000, "bad variable name 'r" + "1" * 39 + " ... " + "1" * 30 + "' (5001 characters)"),
-    ):
-        with pytest.raises(ValueError) as exc:
-            poly_from_obj([{"coeff": "1", "exps": {name: 1}}])
-        assert str(exc.value) == message, name
 
 
 def test_parse_parenthesis_depth_is_too_deep():
@@ -478,9 +468,7 @@ def test_homogeneous_parts_sum_to_identity(p):
     for d, part in homogeneous_parts(p, gist_weight):
         assert d > last
         last = d
-        assert is_homogeneous(part, gist_weight)
-        if not part.is_zero:
-            assert wdeg(part, gist_weight) == d
+        assert homogeneous_parts(part, gist_weight) == [(d, part)]
         total = total + part
     assert total == p
 
@@ -494,29 +482,12 @@ def test_text_round_trip(p):
 @settings(max_examples=60, deadline=None)
 @given(polys(nvars=3))
 def test_json_round_trip(p):
-    assert poly_from_obj(poly_to_obj(p)) == p
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ([{"coeff": "1", "exps": {"r1": 2.7}}], "bad exponent '2.7' of 'r1'"),
-        ([{"coeff": "1", "exps": {"r1": True}}], "bad exponent 'True' of 'r1'"),
-        ([{"coeff": "1", "exps": {"r1": "x"}}], "bad exponent \"'x'\" of 'r1'"),
-        ([{"coeff": "1e5", "exps": {"r1": 1}}], "bad coefficient '1e5'"),
-        ([{"coeff": "x"}], "bad coefficient 'x'"),
-        ([{"exps": {"r1": 1}}], "no coeff in \"{'exps': {'r1': 1}}\""),
-        ([1], "bad entry '1'"),
-        ([{"coeff": 1, "exps": [1]}], "bad entry \"{'coeff': 1, 'exps': [1]}\""),
-    ],
-)
-def test_json_form_refuses_a_bad_exponent_or_coefficient(obj, message):
-    # before: 2.7 read as r1^2, True as r1, and the rest leaked int()'s
-    # text or a KeyError
-    with pytest.raises(ValueError) as exc:
-        poly_from_obj(obj)
-    assert str(exc.value) == message
-    assert poly_from_obj([{"coeff": 3, "exps": {"r1": 2}}, {"coeff": "-1/2"}]) == P("3*r1^2 - 1/2")
+    # each entry reads back as one term: its coeff times its named powers
+    text = " + ".join(
+        "*".join([f"({entry['coeff']})", *(f"{name}^{e}" for name, e in entry["exps"].items())])
+        for entry in poly_to_obj(p)
+    )
+    assert parse_poly(text or "0") == p
 
 
 def test_multiplication_past_the_packed_exponent_limit_is_refused():

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 from conftest import oracle_basis_element, oracle_generator, oracle_monomial, oracle_subdiscriminant
-from musym.polys import Polynomial, parse_poly, rat, term_from_exps
+from musym import symfun
+from musym.polys import Polynomial, homogeneous_parts, parse_poly, rat, term_from_exps
 from musym.reduction import canonize
 from musym.symfun import (
     Partition,
@@ -77,6 +79,10 @@ def test_weak_partitions_known_values():
     assert weak_partitions(2, 3, "capped") == [(1, 1), (2, 0)]
     assert weak_partitions(3, 4, "capped") == [(1, 1, 1), (2, 1, 0), (3, 0, 0)]
     assert set(weak_partitions(2, 3, "exact")) == {(2, 0, 0), (1, 1, 0)}
+    with pytest.raises(ValueError, match="^unknown flavor 'odd'$"):
+        weak_partitions(3, 2, "odd")
+    with pytest.raises(ValueError, match=r"^unknown basis kind 'x'; expected one of \('e', 'p', 'c', 'm'\)$"):
+        index_flavor("x")
 
 
 @pytest.mark.parametrize("delta,n", [(2, 3), (3, 4), (4, 2), (5, 5), (6, 3)])
@@ -190,6 +196,8 @@ def test_specialize_examples():
     mu = mu_(2, 1)
     assert spec_generator("e", 1, mu) == P("2*r1 + r2")
     assert spec_generator("e", 2, mu) == P("r1^2 + 2*r1*r2")
+    # variables outside the x space are left as they are
+    assert specialize(P("x1*z2 + x3^2 + z1"), mu) == P("r1*z2 + r2^2 + z1")
 
 
 @pytest.mark.parametrize("kind", ["e", "p", "c"])
@@ -252,9 +260,7 @@ def test_dplus_examples():
     assert dplus(mu_(1, 1)) == P("r1 - r2") ** 2
     d = dplus(mu_(2, 2, 1))
     assert d.total_degree() == 10
-    from musym.polys import is_homogeneous
-
-    assert is_homogeneous(d)
+    assert len(homogeneous_parts(d)) == 1
     with pytest.raises(ValueError):
         dplus(mu_(3))
 
@@ -273,9 +279,7 @@ def test_dplus_degree_formula():
                 for j in range(i + 1, mu.m)
             )
             assert d.total_degree() == expected
-            from musym.polys import is_homogeneous
-
-            assert is_homogeneous(d)
+            assert len(homogeneous_parts(d)) == 1
 
 
 def test_dstar_example():
@@ -297,6 +301,17 @@ def _difference_powers(indices, k) -> Polynomial:
     for i, j in itertools.combinations(indices, 2):
         out = out * (Polynomial.variable("r", i) - Polynomial.variable("r", j)) ** k(i, j)
     return out
+
+
+def test_a_huge_binomial_row_is_stepped_exactly():
+    # the row of (r1 - r2)^16385 steps each coefficient from the last, so
+    # the largest named inputs build in well under a second
+    k = 16385
+    row = symfun._difference_powers(2, k, [(1, 2, k)])
+    s1, s2 = symfun._root_ring(2).shifts[::-1]
+    assert len(row) == k + 1
+    for a in (0, 1, 2, 3, 1000, 8192, 8193, k - 2, k - 1, k):
+        assert row[(a << s1) + ((k - a) << s2)] == (-1) ** (k - a) * math.comb(k, a)
 
 
 ROOT_CASES = [parts for n in range(2, 8) for parts in all_partitions(n) if 2 <= len(parts) <= 5]
@@ -436,6 +451,8 @@ def test_delta_lift_specializes():
     for parts in [(2, 1), (2, 2), (3, 1, 1)]:
         mu = Partition(parts)
         assert specialize(delta_lift(mu), mu) == delta_squares(mu.m)
+    with pytest.raises(ValueError, match="^need at least two distinct roots$"):
+        delta_lift(Partition((3,)))
 
 
 def test_dplus_gist_m2_frozen_values():
