@@ -142,18 +142,19 @@ def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: i
                 del work[mm]
 
 
-def cancel(work: dict, t: int, basis: Basis, idx: int, heap: list, other: dict) -> int:
-    """Cancel term t of the integer dict work against basis[idx],
-    without dividing.
+def cancel(work: dict, t: int, a: int, lt: int, member: dict, heap: list, other: dict) -> int:
+    """Cancel the term a * x^t, just popped from the integer dict work,
+    against ``member``, a basis member with lead monomial lt, without
+    dividing.
 
-    With a = work[t] and lc the member's lead coefficient, work and
-    ``other`` are first multiplied by lc/gcd(a, lc), so that the
-    multiple of the member subtracted is the integer a/gcd(a, lc).
-    Returns that scale.
+    With lc the member's lead coefficient, work and ``other`` are first
+    multiplied by lc/gcd(a, lc), so that the multiple of the member
+    subtracted is the integer a/gcd(a, lc).  Returns that scale.
     """
-    a = work.pop(t)
-    lt, member = basis.lts[idx], basis.polys[idx]
     lc = member[lt]
+    if lc == 1:
+        submul(work, a, t - lt, member, heap, skip=lt)
+        return 1
     d = math.gcd(a, lc)
     scale = lc // d
     if scale != 1:

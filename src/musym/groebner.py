@@ -31,6 +31,16 @@ so no member has a term that the lead of an earlier member divides.
 Rationals appear only in what is handed out: normal forms,
 S-polynomials and the reduced basis.
 
+Each term is cancelled against the first member whose lead divides it.
+An engine finds that member once per monomial: its divisor index maps
+each monomial it has met to that member, or, after a miss, to the
+number of members scanned, so that the next lookup scans only the
+members added since (the divisor query that dominates reduction cost;
+Roune and Stillman, ISSAC 2012).  Members are only ever appended, so a
+member found stays the first.  ggist extends the engine to an input's
+degree before it reduces the input, so the index holds only monomials
+up to the degree the engine has reached.
+
 The seeds z_i - g_i are packed straight from ``symfun._spec_products``.
 A verdict's normal form stops at its first irreducible root term, which
 already shows that F is not mu-symmetric.
@@ -50,16 +60,16 @@ from .gistresult import GistResult
 from .polys import Polynomial, rat
 
 
-def _find_reducer(t: int, basis: Basis, guard: int, skip: int = -1) -> int:
-    for idx, lt in enumerate(basis.lts):
-        if idx != skip and lt <= t and not (t - lt) & guard:
-            return idx
-    return -1
-
-
-def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1, stop: int | None = None) -> tuple[dict, int]:
+def _full_reduce(
+    f: dict, basis: Basis, guard: int, index: dict, skip: int = -1, stop: int | None = None
+) -> tuple[dict, int]:
     """Full normal form of the integer dict f: no remaining term divisible
     by a basis lead.  Returns (out, den), the normal form being out/den.
+
+    Each term is cancelled against the first member whose lead divides
+    it, looked up in ``index``: a monomial maps to that member, or to ~n
+    once the first n members were scanned without a divisor.  Member
+    ``skip`` is never used; a caller that skips passes a fresh index.
 
     With ``stop``, the reduction ends at the first irreducible term at or
     above it, which is then the one key of out: terms leave work largest
@@ -69,17 +79,29 @@ def _full_reduce(f: dict, basis: Basis, guard: int, skip: int = -1, stop: int | 
     den = 1
     heap = [-m for m in work]
     heapq.heapify(heap)
+    lts, polys = basis.lts, basis.polys
+    pop, get, heappop = work.pop, index.get, heapq.heappop
     while heap:
-        t = -heapq.heappop(heap)
-        if t not in work:
+        t = -heappop(heap)
+        a = pop(t, None)
+        if a is None:
             continue
-        idx = _find_reducer(t, basis, guard, skip)
+        idx = get(t, -1)  # -1 = ~0: no member scanned yet
         if idx < 0:
-            out[t] = work.pop(t)
-            if stop is not None and t >= stop:
-                break
-        else:
-            den *= cancel(work, t, basis, idx, heap, out)
+            n = len(lts)
+            for idx in range(~idx, n):
+                lt = lts[idx]
+                if lt <= t and not (t - lt) & guard and idx != skip:
+                    break
+            else:
+                idx = ~n
+            index[t] = idx
+            if idx < 0:
+                out[t] = a
+                if stop is not None and t >= stop:
+                    break
+                continue
+        den *= cancel(work, t, a, lts[idx], polys[idx], heap, out)
     return out, den
 
 
@@ -101,6 +123,12 @@ class _GradedEngine:
     only creates pairs of degree >= d, stopping once every pending pair
     exceeds a bound leaves a basis that is complete for all inputs up to
     that degree.
+
+    ``index`` is the divisor index of ``_full_reduce``, shared by every
+    S-polynomial and normal form the engine reduces, and used only under
+    ``lock``.  Members are only appended, so a member found stays the
+    first divisor, and a miss is rescanned only over the members added
+    since.
     """
 
     def __init__(self, gens: list[dict], ring: Ring):
@@ -109,6 +137,7 @@ class _GradedEngine:
         self.basis = Basis()
         self.pairs: dict[tuple[int, int], int] = {}
         self.heap: list = []
+        self.index: dict[int, int] = {}
         self.lock = threading.Lock()  # cached engines may be shared
         for d in gens:
             if d:
@@ -156,7 +185,7 @@ class _GradedEngine:
                     return
                 heapq.heappop(self.heap)
                 lcm = self.pairs.pop((i, j))
-                r, _ = _full_reduce(_spoly(i, j, lcm, basis), basis, guard)
+                r, _ = _full_reduce(_spoly(i, j, lcm, basis), basis, guard, self.index)
                 if not r:
                     continue
                 basis.add(r)
@@ -167,7 +196,7 @@ class _GradedEngine:
         integer dict f against the basis as extended so far, cut at its
         first term at or above ``stop`` as ``_full_reduce`` cuts it."""
         with self.lock:
-            return _full_reduce(f, self.basis, self.guard, stop=stop)
+            return _full_reduce(f, self.basis, self.guard, self.index, stop=stop)
 
     def reduced_snapshot(self, bound: int | None = None, below: int | None = None) -> list[Polynomial]:
         """Reduced basis of the elements at weighted degree <= bound, or of
@@ -192,7 +221,7 @@ class _GradedEngine:
                 reduced.add(basis.polys[idx])
             out = []
             for pos in range(len(reduced)):
-                d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, skip=pos)[0])
+                d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, {}, pos)[0])
                 out.append(ring.undensify(d, d[reduced.lts[pos]]))
                 reduced.polys[pos] = d
         return out
@@ -221,7 +250,7 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
         if g:  # a zero member reduces nothing
             dense.add(ring.densify(g)[0])
     ints, den = ring.densify(f)
-    out, scale = _full_reduce(ints, dense, ring.guard_mask)
+    out, scale = _full_reduce(ints, dense, ring.guard_mask, {})
     return ring.undensify(out, den * scale)
 
 

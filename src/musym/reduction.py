@@ -97,7 +97,7 @@ def _reduce_packed(work: dict, seq: Basis, den: int):
         else:
             if t == lt_i:
                 heapq.heappop(heap)
-                den *= cancel(work, t, seq, i - 1, heap, remainder)
+                den *= cancel(work, t, work.pop(t), lt_i, seq.polys[i - 1], heap, remainder)
             i -= 1
     remainder.update(work)
     return remainder, den, loops

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from musym._packed import Ring
+from musym._packed import Ring, cancel
 from musym.polys import Polynomial, rat, term_from_exps
 
 
@@ -100,6 +100,26 @@ class FieldRing(Ring):
 
     def wdeg(self, mon):
         return sum(e * w for e, w in zip(self.unpack(mon), self.weights))
+
+
+def plain_full_reduce(f, basis, guard, index=None, skip=-1, stop=None):
+    """groebner._full_reduce with the plain first-divisor scan: each term,
+    largest first, scans every lead from the start, and nothing is
+    remembered between terms or calls (``index`` is ignored)."""
+    work, out, den = dict(f), {}, 1
+    while work:
+        t = max(work)
+        a = work.pop(t)
+        idx = next(
+            (i for i, lt in enumerate(basis.lts) if i != skip and lt <= t and not (t - lt) & guard), -1
+        )
+        if idx < 0:
+            out[t] = a
+            if stop is not None and t >= stop:
+                break
+        else:
+            den *= cancel(work, t, a, basis.lts[idx], basis.polys[idx], [], out)
+    return out, den
 
 
 # -- the x-variable families, enumerated term by term --------------------

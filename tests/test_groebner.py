@@ -1,7 +1,9 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from conftest import FieldRing
+from conftest import FieldRing, plain_full_reduce
 
 from musym import _packed, groebner, symfun
 from musym.gists import compute_gist
@@ -319,6 +321,95 @@ def test_engine_work_matches_the_per_field_ring(monkeypatch, parts, kind):
     assert [list(d.items()) for d in engine.basis.polys] == [list(d.items()) for d in reference.basis.polys]
     assert list(engine.pairs.items()) == list(reference.pairs.items())
     assert engine.heap == reference.heap
+
+
+def _members(engine):
+    return engine.basis.lts, [list(d.items()) for d in engine.basis.polys]
+
+
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (1, 1, 1, 1)])
+def test_engine_with_the_divisor_index_matches_the_plain_scan(monkeypatch, parts, kind):
+    # the divisor index finds the member that the plain first-divisor
+    # scan finds, so every member, pair and heap entry is the same
+    mu = Partition(parts)
+    engine = groebner._engine.__wrapped__(mu, kind)
+    engine.extend(8)
+    monkeypatch.setattr(groebner, "_full_reduce", plain_full_reduce)
+    reference = groebner._engine.__wrapped__(mu, kind)
+    reference.extend(8)
+    assert _members(engine) == _members(reference)
+    assert list(engine.pairs.items()) == list(reference.pairs.items())
+    assert engine.heap == reference.heap
+    # each entry names the first divisor, or a count of leading members
+    # none of which divides
+    lts, guard = engine.basis.lts, engine.guard
+    assert engine.index and not reference.index
+    for t, idx in engine.index.items():
+        first = next((i for i, lt in enumerate(lts) if lt <= t and not (t - lt) & guard), len(lts))
+        assert idx == first if idx >= 0 else ~idx <= first
+
+
+@pytest.mark.parametrize("kind", ["e", "p", "c"])
+def test_a_miss_recorded_before_an_extend_is_rescanned(kind):
+    # degree-10 inputs meet the degree-6 basis first, so their monomials
+    # are recorded as misses against the members then present; after
+    # extend(10) the engine and its normal forms are a fresh engine's
+    mu = Partition.of(2, 2, 1)
+    shift = groebner.FIELD * mu.n
+    F = dplus(mu)
+    dicts = [
+        {mon << shift: c for mon, c in root_parts(G, mu)[0][1].items()}
+        for G in (F, F + P("r1^10 - r2^10"), spec_generator(kind, 5, mu) ** 2)
+    ]
+    engine = groebner._engine.__wrapped__(mu, kind)
+    engine.extend(6)
+    for d in dicts:
+        engine.normal_form(d)
+    scanned = len(engine.basis)
+    missed = [t for t, idx in engine.index.items() if idx < 0]
+    engine.extend(10)
+    fresh = groebner._engine.__wrapped__(mu, kind)
+    fresh.extend(10)
+    assert _members(engine) == _members(fresh)
+    for d in dicts:
+        for stop in (None, 1 << shift):
+            (out, den), (want, want_den) = engine.normal_form(d, stop), fresh.normal_form(d, stop)
+            assert (list(out.items()), den) == (list(want.items()), want_den)
+    # the case is live: a monomial missed at degree 6 now names a member
+    # added since
+    assert any(engine.index.get(t, -1) >= scanned for t in missed)
+
+
+def test_threads_sharing_one_engine_get_equal_gists(rng):
+    # the engine lock guards the divisor index: warm ggists from four
+    # threads on one shared engine give the gists of a serial run
+    mu = Partition.of(2, 2, 1)
+    F = dplus(mu)
+    alphas = weak_partitions(10, mu.n, "capped")
+    inputs = [F, F + P("r1^10 - r2^10"), spec_generator("e", 1, mu) ** 10]
+    for _ in range(5):
+        G = Polynomial.zero()
+        for alpha in rng.sample(alphas, 4):
+            G = G + rng.choice([-3, -1, 2, 5]) * spec_basis_element("e", alpha, mu)
+        inputs += [G, G + P("r1^3*r2^7")]
+    clear_memo()
+    expected = [ggist(G, mu) for G in inputs]
+    clear_memo()
+    elimination_system(mu, "e", 10)  # warm: the threads only read normal forms
+    barrier = threading.Barrier(4)
+
+    def run(k):
+        order = inputs[k:] + inputs[:k]
+        barrier.wait()
+        return [ggist(G, mu) for G in order]
+
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(run, range(4)))
+    for k, got in enumerate(results):
+        assert got == expected[k:] + expected[:k]
+    assert not all(res.symmetric for res in expected) and any(res.symmetric for res in expected)
+    clear_memo()
 
 
 @pytest.mark.parametrize("kind", ["e", "p", "c"])

@@ -136,8 +136,8 @@ def test_basis_stores_each_member_primitive_with_a_positive_lead():
 KERNEL_NUMBERS = {
     "mul": lambda d1, d2: chain(d1.values(), d2.values()),
     "submul": lambda work, q, shift, g, *rest, **kw: chain(work.values(), (q,), g.values()),
-    "cancel": lambda work, t, basis, idx, heap, other: chain(
-        work.values(), (d[lt] for d, lt in zip(basis.polys, basis.lts)), basis.polys[idx].values(), other.values()
+    "cancel": lambda work, t, a, lt, member, heap, other: chain(
+        work.values(), (a, member[lt]), member.values(), other.values()
     ),
 }
 
