@@ -142,7 +142,7 @@ def submul(work: dict, q, shift: int, g: dict, heap: list | None = None, skip: i
                 del work[mm]
 
 
-def cancel(work: dict, t: int, a: int, lt: int, member: dict, heap: list, other: dict) -> int:
+def cancel(work: dict, t: int, a: int, lt: int, member: dict, heap: list | None, other: dict) -> int:
     """Cancel the term a * x^t, just popped from the integer dict work,
     against ``member``, a basis member with lead monomial lt, without
     dividing.

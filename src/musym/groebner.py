@@ -60,16 +60,13 @@ from .gistresult import GistResult
 from .polys import Polynomial, rat
 
 
-def _full_reduce(
-    f: dict, basis: Basis, guard: int, index: dict, skip: int = -1, stop: int | None = None
-) -> tuple[dict, int]:
+def _full_reduce(f: dict, basis: Basis, guard: int, index: dict, stop: int | None = None) -> tuple[dict, int]:
     """Full normal form of the integer dict f: no remaining term divisible
     by a basis lead.  Returns (out, den), the normal form being out/den.
 
     Each term is cancelled against the first member whose lead divides
     it, looked up in ``index``: a monomial maps to that member, or to ~n
-    once the first n members were scanned without a divisor.  Member
-    ``skip`` is never used; a caller that skips passes a fresh index.
+    once the first n members were scanned without a divisor.
 
     With ``stop``, the reduction ends at the first irreducible term at or
     above it, which is then the one key of out: terms leave work largest
@@ -91,7 +88,7 @@ def _full_reduce(
             n = len(lts)
             for idx in range(~idx, n):
                 lt = lts[idx]
-                if lt <= t and not (t - lt) & guard and idx != skip:
+                if lt <= t and not (t - lt) & guard:
                     break
             else:
                 idx = ~n
@@ -220,9 +217,13 @@ class _GradedEngine:
             for idx in minimal:
                 reduced.add(basis.polys[idx])
             out = []
-            for pos in range(len(reduced)):
-                d = primitive(_full_reduce(reduced.polys[pos], reduced, guard, {}, pos)[0])
-                out.append(ring.undensify(d, d[reduced.lts[pos]]))
+            for pos, lt in enumerate(reduced.lts):
+                # lt divides no term of the tail below it; no other lead divides lt
+                tail = dict(reduced.polys[pos])
+                lc = tail.pop(lt)
+                tail, den = _full_reduce(tail, reduced, guard, {})
+                d = primitive({lt: lc * den, **tail})
+                out.append(ring.undensify(d, d[lt]))
                 reduced.polys[pos] = d
         return out
 

@@ -17,9 +17,8 @@ cancel monomials also carry the quotients, and no step needs a
 rational.  ``reduce`` sweeps packed dicts with integer coefficients and
 follows the single-sweep loop structure faithfully, loop count
 included, rather than any shortcut through Gaussian elimination.
-``canonize`` runs its sweep on dense int rows, one column per monomial
-and one per tag; what each input leaves is unique, so the sequence is
-the one the dict sweep would build.
+``canonize`` takes each input through the same step, ``_packed.cancel``,
+against the members so far; the work dict is never made dense.
 
 ``canonical_system`` canonizes the specialized basis of one (mu, delta,
 kind) once per process and shares the result with every later input;
@@ -30,11 +29,9 @@ written to disk.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from typing import Callable, Sequence
 
 from . import symfun
@@ -144,56 +141,23 @@ def _canonize_packed(B: Sequence[dict], dens: Sequence[int] | None = None) -> Ba
     earlier members; over that tag, its monomials are the canonical
     member and its tags the member's column of Q.
 
-    The sweep runs on dense int rows with one column per key, every
-    monomial of B descending and then the tags ~0, ~1, ...  An input is
-    taken against the members from the largest lead down: where its
-    entry a at a member's lead column is nonzero, the row is scaled by
-    lc/gcd(a, lc) and a/gcd(a, lc) times the member is subtracted; left
-    of that lead the member is zero, so only the scaling reaches those
-    columns (Bareiss, Math. Comp. 22, 1968).  What is left is zero at
-    every member's lead, and it is the one element of input + span(seq)
-    with that property, so its primitive form is the member the dict
-    sweep of ``reduce`` would make.  A row is made only at the first
-    cancellation that needs it, so an input that meets no lead costs no
-    more than a dict copy.
+    An input is taken against the members from the largest lead down,
+    and each nonzero entry at a member's lead is one ``cancel``, the
+    step of ``reduce``'s sweep.  What is left is zero at every member's
+    lead, and it is the one element of input + span(seq) with that
+    property, so its primitive form is the member the sweep of
+    ``reduce`` would make.
     """
-    keys = sorted(set().union(*B), reverse=True) + [~k for k in range(len(B))]
-    column = {key: c for c, key in enumerate(keys)}
-
-    def dense(d: dict) -> list[int]:
-        row = [0] * len(keys)
-        for key, v in d.items():
-            row[column[key]] = v
-        return row
-
     seq = Basis()
-    rows: list = []  # the dense row of each member of seq, made when first needed
     for idx, b in enumerate(B):
-        work = dict(b)
-        work[~idx] = dens[idx] if dens else 1
-        row = None
-        for j in range(len(seq) - 1, -1, -1):
-            lt = seq.lts[j]
-            a = work.get(lt) if row is None else row[column[lt]]
-            if not a:
-                continue
-            if row is None:
-                row = dense(work)
-            if rows[j] is None:
-                rows[j] = dense(seq.polys[j])
-            member, p = rows[j], column[lt]
-            g = math.gcd(a, member[p])
-            scale, q = member[p] // g, a // g
-            if scale != 1:
-                row[:p] = [scale * x for x in row[:p]]
-            row[p:] = [scale * x - q * y for x, y in zip(row[p:], member[p:])]
-        if row is not None:
-            work = dict(compress(zip(keys, row), row))
+        work = {**b, ~idx: dens[idx] if dens else 1}
+        for lt, member in zip(reversed(seq.lts), reversed(seq.polys)):
+            a = work.pop(lt, None)
+            if a:
+                cancel(work, lt, a, lt, member, None, {})
         lt = max(work)
         if lt >= 0:
-            pos = bisect_left(seq.lts, lt)
-            seq.insert(pos, work, lt)
-            rows.insert(pos, None)
+            seq.insert(bisect_left(seq.lts, lt), work, lt)
     return seq
 
 

@@ -102,7 +102,7 @@ class FieldRing(Ring):
         return sum(e * w for e, w in zip(self.unpack(mon), self.weights))
 
 
-def plain_full_reduce(f, basis, guard, index=None, skip=-1, stop=None):
+def plain_full_reduce(f, basis, guard, index=None, stop=None):
     """groebner._full_reduce with the plain first-divisor scan: each term,
     largest first, scans every lead from the start, and nothing is
     remembered between terms or calls (``index`` is ignored)."""
@@ -111,7 +111,7 @@ def plain_full_reduce(f, basis, guard, index=None, skip=-1, stop=None):
         t = max(work)
         a = work.pop(t)
         idx = next(
-            (i for i, lt in enumerate(basis.lts) if i != skip and lt <= t and not (t - lt) & guard), -1
+            (i for i, lt in enumerate(basis.lts) if lt <= t and not (t - lt) & guard), -1
         )
         if idx < 0:
             out[t] = a

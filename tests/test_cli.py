@@ -181,11 +181,14 @@ def test_ideal_json_matches_the_text(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("canonize", "--mu", "1", "--delta", "32768"), ("dims", "--mu", "2,1", "--delta", "32768..32769")],
+    "argv,degree",
+    [
+        (("canonize", "--mu", "1", "--delta", "32768"), 32768),
+        (("dims", "--mu", "2,1", "--delta", "32768..32769"), 32769),  # a range names its top
+    ],
     ids=["canonize", "dims"],
 )
-def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys, monkeypatch):
+def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, degree, capsys, monkeypatch):
     # past the packed exponent limit the fields would wrap: unchecked,
     # canonize --mu 1 --delta 65536 prints the member 1
     import musym.symfun
@@ -197,7 +200,7 @@ def test_specialized_basis_refuses_a_huge_degree_before_enumerating(argv, capsys
     monkeypatch.setattr(musym.symfun, "_spec_products", boom)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: degree 32768 exceeds the limit 32767\n"
+    assert err == f"error: degree {degree} exceeds the limit 32767\n"
 
 
 def test_dims_refuses_an_out_of_range_top_before_the_first_row(capsys, monkeypatch):

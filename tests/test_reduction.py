@@ -420,13 +420,19 @@ def test_integer_sweep_matches_rational_reference():
     assert all(seen.values()), seen
 
 
-SPEC_FAMILIES = [((2, 2, 1), 10, 26), ((3, 2), 10, 10), ((2, 2, 2), 12, None), ((1, 1, 1, 1, 1), 6, None)]
+SPEC_FAMILIES = [
+    ((2, 2, 1), 10, 26),
+    ((3, 2), 10, 10),
+    ((2, 2, 2), 12, None),
+    ((1, 1, 1, 1, 1), 6, None),
+    ((3, 2, 1), 12, None),  # the densest basis a bench workload canonizes
+]
 
 
 @pytest.mark.parametrize("kind", symfun.BASIS_KINDS)
 @pytest.mark.parametrize("parts,delta,e_rank", SPEC_FAMILIES)
 def test_canonize_on_specialized_bases_matches_rational_reference(parts, delta, e_rank, kind):
-    # the dense sweep on the bases cr and dims use, rank-deficient ones included
+    # canonize's cancel sweep on the bases cr and dims use, rank-deficient ones included
     mu = Partition(parts)
     clear_memo()
     alphas, basis = symfun.spec_basis(kind, delta, mu)
@@ -444,10 +450,10 @@ def test_canonize_on_specialized_bases_matches_rational_reference(parts, delta, 
 @pytest.mark.parametrize("kind", ["e", "p", "c"])
 def test_reduce_sweep_only_multiplies_its_den(kind, monkeypatch):
     # each step of the sweep is den *= cancel(...): no content is divided
-    # out mid-sweep, so the den returned is the one given times every scale
+    # out mid-sweep, so the den returned is the one given times every scale;
+    # canonize, built cold here, steps through the same cancel
     mu = Partition.of(2, 2, 1)
     ((delta, work, den),) = symfun.root_parts(dplus(mu), mu)
-    system = canonical_system(mu, delta, kind)
     scales = []
     real = reduction.cancel
 
@@ -456,6 +462,11 @@ def test_reduce_sweep_only_multiplies_its_den(kind, monkeypatch):
         return scales[-1]
 
     monkeypatch.setattr(reduction, "cancel", recording)
+    clear_memo()
+    system = canonical_system(mu, delta, kind)
+    # each input that leaves nothing cancelled against at least one lead
+    assert len(scales) >= len(system.alphas) - len(system.dense) > 0
+    scales.clear()
     remainder, out_den, loops = reduction._reduce_packed(work, system.dense, den)
     assert delta == 10 and loops > 0 and len(scales) > 1
     assert out_den == den * math.prod(scales)
