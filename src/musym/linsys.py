@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import mul
 
 from . import symfun
 from .gistresult import GistResult
@@ -57,7 +59,11 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
     prev = 1
     r = 0
     for c in range(cols):
-        pivot = min((i for i in range(r, rows) if m[i][c]), key=lambda i: abs(m[i][c]), default=None)
+        pivot, least = None, 0
+        for i in range(r, rows):  # the first row of least |entry|
+            a = m[i][c]
+            if a and (pivot is None or abs(a) < least):
+                pivot, least = i, abs(a)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
@@ -69,7 +75,8 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
             row = m[i]
             f = row[c]
             if f:
-                row[c:] = [0] + [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+                row[c] = 0
+                row[c + 1:] = [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             elif a != prev:
                 row[c + 1:] = [a * x // prev for x in row[c + 1:]]
         prev = a
@@ -168,16 +175,17 @@ class _Layout:
 
     ``rows`` are the distinct rows of A and ``groups[i]`` the packed
     degree-delta monomials whose row is ``rows[i]``; ``monomials`` are
-    all of them in ``degree_terms`` order.  ``profile`` is A's rank
-    profile, the pivot rows R (indices into ``rows``) and the pivot
-    columns P, recorded by the first solve.
+    all of them in ``degree_terms`` order.  ``profile``, recorded by the
+    first solve, is A's rank profile, the pivot rows R (indices into
+    ``rows``) and the pivot columns P, with A_RP's rows and the first
+    monomial of each pivot row: what a later solve reads [A_RP | b_R] off.
     """
 
     alphas: list[tuple[int, ...]]
     monomials: list[int]
     rows: list[tuple[int, ...]]
     groups: list[list[int]]
-    profile: tuple[list[int], list[int]] | None = None
+    profile: tuple[list[int], list[int], list[list[int]], list[int]] | None = None
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +216,8 @@ def _lsgist_part(delta: int, b: dict, den: int, mu: symfun.Partition, kind: str)
     if solved is None:
         return GistResult.not_symmetric(mu, kind)
     dx, d = solved
-    return GistResult.from_coeffs(mu, kind, layout.alphas, [rat(v, d * den) for v in dx])
+    d *= den
+    return GistResult.from_coeffs(mu, kind, compress(layout.alphas, dx), [rat(v, d) for v in dx if v])
 
 
 def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
@@ -218,22 +227,29 @@ def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
     The first call for a layout eliminates [A | b] on every distinct row
     of A and records A's rank profile from that elimination: A's columns
     come first, so their pivots do not depend on b.  Later calls
-    eliminate only [A_RP | b_R].  Either way x solves the pivot
-    subsystem, and it is accepted only if A x = b holds exactly on the
-    row of every monomial.
+    eliminate only [A_RP | b_R], built from the recorded rows of A_RP.
+    Either way x solves the pivot subsystem, and it is accepted only if
+    A x = b holds exactly on the row of every monomial.
     """
-    R, P = layout.profile or (range(len(layout.rows)), range(len(layout.alphas)))
-    m = [[layout.rows[i][j] for j in P] + [b.get(layout.groups[i][0], 0)] for i in R]
-    order = list(R)
+    profile = layout.profile
+    if profile is None:
+        P = range(len(layout.alphas))
+        rows, heads = layout.rows, [mons[0] for mons in layout.groups]
+    else:
+        _, P, rows, heads = profile
+    m = [[*row, b.get(head, 0)] for row, head in zip(rows, heads)]
+    order = list(range(len(m)))
     pivots = [c for c in _bareiss(m, order) if c < len(P)]
-    if layout.profile is None:
-        layout.profile = (order[: len(pivots)], pivots)
+    if profile is None:
+        R = order[: len(pivots)]
+        layout.profile = (R, pivots, [[rows[i][j] for j in pivots] for i in R], [heads[i] for i in R])
     det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     dx = [0] * len(layout.alphas)
     for c, v in zip(P, _cramer(m, pivots, det, len(P))):
         dx[c] = v
     for row, mons in zip(layout.rows, layout.groups):
-        s = sum(a * v for a, v in zip(row, dx) if v)
-        if any(b.get(mon, 0) * det != s for mon in mons):
-            return None
+        s = sum(map(mul, row, dx))
+        for mon in mons:
+            if b.get(mon, 0) * det != s:
+                return None
     return dx, det

@@ -255,24 +255,6 @@ class Polynomial:
             total += prod
         return total
 
-    def substitute(self, mapping: dict[Var, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials; unmapped variables persist."""
-        cache: dict[tuple[Var, int], Polynomial] = {}
-        result = Polynomial()
-        for t, c in self._c.items():
-            prod = Polynomial.constant(c)
-            for s, i, e in t:
-                v = (s, i)
-                if v in mapping:
-                    key = (v, e)
-                    if key not in cache:
-                        cache[key] = mapping[v] ** e
-                    prod = prod * cache[key]
-                else:
-                    prod = prod * Polynomial.monomial(term_from_exps({v: e}))
-            result = result + prod
-        return result
-
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)})"
 

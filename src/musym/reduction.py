@@ -275,5 +275,5 @@ def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: s
     remainder, den, _ = _reduce_packed(work, system.dense, den)
     if max(remainder) >= 0:
         return GistResult.not_symmetric(mu, kind)
-    coeffs = [rat(-remainder.get(~k, 0), den) for k in range(len(system.alphas))]
-    return GistResult.from_coeffs(mu, kind, system.alphas, coeffs)
+    tags = sorted(remainder, reverse=True)  # ~k for the basis indices k, ascending
+    return GistResult.from_coeffs(mu, kind, [system.alphas[~t] for t in tags], [rat(-remainder[t], den) for t in tags])

@@ -83,6 +83,59 @@ def _rref_kernel(A):
     return kernel
 
 
+def reference_bareiss(m, order=None):
+    """Fraction-free Bareiss elimination with a ``min(..., key=abs)`` pivot
+    search and a fresh list per updated row: the echelon form, pivots and
+    row tags ``linsys._bareiss`` must reproduce exactly."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot = min((i for i in range(r, rows) if m[i][c]), key=lambda i: abs(m[i][c]), default=None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if order is not None:
+            order[r], order[pivot] = order[pivot], order[r]
+        a = m[r][c]
+        tail = m[r][c + 1:]
+        for i in range(r + 1, rows):
+            row = m[i]
+            f = row[c]
+            if f:
+                row[c:] = [0] + [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif a != prev:
+                row[c + 1:] = [a * x // prev for x in row[c + 1:]]
+        prev = a
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def substitute(p, mapping):
+    """p with each variable in mapping replaced by its polynomial; unmapped
+    variables persist.  Term by term through Polynomial's own products,
+    apart from the packed expansion the library uses."""
+    cache = {}
+    result = Polynomial()
+    for t, c in p.items():
+        prod = Polynomial.constant(c)
+        for s, i, e in t:
+            v = (s, i)
+            if v in mapping:
+                if (v, e) not in cache:
+                    cache[v, e] = mapping[v] ** e
+                prod = prod * cache[v, e]
+            else:
+                prod = prod * Polynomial.monomial(term_from_exps({v: e}))
+        result = result + prod
+    return result
+
+
 def oracle_term_product(t1, t2):
     """The product of two terms: exponents added variable by variable."""
     exps = Counter()

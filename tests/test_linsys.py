@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import _rref_kernel, rref
+from conftest import _rref_kernel, reference_bareiss, rref, substitute
 
 from musym import linsys, symfun
 from musym.gistresult import GistResult
@@ -85,6 +85,31 @@ def test_fraction_free_solve_matches_rref():
         A3, b3 = A2 + [list(A[i])], b2 + [b[i] + dup.choice([-1, rat(1, 3)])]
         assert _rref_particular(A3, b3) is None
         assert solve_particular(A3, b3) is None
+
+
+def test_bareiss_matches_the_reference_loop():
+    # the same echelon form, pivots and row tags as the min(key=abs) search
+    # with a fresh list per updated row: rank-deficient and sparse matrices,
+    # zero columns, single rows and columns, and the empty matrix
+    rng = random.Random(31)
+    shapes = [(0, 0), (1, 1), (1, 6), (6, 1)] + [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(400)]
+    for rows, cols in shapes:
+        rank = rng.randint(0, min(rows, cols))
+        B = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rows)]
+        entry = (0, 0, 7, -9, 10**6 + 3)
+        C = [[rng.choice(entry) * rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        m = [[sum(B[i][k] * C[k][j] for k in range(rank)) for j in range(cols)] for i in range(rows)]
+        if rows and rng.random() < 0.3:
+            m[rng.randrange(rows)] = [rng.randint(-3, 3) for _ in range(cols)]
+        if cols and rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            for row in m:
+                row[zero] = 0
+        for tags in (None, list(range(rows))):
+            ours, ref = [list(row) for row in m], [list(row) for row in m]
+            our_tags, ref_tags = (None, None) if tags is None else (list(tags), list(tags))
+            assert linsys._bareiss(ours, our_tags) == reference_bareiss(ref, ref_tags), m
+            assert ours == ref and our_tags == ref_tags, m
 
 
 def test_degree_terms_order():
@@ -185,7 +210,7 @@ def test_nullspace_gives_relations():
         for alpha, c in zip(system.column_index, v):
             if c != 0:
                 combo = combo + Polynomial.monomial(z_term_for(alpha), c)
-        assert combo.substitute(mapping).is_zero
+        assert substitute(combo, mapping).is_zero
         assert normal_form(combo, gens).is_zero
 
 
@@ -226,12 +251,12 @@ def test_gists_for_dplus_221_agree_up_to_relations():
     F = dplus(mu)
     reference = P(REFERENCE_GIST_221)
     sub = {("z", i): spec_generator("e", i, mu) for i in range(1, 6)}
-    assert reference.substitute(sub) == F
+    assert substitute(reference, sub) == F
     ours = lsgist(F, mu).gist
-    assert ours.substitute(sub) == F
+    assert substitute(ours, sub) == F
     diff = reference - ours
     assert not diff.is_zero           # genuinely different representatives
-    assert diff.substitute(sub).is_zero   # differing by a relation only
+    assert substitute(diff, sub).is_zero   # differing by a relation only
 
 
 # -- ls on its memoized layout against a solve of the full system ----------
@@ -265,7 +290,7 @@ def _orbit_sum(term, mu):
     """The sum of a term's images under the swaps of equal multiplicities."""
     orbit = {term}
     while True:
-        more = {t for s in _swaps(mu) for u in orbit for t in Polynomial.monomial(u).substitute(s).support()}
+        more = {t for s in _swaps(mu) for u in orbit for t in substitute(Polynomial.monomial(u), s).support()}
         if more <= orbit:
             return Polynomial({t: rat(1) for t in orbit})
         orbit |= more
@@ -302,7 +327,7 @@ def test_ls_matches_a_full_solve():
                     F = F + (_random_symmetric(rng, mu, kind, low) if low else Polynomial.constant(rat(1, 3)))
                 expected = GistResult.from_parts(F, mu, kind, _full_solve_part)
                 assert linsys.lsgist(F, mu, kind) == expected, (parts, kind, delta, str(F))
-                fixed = all(F.substitute(s) == F for s in _swaps(mu))
+                fixed = all(substitute(F, s) == F for s in _swaps(mu))
                 verdict = "positive" if expected.symmetric else "swap-fixed negative" if fixed else "swap negative"
                 seen |= {verdict, (call, verdict), parts, kind, delta}
                 if any(c.denominator > 1 for _, c in F.items()):
@@ -356,6 +381,17 @@ def test_warm_ls_solves_only_the_square_pivot_subsystem(monkeypatch):
     rank = sym_dimensions(mu, 10)[1]
     assert rank == 26
     assert shapes == [(rank, rank + 1)] * 3  # [A_RP | b_R]
+    # one fresh elimination per homogeneous part decided, ascending by degree
+    # up to the first inconsistent one: no stored elimination is replayed
+    e = [spec_generator("e", i, mu) for i in range(5)]
+    G = F + e[3] + e[2] * e[4] - e[1] ** 6
+    assert linsys.lsgist(G, mu).symmetric  # records the degree-3 and degree-6 profiles
+    cases = ((G, True, (3, 6, 10)), (G + P("r1^10"), False, (3, 6, 10)), (G + P("r1^6"), False, (3, 6)))
+    for H, symmetric, degrees in cases:
+        shapes.clear()
+        assert linsys.lsgist(H, mu).symmetric is symmetric
+        profiles = [linsys._layout(mu, delta, "e").profile for delta in degrees]
+        assert shapes == [(len(rows), len(cols) + 1) for rows, cols, *_ in profiles]
     symfun.clear_caches()
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from conftest import FieldRing
+from conftest import FieldRing, substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,7 +174,7 @@ def test_no_kernel_sees_a_fraction(monkeypatch):
     reduced = musym.reduce(F, [cube])
     assert reduced.coeffs[0] * cube + reduced.remainder == F and reduced.coeffs[0] != 0
     assert len(musym.canonize([F, member, parse_poly("r1^2/5")]).sequence) == 3
-    assert musym.normal_form(F, [member]) == F.substitute({("r", 2): parse_poly("3*r1/2")})
+    assert musym.normal_form(F, [member]) == substitute(F, {("r", 2): parse_poly("3*r1/2")})
     groebner_basis = musym.buchberger([member, parse_poly("r1*r2/5 - 1/7")])
     assert groebner_basis == [parse_poly("r1^2 - 10/21"), parse_poly("r2 - 3*r1/2")]
     a = parse_poly(" + ".join(f"r1^{i}*r2/{i + 2}" for i in range(8)))
