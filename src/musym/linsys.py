@@ -8,15 +8,17 @@ solvability decides symmetry and any solution assembles a gist.
 
 A depends only on (mu, delta, kind); only b comes from F.  ``lsgist``
 keeps one layout per shape: the basis indices, the distinct rows of A
-with the monomials that share each, and A's rank profile, the pivot
-rows R and pivot columns P.  One routine, ``_solve``, serves every
-call.  The first call for a shape eliminates [A | b] on every distinct
-row of A and reads R and P off that elimination; every later call
-eliminates only the square pivot subsystem [A_RP | b_R], afresh.
-Either way x is back-substituted over ints and accepted only after
-checking A x = b exactly on every monomial's row: the system is
-consistent exactly when that check passes, and then x, with the free
-variables 0, is the solution a full elimination gives.
+with the monomials that share each, A's rank profile, the pivot rows R
+and pivot columns P, and an order of A_RP's columns.  One routine,
+``_solve``, serves every call.  The first call for a shape eliminates
+[A | b] on every distinct row of A and reads R and P off that
+elimination; the second records the order, sparsest column first as
+the elimination meets them, and it and every later call eliminate
+only the square pivot subsystem [A_RP | b_R] with the columns in that
+order, afresh.  Either way x is back-substituted over ints and
+accepted only after checking A x = b exactly on every monomial's row:
+the system is consistent exactly when that check passes, and then x,
+with the free variables 0, is the solution a full elimination gives.
 
 Elimination is fraction-free (Bareiss) on Python ints; rationals appear
 only in the solutions handed out.
@@ -85,6 +87,48 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
         if r == rows:
             break
     return pivots
+
+
+def _sparsest_first(a: list[list[int]]) -> list[int]:
+    """The columns of the square nonsingular a, in the order Bareiss
+    should take them: sparsest first (Markowitz, Management Science 3,
+    1957).
+
+    Runs ``_bareiss``'s elimination on a copy of a, except that each step
+    takes the remaining column with the fewest nonzero entries in the
+    remaining rows, then the one of smaller least |entry|, then the
+    earlier one; the pivot row and the row update are ``_bareiss``'s.
+    So ``_bareiss`` on a's columns in the returned order meets the same
+    entries at every step, and pivots on every column.
+    """
+    m = [list(row) for row in a]
+    left = list(range(len(m)))  # the columns not yet taken, in order
+    cols: list[int] = []
+    prev = 1
+    for r in range(len(m)):
+        rest = m[r:]
+
+        def cost(c: int) -> tuple[int, int]:
+            entries = [abs(row[c]) for row in rest if row[c]]
+            return len(entries), min(entries)
+
+        c = min(left, key=cost)
+        left.remove(c)
+        cols.append(c)
+        pivot = min(range(r, len(m)), key=lambda i: abs(m[i][c]) or math.inf)
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            if f:
+                for j in left:
+                    row[j] = (p * row[j] - f * top[j]) // prev
+            elif p != prev:
+                for j in left:
+                    row[j] = p * row[j] // prev
+        prev = p
+    return cols
 
 
 def _cramer(m: list[list[int]], pivots: list[int], det: int, col: int) -> list[int]:
@@ -176,16 +220,19 @@ class _Layout:
     ``rows`` are the distinct rows of A and ``groups[i]`` the packed
     degree-delta monomials whose row is ``rows[i]``; ``monomials`` are
     all of them in ``degree_terms`` order.  ``profile``, recorded by the
-    first solve, is A's rank profile, the pivot rows R (indices into
-    ``rows``) and the pivot columns P, with A_RP's rows and the first
-    monomial of each pivot row: what a later solve reads [A_RP | b_R] off.
+    first solve, is A's rank profile: the pivot rows R (indices into
+    ``rows``) and the pivot columns P.  ``plan``, recorded by the second,
+    is what every later solve reads [A_RP | b_R] off: P in the order
+    ``_sparsest_first`` gives A_RP's columns, A_RP's rows with their
+    columns in that order, and the first monomial of each pivot row.
     """
 
     alphas: list[tuple[int, ...]]
     monomials: list[int]
     rows: list[tuple[int, ...]]
     groups: list[list[int]]
-    profile: tuple[list[int], list[int], list[list[int]], list[int]] | None = None
+    profile: tuple[list[int], list[int]] | None = None
+    plan: tuple[list[int], list[list[int]], list[int]] | None = None
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +273,29 @@ def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
 
     The first call for a layout eliminates [A | b] on every distinct row
     of A and records A's rank profile from that elimination: A's columns
-    come first, so their pivots do not depend on b.  Later calls
-    eliminate only [A_RP | b_R], built from the recorded rows of A_RP.
-    Either way x solves the pivot subsystem, and it is accepted only if
-    A x = b holds exactly on the row of every monomial.
+    come first, so their pivots do not depend on b.  The second records
+    the plan, A_RP's columns sparsest first; it and every later call
+    eliminate only [A_RP | b_R] with the columns in that order, afresh.
+    A_RP is nonsingular, so the order leaves x unchanged.  Either way x
+    solves the pivot subsystem, and it is accepted only if A x = b holds
+    exactly on the row of every monomial.
     """
     profile = layout.profile
     if profile is None:
         P = range(len(layout.alphas))
         rows, heads = layout.rows, [mons[0] for mons in layout.groups]
     else:
-        _, P, rows, heads = profile
+        if layout.plan is None:
+            R, P = profile
+            a = [[layout.rows[i][j] for j in P] for i in R]
+            cols = _sparsest_first(a)
+            layout.plan = [P[c] for c in cols], [[row[c] for c in cols] for row in a], [layout.groups[i][0] for i in R]
+        P, rows, heads = layout.plan
     m = [[*row, b.get(head, 0)] for row, head in zip(rows, heads)]
     order = list(range(len(m)))
     pivots = [c for c in _bareiss(m, order) if c < len(P)]
     if profile is None:
-        R = order[: len(pivots)]
-        layout.profile = (R, pivots, [[rows[i][j] for j in pivots] for i in R], [heads[i] for i in R])
+        layout.profile = order[: len(pivots)], pivots
     det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     dx = [0] * len(layout.alphas)
     for c, v in zip(P, _cramer(m, pivots, det, len(P))):

@@ -112,6 +112,34 @@ def test_bareiss_matches_the_reference_loop():
             assert ours == ref and our_tags == ref_tags, m
 
 
+def test_sparsest_first_takes_the_sparsest_column_bareiss_meets():
+    # after k Bareiss steps, the entry of row i in column c is the (k+1)-minor
+    # on the k pivot rows and row i and on the columns taken and c; the column
+    # taken next has the fewest nonzero ones, then the least |entry|, then
+    # comes first
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        a = []
+        while not a or len(rref(a)[1]) < n:
+            a = [[rng.choice((0, 0, 0, 1, -2, 3, 7)) for _ in range(n)] for _ in range(n)]
+        order = linsys._sparsest_first(a)
+        assert sorted(order) == list(range(n))
+        for k in range(n):
+            tags = list(range(n))
+            reference_bareiss([[row[j] for j in order[:k]] for row in a], tags)
+
+            def met(c):
+                entries = []
+                for i in tags[k:]:
+                    minor = [[a[r][j] for j in order[:k] + [c]] for r in tags[:k] + [i]]
+                    if len(reference_bareiss(minor)) == k + 1:
+                        entries.append(abs(minor[k][k]))
+                return len(entries), min(entries), c
+
+            assert met(order[k]) == min(map(met, order[k:])), (a, order, k)
+
+
 def test_degree_terms_order():
     terms = degree_terms(2, 2)
     assert terms == [
@@ -353,6 +381,36 @@ def test_cr_and_ls_return_one_vector():
             assert cr.symmetric and cr.combo == ls.combo, (parts, kind, delta, str(F))
 
 
+def test_planned_warm_ls_matches_a_full_solve():
+    # the cold call, the call that records the plan and a call that reads
+    # it each give the full system's particular solution, and Bareiss on
+    # A_RP with its columns in the planned order pivots on every column
+    rng = random.Random(32)
+    shapes = [parts for n in range(1, 6) for parts in symfun._partitions_bounded(n, n, n)]  # every mu with n <= 5
+    cases = [(parts, kind, delta) for parts in shapes for kind in "epcm" for delta in range(1, 9)]
+    cases += [(parts, "e", None) for parts in ((3, 2, 1), (4, 1, 1))]
+    for parts, kind, delta in cases:
+        mu = Partition(parts)
+        if delta is None:  # dplus, then one negative and one positive input
+            F = dplus(mu)
+            delta = symfun.root_parts(F, mu)[0][0]
+            inputs = [F, F + P(f"r1^{delta}"), F - spec_generator(kind, 1, mu) ** delta]
+        else:
+            inputs = []
+            while len(inputs) < 3:  # each call must reach the degree-delta layout
+                F = _random_symmetric(rng, mu, kind, delta)
+                inputs += [F] if not F.is_zero else []
+        linsys._layout.cache_clear()
+        for F in inputs:
+            expected = GistResult.from_parts(F, mu, kind, _full_solve_part)
+            res = linsys.lsgist(F, mu, kind)
+            assert (res.symmetric, res.combo) == (expected.symmetric, expected.combo), (parts, kind, delta, str(F))
+        layout = linsys._layout(mu, delta, kind)
+        Q, rows, _ = layout.plan
+        assert sorted(Q) == layout.profile[1]
+        assert linsys._bareiss([list(row) for row in rows]) == list(range(len(Q))), (parts, kind, delta)
+
+
 def test_ls_pivot_columns_are_the_inputs_canonize_keeps():
     # a canonical member's own input k is its lowest tag ~k, so k = ~min(d)
     for parts, kind, delta in itertools.product([*SHAPES, (1, 1, 1)], "epcm", range(1, 9)):
@@ -368,11 +426,12 @@ def test_warm_ls_solves_only_the_square_pivot_subsystem(monkeypatch):
     F = dplus(mu)
     symfun.clear_caches()
     linsys.lsgist(F, mu)
-    shapes = []
+    shapes, matrices = [], []
     real = linsys._bareiss
 
     def recording(m, *args):
         shapes.append((len(m), len(m[0])))
+        matrices.append([list(row) for row in m])
         return real(m, *args)
 
     monkeypatch.setattr(linsys, "_bareiss", recording)
@@ -380,18 +439,46 @@ def test_warm_ls_solves_only_the_square_pivot_subsystem(monkeypatch):
         linsys.lsgist(G, mu)
     rank = sym_dimensions(mu, 10)[1]
     assert rank == 26
+    # the first warm call records the plan, and it too eliminates [A_RP | b_R]
+    # once, with A_RP's columns in the planned order
     assert shapes == [(rank, rank + 1)] * 3  # [A_RP | b_R]
+    layout = linsys._layout(mu, 10, "e")
+    (R, P_), (Q, rows, _) = layout.profile, layout.plan
+    assert sorted(Q) == P_ and Q != P_
+    assert rows == [[layout.rows[i][c] for c in Q] for i in R]
+    assert all([row[:-1] for row in m] == rows for m in matrices)
     # one fresh elimination per homogeneous part decided, ascending by degree
     # up to the first inconsistent one: no stored elimination is replayed
     e = [spec_generator("e", i, mu) for i in range(5)]
     G = F + e[3] + e[2] * e[4] - e[1] ** 6
     assert linsys.lsgist(G, mu).symmetric  # records the degree-3 and degree-6 profiles
     cases = ((G, True, (3, 6, 10)), (G + P("r1^10"), False, (3, 6, 10)), (G + P("r1^6"), False, (3, 6)))
-    for H, symmetric, degrees in cases:
+    for H, symmetric, degrees in cases:  # the first plans degrees 3 and 6
         shapes.clear()
         assert linsys.lsgist(H, mu).symmetric is symmetric
         profiles = [linsys._layout(mu, delta, "e").profile for delta in degrees]
-        assert shapes == [(len(rows), len(cols) + 1) for rows, cols, *_ in profiles]
+        assert shapes == [(len(rows), len(cols) + 1) for rows, cols in profiles]
+    symfun.clear_caches()
+
+
+def test_one_shot_ls_never_plans_and_each_layout_plans_once(monkeypatch):
+    planned = []
+    real = linsys._sparsest_first
+
+    def counting(a):
+        planned.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(linsys, "_sparsest_first", counting)
+    mu = Partition.of(3, 1, 1)
+    F = dplus(mu)
+    symfun.clear_caches()
+    linsys.lsgist(F, mu)
+    layout = linsys._layout(mu, 10, "e")
+    assert layout.profile is not None and layout.plan is None and not planned
+    for G in (F, F + P("r1^10"), F, P("r1^7*r2^3")):
+        linsys.lsgist(G, mu)
+    assert planned == [len(layout.profile[0])]
     symfun.clear_caches()
 
 
