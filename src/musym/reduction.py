@@ -23,7 +23,11 @@ against the members so far; the work dict is never made dense.
 ``canonical_system`` canonizes the specialized basis of one (mu, delta,
 kind) once per process and shares the result with every later input;
 that in-process memo is the only cache, and nothing is read from or
-written to disk.
+written to disk.  Every specialized member is fixed by S_mu, so the
+second crgist reduce on a system records the members restricted to
+orbit representatives, and every later one sweeps F's representative
+terms against those, then checks that F is S_mu-invariant
+(``_OrbitView``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import Basis, cancel, ring_for
+from ._packed import FIELD, FIELD_MASK, GUARD_BIT, Basis, cancel, ring_for, submul
 from .gistresult import GistResult
 from .polys import Polynomial, leading, rat
 
@@ -212,7 +216,102 @@ def nreduce(
 # -- canonical systems with memoization ----------------------------------
 
 
-@dataclass(frozen=True)
+def _orbit(mon: int, swaps: list[int]) -> tuple[int, ...]:
+    """The monomials the swaps, field shifts as in ``_OrbitView``, reach
+    from the packed monomial mon."""
+    orbit, todo = {mon}, [mon]
+    while todo:
+        mon = todo.pop()
+        for s in swaps:
+            d = (mon >> s + FIELD & FIELD_MASK) - (mon >> s & FIELD_MASK)
+            swapped = mon - d * (FIELD_MASK << s)  # r_j's and r_j+1's fields exchanged
+            if swapped not in orbit:
+                orbit.add(swapped)
+                todo.append(swapped)
+    return tuple(orbit)
+
+
+class _OrbitView:
+    """The members of a canonical system restricted to S_mu-orbit
+    representatives, which a reduce after the second sweeps instead.
+
+    Swapping two roots of equal multiplicity fixes every specialized
+    basis member, so every member is S_mu-invariant.  A member is then
+    fixed by its coefficients at one monomial per orbit, the orbit's
+    largest, whose exponents rise with the root index inside each block
+    of equal multiplicities; every lead is one.  ``swaps`` gives the
+    field shift of r_j for each adjacent pair r_j, r_j+1 of equal
+    multiplicity: those swaps generate S_mu.  ``orbits`` maps each
+    representative in a member to its orbit, and the members' supports
+    are unions of whole orbits.  ``members`` lists, from the largest lead
+    down, each member's lead, its terms at representatives with their
+    full coefficients, and its tags.
+    """
+
+    __slots__ = ("members", "orbits")
+
+    def __init__(self, dense: Basis, swaps: list[int]):
+        mask = sum(FIELD_MASK << s for s in swaps)
+        guard = sum(GUARD_BIT << s for s in swaps)
+        # one borrow test says for every pair whether r_j+1's field is at least r_j's
+        reps = {m for d in dense.polys for m in d if m >= 0 and ((m >> FIELD & mask | guard) - (m & mask)) & guard == guard}
+        self.orbits = {rep: _orbit(rep, swaps) for rep in reps}
+        self.members = [
+            (lt, self.restrict(d), {m: c for m, c in d.items() if m < 0})
+            for lt, d in zip(reversed(dense.lts), reversed(dense.polys))
+        ]
+
+    def restrict(self, work: dict) -> dict:
+        """work's terms at the representatives in ``orbits``."""
+        orbits = self.orbits
+        return {m: c for m, c in work.items() if m in orbits}
+
+    def invariant(self, work: dict) -> bool:
+        """Whether work, with no tags, is S_mu-invariant and supported on
+        the members' orbits: its terms at representatives, each spread
+        over its orbit, make up all of work."""
+        get, orbits = work.get, self.orbits
+        size = 0
+        for mon, c in work.items():
+            orbit = orbits.get(mon)
+            if orbit is not None:
+                size += len(orbit)
+                for other in orbit:
+                    if get(other) != c:
+                        return False
+        return size == len(work)
+
+    def decide(self, work: dict, den: int) -> tuple[dict, int] | None:
+        """The tags and den ``_reduce_packed`` leaves when work/den is in
+        the members' span, else None; work is left unchanged.
+
+        One ``cancel`` at each lead that ``restrict(work)`` holds, from
+        the largest down, each step recorded.  On an invariant work the
+        steps are the full sweep's, as restriction is injective on
+        invariant polynomials; so work is in the span exactly when
+        nothing is left and ``invariant(work)`` holds, checked after the
+        sweep.  The tags are summed from the steps only then.
+        """
+        rep = self.restrict(work)
+        steps = []
+        for lt, poly, tags in self.members:
+            a = rep.pop(lt, None)
+            if a:
+                scale = cancel(rep, lt, a, lt, poly, None, {})
+                steps.append((tags, a * scale // poly[lt], scale))
+                if not rep:
+                    break
+        if rep or not self.invariant(work):
+            return None
+        out: dict = {}
+        factor = 1  # the scales of the steps after this one
+        for tags, q, scale in reversed(steps):
+            submul(out, q * factor, 0, tags)
+            factor *= scale
+        return out, den * factor
+
+
+@dataclass
 class CanonicalSystem:
     """Canonize output for one (mu, delta, kind), reusable across inputs.
 
@@ -220,7 +319,9 @@ class CanonicalSystem:
     ``symfun._root_ring(mu.m)`` as ``_canonize_packed`` leaves it:
     primitive integer dicts with positive leads, where the tag ~k stands
     for basis element k.  ``sequence`` and ``qmatrix`` are derived from
-    it on first read.
+    it on first read.  The first reduce records ``swaps``, the
+    generators of S_mu (see ``_OrbitView``); the second records
+    ``view`` when there are any, and every later reduce sweeps it.
     """
 
     mu: symfun.Partition
@@ -228,6 +329,8 @@ class CanonicalSystem:
     kind: str
     alphas: list[tuple[int, ...]]
     dense: Basis
+    swaps: list[int] | None = None
+    view: _OrbitView | None = None
 
     @cached_property
     def sequence(self) -> list[Polynomial]:
@@ -272,8 +375,18 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
     system = canonical_system(mu, delta, kind)
-    remainder, den, _ = _reduce_packed(work, system.dense, den)
-    if max(remainder) >= 0:
-        return GistResult.not_symmetric(mu, kind)
+    if system.swaps is None:  # the first reduce
+        system.swaps = [FIELD * j for j in range(mu.m - 1) if mu.parts[j] == mu.parts[j + 1]]
+    elif system.view is None and system.swaps:  # the second
+        system.view = _OrbitView(system.dense, system.swaps)
+    if system.view is None:
+        remainder, den, _ = _reduce_packed(work, system.dense, den)
+        if max(remainder) >= 0:
+            return GistResult.not_symmetric(mu, kind)
+    else:
+        decided = system.view.decide(work, den)
+        if decided is None:
+            return GistResult.not_symmetric(mu, kind)
+        remainder, den = decided
     tags = sorted(remainder, reverse=True)  # ~k for the basis indices k, ascending
     return GistResult.from_coeffs(mu, kind, [system.alphas[~t] for t in tags], [rat(-remainder[t], den) for t in tags])

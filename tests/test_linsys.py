@@ -87,12 +87,37 @@ def test_fraction_free_solve_matches_rref():
         assert solve_particular(A3, b3) is None
 
 
+def _level_stress_matrices(rng):
+    """Matrices whose rows sit at different lazy levels: each row opens
+    with a run of zeros, so the steps whose pivot column it misses leave
+    it alone; it is then updated several steps later, or taken as pivot
+    while still at a low level when its entry is the least.  Some rows are
+    zero, some become zero (a sum of two others), and most entries are
+    past 2^64."""
+    entries = (1, -1, 2, -3, 2**64 + 13, -(2**65) + 7, 3**45, -(5**30))
+    out = []
+    for _ in range(300):
+        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+        m = []
+        for _ in range(rows):
+            start = rng.choice((0, 0, rng.randint(0, cols)))  # cols: a zero row
+            m.append([0] * start + [rng.choice(entries) * rng.choice((1, 1, 0)) for _ in range(cols - start)])
+        if rows > 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(rows), 2)
+            m[rng.randrange(rows)] = [x + y for x, y in zip(m[i], m[j])]
+        rng.shuffle(m)
+        out.append(m)
+    return out
+
+
 def test_bareiss_matches_the_reference_loop():
     # the same echelon form, pivots and row tags as the min(key=abs) search
     # with a fresh list per updated row: rank-deficient and sparse matrices,
-    # zero columns, single rows and columns, and the empty matrix
+    # zero columns, single rows and columns, and the empty matrix; then
+    # matrices that stress the lazy levels
     rng = random.Random(31)
     shapes = [(0, 0), (1, 1), (1, 6), (6, 1)] + [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(400)]
+    matrices = []
     for rows, cols in shapes:
         rank = rng.randint(0, min(rows, cols))
         B = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rows)]
@@ -105,6 +130,9 @@ def test_bareiss_matches_the_reference_loop():
             zero = rng.randrange(cols)
             for row in m:
                 row[zero] = 0
+        matrices.append(m)
+    for m in matrices + _level_stress_matrices(random.Random(32)):
+        rows = len(m)
         for tags in (None, list(range(rows))):
             ours, ref = [list(row) for row in m], [list(row) for row in m]
             our_tags, ref_tags = (None, None) if tags is None else (list(tags), list(tags))

@@ -512,3 +512,99 @@ def test_integer_kernels_keep_rationals_at_the_edges():
             values = [c for _, c in res.mcombo] if kind == "m" else [c for _, c in res.gist.items()]
             assert values and all(isinstance(c, Rational) for c in values), (algo, kind)
     clear_memo()
+
+
+# -- the orbit view of warm crgist -----------------------------------------
+
+
+def _random_positive(rng, mu, kind, delta):
+    """A random combination of the specialized basis, over a small den."""
+    _, basis = symfun.spec_basis(kind, delta, mu)
+    out: dict = {}
+    for member in rng.sample(basis, min(3, len(basis))):
+        c = rng.choice((-3, -1, 1, 2, 5))
+        for mon, v in member.items():
+            out[mon] = out.get(mon, 0) + c * v
+    return symfun._root_ring(mu.m).undensify({m: c for m, c in out.items() if c}, rng.choice((1, 1, 3)))
+
+
+def _swap_asymmetric_terms(mu, delta):
+    """Two terms a swap of adjacent equal-multiplicity roots moves: one at
+    an orbit representative (the later root's exponent the larger), one
+    not; none when mu's parts are distinct."""
+    for j in range(mu.m - 1):
+        if mu.parts[j] == mu.parts[j + 1]:
+            return [P(f"r{j + 2}^{delta}"), P(f"r{j + 1}^{delta}")]
+    return []
+
+
+def test_view_calls_match_the_first_full_sweep():
+    # the first call sweeps the full members, the second records the orbit
+    # view and sweeps it, a later one reads it: the same GistResult each
+    # time, on positives and on negatives a swap of equal multiplicities moves
+    rng = random.Random(33)
+    shapes = [parts for n in range(1, 6) for parts in symfun._partitions_bounded(n, n, n)]  # every mu with n <= 5
+    clear_memo()
+    viewed = 0
+    for parts in [*shapes, (2, 2, 2)]:
+        mu = Partition(parts)
+        for kind in "epcm":
+            for delta in range(1, 9):
+                system = canonical_system(mu, delta, kind)
+                pos = _random_positive(rng, mu, kind, delta)
+                for F, symmetric in [(pos, True)] + [(pos + t, False) for t in _swap_asymmetric_terms(mu, delta)]:
+                    system.swaps = system.view = None  # as canonize leaves it
+                    first, recording, later = (crgist(F, mu, kind) for _ in range(3))
+                    assert first.symmetric is symmetric, (parts, kind, delta, str(F))
+                    assert first == recording == later, (parts, kind, delta, str(F))
+                    assert (system.view is not None) is (len(set(parts)) < len(parts))
+                    viewed += system.view is not None
+    assert viewed > 500
+    clear_memo()
+
+
+def test_only_the_invariance_check_rejects_a_non_representative_term():
+    # r1^(d-1)*r2 is no orbit representative at (2,2,1), so the view sweeps
+    # the positive's own representative terms and leaves nothing: only the
+    # check that F is fixed by S_mu (here the swap r1 <-> r2) rejects it
+    mu, delta = Partition.of(2, 2, 1), 10
+    clear_memo()
+    pos = dplus(mu)
+    F = pos + P(f"r1^{delta - 1}*r2")
+    for _ in range(2):
+        assert crgist(pos, mu).symmetric
+    view = canonical_system(mu, delta).view
+    ((_, work, _),) = symfun.root_parts(F, mu)
+    ((_, pos_work, _),) = symfun.root_parts(pos, mu)
+    assert view.restrict(work) == view.restrict(pos_work) and work != pos_work
+    assert not view.invariant(work)
+    assert not crgist(F, mu).symmetric
+    clear_memo()
+
+
+def test_view_rejects_an_input_with_no_representative_term():
+    # every term off the representatives: the view sweeps nothing and the
+    # verdict is negative, at every call
+    cases = [((2, 2, 1), "r1^6 + r1^5*r2"), ((3, 1, 1), "2*r2^6 - r2^5*r3"), ((1, 1, 1, 1), "r2^6")]
+    for parts, text in cases:
+        mu = Partition(parts)
+        clear_memo()
+        assert [crgist(P(text), mu).symmetric for _ in range(3)] == [False] * 3
+        assert canonical_system(mu, 6).view is not None
+    clear_memo()
+
+
+def test_one_shot_cr_builds_no_view_and_distinct_parts_never_do():
+    clear_memo()
+    mu = Partition.of(2, 2, 1)
+    crgist(dplus(mu), mu)
+    system = canonical_system(mu, 10)
+    assert system.swaps == [0] and system.view is None
+    crgist(dplus(mu), mu)
+    assert system.view is not None
+    mu = Partition.of(3, 2, 1)
+    for _ in range(3):
+        assert crgist(dplus(mu), mu).symmetric
+    system = canonical_system(mu, symfun.root_parts(dplus(mu), mu)[0][0])
+    assert system.swaps == [] and system.view is None
+    clear_memo()
