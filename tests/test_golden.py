@@ -76,6 +76,20 @@ CALLS = [
     # rational and non-homogeneous, degree 10 included: b over den > 1
     ["gist", "(2*r1+2*r2+r3)^3/3 - 5*(2*r1^2+2*r2^2+r3^2)/7 + r1^4*r2^4*r3^2/9 + 1/2",
      "--mu", "2,2,1", "--basis", "c", "--algo", "ls"],
+] + [
+    # S_mu-rich shapes: the canonical systems are built over orbit
+    # representatives and expanded for output
+    ["canonize", "--mu", "1,1,1,1,1", "--delta", "6", "--json"],
+    ["canonize", "--mu", "1,1,1,1,1", "--basis", "c", "--delta", "5", "--json"],
+    ["dims", "--mu", "1,1,1,1,1", "--delta", "1..10", "--json"],
+] + [
+    # the first, second and a later reduce on one degree-6 system
+    ["gist", f, "--mu", "1,1,1,1,1", "--algo", "cr"]
+    for f in (
+        "(r1+r2+r3+r4+r5)^6",
+        "r1^6 + r2^5*r3",
+        "(r1^2+r2^2+r3^2+r4^2+r5^2)^3/7 - 2*(r1*r2*r3*r4*r5)*(r1+r2+r3+r4+r5)/3",
+    )
 ]
 
 
