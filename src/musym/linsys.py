@@ -120,7 +120,8 @@ def _sparsest_first(a: list[list[int]]) -> list[int]:
 
     Runs ``_bareiss``'s elimination on a copy of a, except that each step
     takes the remaining column with the fewest nonzero entries in the
-    remaining rows, then the one of smaller least |true entry|, then the
+    remaining rows, then the one of smaller least |true entry| (each
+    row's true entries taken once per step, where columns tie), then the
     earlier one, and moves it to the step's place before ``_step``
     eliminates it.  So ``_bareiss`` on a's columns in the returned order
     meets the same entries at every step, and pivots on every column.
@@ -132,13 +133,16 @@ def _sparsest_first(a: list[list[int]]) -> list[int]:
         columns = list(zip(*m[r:]))[r:]  # the columns left, in the rows left
         counts = [len(col) - col.count(0) for col in columns]
         fewest = min(counts)
-        # a row's true |x| is |x|, or |x| * p // q below level r
-        scales = [None if pivs[k] == pivs[r] else (abs(pivs[r]), abs(pivs[k])) for k in level[r:]]
-
-        def least(j: int) -> int:
-            return min(abs(x) if s is None else abs(x) * s[0] // s[1] for x, s in zip(columns[j], scales) if x)
-
-        j = r + min((j for j, count in enumerate(counts) if count == fewest), key=least)
+        tied = [j for j, count in enumerate(counts) if count == fewest]
+        if len(tied) > 1:
+            p = pivs[r]
+            if any(pivs[k] != p for k in level[r:]):
+                # each row's true entries, once per step: x, or x * p // q
+                # in a row last updated at a step of pivot q
+                true = (row[r:] if pivs[k] == p else [x * p // pivs[k] for x in row[r:]] for row, k in zip(m[r:], level[r:]))
+                columns = list(zip(*true))
+            tied = [min(tied, key=lambda j: min(map(abs, filter(None, columns[j]))))]
+        j = r + tied[0]
         for row in m:  # the columns left keep their order
             row.insert(r, row.pop(j))
         cols.insert(r, cols.pop(j))

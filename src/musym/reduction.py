@@ -27,7 +27,14 @@ written to disk.  Every specialized member is fixed by S_mu, so the
 second crgist reduce on a system records the members restricted to
 orbit representatives, and every later one sweeps F's representative
 terms against those, then checks that F is S_mu-invariant
-(``_OrbitView``).
+(``_OrbitView``).  Where the orbits compress the degree
+(``symfun.orbit_rule``), the system is canonized from members built at
+representatives only (``symfun.orbit_basis``): the restriction is
+injective on S_mu-invariant polynomials, every lead is a
+representative and each step reads only lead entries, so the leads,
+the restricted members, their tags and the rank are the full canonize's.
+Its first reduce records the view, and ``sequence`` expands each member
+over its orbits.
 """
 
 from __future__ import annotations
@@ -216,21 +223,6 @@ def nreduce(
 # -- canonical systems with memoization ----------------------------------
 
 
-def _orbit(mon: int, swaps: list[int]) -> tuple[int, ...]:
-    """The monomials the swaps, field shifts as in ``_OrbitView``, reach
-    from the packed monomial mon."""
-    orbit, todo = {mon}, [mon]
-    while todo:
-        mon = todo.pop()
-        for s in swaps:
-            d = (mon >> s + FIELD & FIELD_MASK) - (mon >> s & FIELD_MASK)
-            swapped = mon - d * (FIELD_MASK << s)  # r_j's and r_j+1's fields exchanged
-            if swapped not in orbit:
-                orbit.add(swapped)
-                todo.append(swapped)
-    return tuple(orbit)
-
-
 class _OrbitView:
     """The members of a canonical system restricted to S_mu-orbit
     representatives, which a reduce after the second sweeps instead.
@@ -239,23 +231,23 @@ class _OrbitView:
     basis member, so every member is S_mu-invariant.  A member is then
     fixed by its coefficients at one monomial per orbit, the orbit's
     largest, whose exponents rise with the root index inside each block
-    of equal multiplicities; every lead is one.  ``swaps`` gives the
-    field shift of r_j for each adjacent pair r_j, r_j+1 of equal
-    multiplicity: those swaps generate S_mu.  ``orbits`` maps each
-    representative in a member to its orbit, and the members' supports
-    are unions of whole orbits.  ``members`` lists, from the largest lead
-    down, each member's lead, its terms at representatives with their
-    full coefficients, and its tags.
+    of equal multiplicities; every lead is one.  ``tables`` are mu's
+    ``symfun._Orbits``.  ``orbits`` maps each representative in a member
+    to its orbit, and the members' supports are unions of whole orbits.
+    ``members`` lists, from the largest lead down, each member's lead,
+    its terms at representatives with their full coefficients, and its
+    tags.
     """
 
     __slots__ = ("members", "orbits")
 
-    def __init__(self, dense: Basis, swaps: list[int]):
+    def __init__(self, dense: Basis, tables: symfun._Orbits):
+        swaps = tables.swaps
         mask = sum(FIELD_MASK << s for s in swaps)
         guard = sum(GUARD_BIT << s for s in swaps)
         # one borrow test says for every pair whether r_j+1's field is at least r_j's
         reps = {m for d in dense.polys for m in d if m >= 0 and ((m >> FIELD & mask | guard) - (m & mask)) & guard == guard}
-        self.orbits = {rep: _orbit(rep, swaps) for rep in reps}
+        self.orbits = {rep: tables.orbit(rep) for rep in reps}
         self.members = [
             (lt, self.restrict(d), {m: c for m, c in d.items() if m < 0})
             for lt, d in zip(reversed(dense.lts), reversed(dense.polys))
@@ -318,10 +310,13 @@ class CanonicalSystem:
     ``dense`` holds the canonical sequence packed in the root ring
     ``symfun._root_ring(mu.m)`` as ``_canonize_packed`` leaves it:
     primitive integer dicts with positive leads, where the tag ~k stands
-    for basis element k.  ``sequence`` and ``qmatrix`` are derived from
-    it on first read.  The first reduce records ``swaps``, the
-    generators of S_mu (see ``_OrbitView``); the second records
-    ``view`` when there are any, and every later reduce sweeps it.
+    for basis element k.  With ``at_reps`` its members hold only their
+    terms at S_mu-orbit representatives (``symfun.orbit_basis``).
+    ``sequence`` and ``qmatrix`` are derived from it on first read, the
+    sequence expanded over the orbits.  The first reduce records
+    ``swaps``, the generators of S_mu (see ``_OrbitView``); the second,
+    or with ``at_reps`` the first, records ``view`` when there are any,
+    and every later reduce sweeps it.
     """
 
     mu: symfun.Partition
@@ -329,13 +324,15 @@ class CanonicalSystem:
     kind: str
     alphas: list[tuple[int, ...]]
     dense: Basis
+    at_reps: bool = False
     swaps: list[int] | None = None
     view: _OrbitView | None = None
 
     @cached_property
     def sequence(self) -> list[Polynomial]:
         ring = symfun._root_ring(self.mu.m)
-        return [ring.undensify(d, d[min(d)]) for d in self.dense.polys]
+        tables = symfun.orbit_tables(self.mu) if self.at_reps else None
+        return [ring.undensify(tables.expand(d) if tables else d, d[min(d)]) for d in self.dense.polys]
 
     @cached_property
     def qmatrix(self) -> list[list]:
@@ -344,8 +341,9 @@ class CanonicalSystem:
 
 @lru_cache(maxsize=None)
 def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
-    alphas, basis = symfun.spec_basis(kind, delta, mu)
-    return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis))
+    at_reps = symfun.orbit_rule(kind, delta, mu)
+    alphas, basis = (symfun.orbit_basis if at_reps else symfun.spec_basis)(kind, delta, mu)
+    return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis), at_reps)
 
 
 def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> CanonicalSystem:
@@ -357,7 +355,9 @@ def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> Canon
 
 
 def clear_memo() -> None:
+    """Empty the canonical systems and the orbit tables they are built on."""
     _canonical_system.cache_clear()
+    symfun._orbit_tables.clear()
 
 
 # -- the canonize+reduce gist algorithm ----------------------------------
@@ -375,10 +375,11 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
     system = canonical_system(mu, delta, kind)
-    if system.swaps is None:  # the first reduce
-        system.swaps = [FIELD * j for j in range(mu.m - 1) if mu.parts[j] == mu.parts[j + 1]]
-    elif system.view is None and system.swaps:  # the second
-        system.view = _OrbitView(system.dense, system.swaps)
+    first = system.swaps is None
+    if first:
+        system.swaps = symfun.orbit_tables(mu).swaps
+    if system.view is None and system.swaps and (system.at_reps or not first):
+        system.view = _OrbitView(system.dense, symfun.orbit_tables(mu))
     if system.view is None:
         remainder, den, _ = _reduce_packed(work, system.dense, den)
         if max(remainder) >= 0:

@@ -11,7 +11,10 @@ renames x_i to r_i, so the families in x1..xn (``generator``,
 ``monomial_generator``, ``basis_element``, ``subdiscriminant``) are
 those builders at 1^n, read back in x.
 Every specialized member, of all four kinds, lives in ``_spec_products``:
-the Groebner seeds and the cr and ls bases read the same dicts.
+the Groebner seeds and the cr and ls bases read the same dicts.  Where
+the S_mu orbits compress a degree (``orbit_rule``), canonical systems
+are built instead from ``orbit_basis``: each e/p/c member evaluated at
+one monomial per S_mu orbit, which fixes an S_mu-invariant member.
 """
 
 from __future__ import annotations
@@ -316,6 +319,214 @@ def _spec_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
     return out
 
 
+# -- S_mu-orbit coordinates ------------------------------------------------
+
+# A canonical system is built over orbit representatives where the
+# degree-delta monomials number at least ORBIT_RATIO times the orbits.
+ORBIT_RATIO = 16
+
+
+class _Orbits:
+    """The S_mu-orbit tables of one mu, filled as they are read.
+
+    Swapping two roots of equal multiplicity fixes every specialized
+    member of kinds e, p and c, so a member is fixed by its coefficients
+    at one monomial per S_mu orbit: the orbit's largest, whose exponents
+    rise with the root index inside each block of equal multiplicities.
+    ``swaps`` gives the field shift of r_j for each adjacent pair r_j,
+    r_j+1 of equal multiplicity.  Memoized: ``rules`` (``rule`` per
+    degree), ``reps`` (the representatives per degree), ``rep_of``
+    (``rep``), ``orbits`` (``orbit``), ``members`` (each kind's members
+    at representatives, keyed by counts as ``_spec_products`` keys them)
+    and ``gathers`` (the index lists of ``gather``).
+    """
+
+    def __init__(self, mu: Partition):
+        ring = _root_ring(mu.m)
+        self.shifts = ring.shifts[::-1]  # the field of r_j is shifts[j - 1]
+        self.guard = ring.guard_mask
+        self.swaps = [_packed.FIELD * j for j in range(mu.m - 1) if mu.parts[j] == mu.parts[j + 1]]
+        ends = list(itertools.accumulate(len(list(g)) for _, g in itertools.groupby(mu.parts)))
+        self.blocks = list(zip([0, *ends], ends))  # the roots of each block of equal multiplicities
+        self.rules: dict[int, bool] = {}
+        self.reps: dict[int, list[int]] = {}
+        self.rep_of: dict[int, int] = {}
+        self.orbits: dict[int, tuple[int, ...]] = {}
+        self.members: dict[str, dict] = {}
+        self.gathers: dict[tuple, list] = {}
+
+    def rule(self, delta: int) -> bool:
+        """Whether the degree-delta monomials number at least ORBIT_RATIO
+        times the degree-delta orbits.  A block of k equal multiplicities
+        has as many orbits of degree d as d has partitions into at most k
+        parts, the coefficient of t^d in prod 1/(1 - t^i), i = 1..k."""
+        used = self.rules.get(delta)
+        if used is None:
+            orbits = [1] + [0] * delta
+            for lo, hi in self.blocks:
+                for i in range(1, hi - lo + 1):
+                    for d in range(i, delta + 1):
+                        orbits[d] += orbits[d - i]
+            m = len(self.shifts)
+            used = self.rules.setdefault(delta, math.comb(delta + m - 1, m - 1) >= ORBIT_RATIO * orbits[delta])
+        return used
+
+    def representatives(self, delta: int) -> list[int]:
+        """The degree-delta representatives, packed.  Depth-first over the
+        roots: inside a block the exponents rise, so a root takes at most
+        its share of what is left for it and the block's later roots."""
+        reps = self.reps.get(delta)
+        if reps is None:
+            shifts, last = self.shifts, len(self.shifts) - 1
+            share = [hi - j for lo, hi in self.blocks for j in range(lo, hi)]  # roots from r_j to its block's end
+            reps = []
+            stack = [(0, 0, delta, 0)]  # root index, packed so far, degree left, least exponent
+            while stack:
+                j, mon, rest, low = stack.pop()
+                if j == last:
+                    reps.append(mon + (rest << shifts[j]))
+                    continue
+                for e in range(low, rest // share[j] + 1):
+                    stack.append((j + 1, mon + (e << shifts[j]), rest - e, e if share[j] > 1 else 0))
+            reps = self.reps.setdefault(delta, reps)
+        return reps
+
+    def rep(self, mon: int) -> int:
+        """The representative of mon's orbit, memoized: each block's
+        exponents in ascending order."""
+        rep = self.rep_of.get(mon)
+        if rep is None:
+            exps = [mon >> s & _packed.FIELD_MASK for s in self.shifts]
+            for lo, hi in self.blocks:
+                exps[lo:hi] = sorted(exps[lo:hi])
+            rep = self.rep_of.setdefault(mon, sum(e << s for e, s in zip(exps, self.shifts)))
+        return rep
+
+    def orbit(self, rep: int) -> tuple[int, ...]:
+        """The monomials of rep's orbit, memoized: each block's exponents
+        in every distinct order."""
+        orbit = self.orbits.get(rep)
+        if orbit is None:
+            exps = [rep >> s & _packed.FIELD_MASK for s in self.shifts]
+            orbit = [0]
+            for lo, hi in self.blocks:
+                orbit = [
+                    mon + sum(e << s for e, s in zip(perm, self.shifts[lo:hi]))
+                    for mon in orbit
+                    for perm in distinct_permutations(exps[lo:hi])
+                ]
+            orbit = self.orbits.setdefault(rep, tuple(orbit))
+        return orbit
+
+    def expand(self, d: dict) -> dict:
+        """The whole S_mu-invariant polynomial that d holds at
+        representatives; tags are left out."""
+        return {mon: c for rep, c in d.items() if rep >= 0 for mon in self.orbit(rep)}
+
+    def gather(self, kind: str, a: int, delta: int, out: dict, at_reps: bool, gen: dict) -> dict:
+        """out * gen at the degree-delta representatives, where gen is the
+        generator of part a and out the member one factor shorter, at
+        representatives or full: at each representative lam, the sum of
+        gen[g] * out[lam - g] over gen's monomials g that divide lam,
+        lam - g read through ``rep`` when out is at representatives."""
+        key = (kind, a, delta, at_reps)
+        rows = self.gathers.get(key)
+        if rows is None:
+            guard, rep = self.guard, self.rep
+            rows = []
+            for lam in self.representatives(delta):
+                row: dict = {}
+                for g, c in gen.items():
+                    if ((lam | guard) - g) & guard == guard:  # lam >= g in every field
+                        mon = rep(lam - g) if at_reps else lam - g
+                        row[mon] = row.get(mon, 0) + c
+                rows.append((lam, list(row.items())))
+            rows = self.gathers.setdefault(key, rows)
+        get = out.get
+        product = {}
+        for lam, row in rows:
+            s = 0
+            for mon, c in row:
+                v = get(mon)
+                if v:
+                    s += c * v
+            if s:
+                product[lam] = s
+        return product
+
+
+# mu -> its _Orbits; emptied by clear_caches and by reduction.clear_memo
+_orbit_tables: dict = {}
+
+
+def orbit_tables(mu: Partition) -> _Orbits:
+    return _orbit_tables.get(mu) or _orbit_tables.setdefault(mu, _Orbits(mu))
+
+
+def orbit_rule(kind: str, delta: int, mu: Partition) -> bool:
+    """Whether the canonical system of (mu, delta, kind) is built over
+    orbit representatives: for kinds e, p and c, when the degree-delta
+    monomials number at least ORBIT_RATIO times the orbits.  An orbit
+    has at most (r + 1)! monomials, r being m less the number of distinct
+    parts, so where (r + 1)! < ORBIT_RATIO no table is built."""
+    _check_degree(delta)
+    if kind == "m" or math.factorial(mu.m - len(set(mu.parts)) + 1) < ORBIT_RATIO:
+        return False
+    return orbit_tables(mu).rule(delta)
+
+
+def orbit_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """``spec_basis`` of kind e, p or c, each member restricted to the
+    degree-delta orbit representatives.
+
+    Each member is the member one factor shorter times one generator,
+    evaluated only at representatives (``_Orbits.gather``).  The shorter
+    member is itself at representatives where ``orbit_rule`` holds at its
+    degree, and read through ``rep`` there; elsewhere it is the full
+    member of ``_spec_products``, read directly.  Restriction to the
+    representatives is injective on S_mu-invariant polynomials.  The
+    members are memoized, shared by every caller: do not mutate them.
+    """
+    if kind not in ("e", "p", "c"):
+        raise ValueError("orbit members exist for kinds e, p, c only")
+    _check_degree(delta)
+    alphas = weak_partitions(delta, mu.n, "capped")
+    return alphas, [_orbit_packed(kind, alpha, mu) for alpha in alphas]
+
+
+def _orbit_packed(kind: str, alpha: tuple[int, ...], mu: Partition) -> dict:
+    """alpha's member at the representatives of its degree.  alpha loses
+    its largest part until a member is found in the memo, or is full
+    (the empty product, or a degree where ``orbit_rule`` fails); each
+    member above is then gathered from the one below, as ``_spec_packed``
+    walks a chain, so a long alpha costs no recursion depth."""
+    tables = orbit_tables(mu)
+    members = tables.members.get(kind) or tables.members.setdefault(kind, {})
+    parts = [a for a in alpha if a]  # descending
+    counts = [0] * mu.n
+    for a in parts:
+        counts[a - 1] += 1
+    degree, chain = sum(parts), []
+    for i, a in enumerate(parts):
+        key = tuple(counts)
+        if i and not tables.rule(degree):
+            out, at_reps = _spec_packed(kind, tuple(parts[i:]), mu), False
+            break
+        out = members.get(key)
+        if out is not None:
+            at_reps = True
+            break
+        chain.append((key, a, degree))
+        counts[a - 1] -= 1
+        degree -= a
+    else:
+        out, at_reps = {0: 1}, False
+    for key, a, degree in reversed(chain):
+        gen = _spec_packed(kind, (a,), mu)
+        out, at_reps = members.setdefault(key, tables.gather(kind, a, degree, out, at_reps, gen)), True
+    return out
+
+
 def spec_basis_element(kind: str, alpha: tuple[int, ...], mu: Partition) -> Polynomial:
     """sigma_mu of the basis member alpha, checked as ``basis_element``
     checks it."""
@@ -513,13 +724,14 @@ def dplus_gist_equal(mu: Partition) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Drop the member memo and the ls layouts built on it
-    (used for cold-start benchmarking)."""
+    """Drop the member memo, the orbit tables and the ls layouts built on
+    them (used for cold-start benchmarking)."""
     from . import linsys  # local import; linsys builds on this module
 
     linsys._layout.cache_clear()
     _spec_products.cache_clear()
     _root_ring.cache_clear()
+    _orbit_tables.clear()
 
 
 def sym_dimensions(mu: Partition, delta: int, kind: str = "e") -> tuple[int, int]:

@@ -235,3 +235,24 @@ def oracle_subdiscriminant(n, k):
             prod = step
         total.update(prod)
     return Polynomial({term_from_exps({("x", j + 1): e for j, e in enumerate(exps)}): c for exps, c in total.items()})
+
+
+def degree_monomials(m, delta):
+    """Every degree-delta exponent tuple (e_1, ..., e_m) of r1..rm: the
+    gaps between m - 1 bars placed among delta + m - 1 slots."""
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + m - 1)))
+        for bars in itertools.combinations(range(delta + m - 1), m - 1)
+    ]
+
+
+def orbit_representative(parts, exps):
+    """The largest monomial of the S_mu-orbit of exps, mu = parts: inside
+    each run of equal multiplicities the exponents ascend with the root
+    index."""
+    out, i = [], 0
+    for _, run in itertools.groupby(parts):
+        k = len(list(run))
+        out += sorted(exps[i:i + k])
+        i += k
+    return tuple(out)

@@ -185,3 +185,37 @@ def test_spec_basis_threads_share_equal_members():
     assert len(results) == 4
     assert all(r[1] == reference and r[0] == results[0][0] for r in results)
     symfun.clear_caches()
+
+
+def test_clear_functions_drop_the_orbit_tables(monkeypatch):
+    # at (1,1,1,1,1) and delta >= 5 the canonical systems are built over
+    # orbit representatives; either clear function drops the members and
+    # the representative tables, and the next call builds them again
+    mu = Partition.of(1, 1, 1, 1, 1)
+    gathers = []
+    real = symfun._Orbits.gather
+
+    def counting(self, *args):
+        gathers.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(symfun._Orbits, "gather", counting)
+    for clear, rebuild in (
+        (reduction.clear_memo, lambda: symfun.sym_dimensions(mu, 6)),
+        (symfun.clear_caches, lambda: symfun.orbit_basis("e", 6, mu)),
+    ):
+        symfun.clear_caches()
+        reduction.clear_memo()
+        assert symfun.sym_dimensions(mu, 6) == (10, 10) and reduction.canonical_system(mu, 6).at_reps
+        tables = symfun._orbit_tables[mu]
+        members = dict(tables.members["e"])
+        assert members and tables.reps[6] and tables.rep_of and tables.gathers
+        clear()
+        assert symfun._orbit_tables == {}
+        gathers.clear()
+        rebuild()
+        again = symfun._orbit_tables[mu]
+        assert again is not tables and gathers and again.reps[6] == tables.reps[6]
+        assert all(again.members["e"][key] is not member for key, member in members.items() if key in again.members["e"])
+    symfun.clear_caches()
+    reduction.clear_memo()

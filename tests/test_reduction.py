@@ -3,7 +3,7 @@ import random
 from itertools import chain
 
 import pytest
-from conftest import rref
+from conftest import degree_monomials, orbit_representative, rref
 
 from musym import cli, gists, reduction, symfun
 from musym.polys import (
@@ -607,4 +607,93 @@ def test_one_shot_cr_builds_no_view_and_distinct_parts_never_do():
         assert crgist(dplus(mu), mu).symmetric
     system = canonical_system(mu, symfun.root_parts(dplus(mu), mu)[0][0])
     assert system.swaps == [] and system.view is None
+    clear_memo()
+
+
+# -- canonical systems over orbit representatives -------------------------
+
+ORBIT_SHAPES = [parts for n in range(1, 6) for parts in symfun._partitions_bounded(n, n, n)] + [(2, 2, 2), (1, 1, 1, 1, 1, 1)]
+
+
+def _orbit_cases():
+    """(mu, kind, delta) for every mu with n <= 5 plus (2,2,2) and 1^6,
+    kinds e/p/c, delta <= 8 (delta <= 6 at n = 6)."""
+    for parts in ORBIT_SHAPES:
+        mu = Partition(parts)
+        for kind in "epc":
+            for delta in range(1, 7 if mu.n == 6 else 9):
+                yield mu, kind, delta
+
+
+def _representatives(mu, delta):
+    ring = symfun._root_ring(mu.m)
+    return {
+        ring.pack(list(e[::-1]))
+        for e in degree_monomials(mu.m, delta)
+        if orbit_representative(mu.parts, e) == e
+    }
+
+
+def test_orbit_systems_equal_the_full_canonize():
+    # the leads, the members at representatives with their tags, the
+    # expanded sequence and Q of an orbit system are the full canonize's,
+    # at every degree, below the rule's threshold too
+    clear_memo()
+    symfun.clear_caches()
+    for mu, kind, delta in _orbit_cases():
+        alphas, basis = symfun.spec_basis(kind, delta, mu)
+        full = reduction._canonize_packed(basis)
+        orbit_alphas, members = symfun.orbit_basis(kind, delta, mu)
+        dense = reduction._canonize_packed(members)
+        reps = _representatives(mu, delta)
+        assert orbit_alphas == alphas and dense.lts == full.lts, (mu, kind, delta)
+        assert dense.polys == [{k: v for k, v in d.items() if k < 0 or k in reps} for d in full.polys]
+        at_reps = reduction.CanonicalSystem(mu, delta, kind, alphas, dense, True)
+        whole = reduction.CanonicalSystem(mu, delta, kind, alphas, full)
+        assert at_reps.sequence == whole.sequence and at_reps.qmatrix == whole.qmatrix, (mu, kind, delta)
+        system = canonical_system(mu, delta, kind)
+        assert system.at_reps is symfun.orbit_rule(kind, delta, mu)
+        assert system.dense.lts == full.lts and system.sequence == whole.sequence
+    clear_memo()
+
+
+def _orbit_inputs(rng, mu, kind, delta, leads):
+    """(F, symmetric): a positive over den > 1, the positive plus swap-
+    asymmetric terms, and, where the members do not span every invariant,
+    the positive plus the orbit sum of a representative that leads no
+    member, invariant and yet no member of the span."""
+    pos = _random_positive(rng, mu, kind, delta) / 7
+    out = [(pos, True)] + [(pos + t, False) for t in _swap_asymmetric_terms(mu, delta)]
+    ring = symfun._root_ring(mu.m)
+    rep = max(_representatives(mu, delta) - set(leads), default=None)
+    if rep is not None:
+        exps = ring.unpack(rep)[::-1]  # r1..rm
+        orbit = [e for e in degree_monomials(mu.m, delta) if orbit_representative(mu.parts, e) == tuple(exps)]
+        out.append((pos + Polynomial({term_from_exps({("r", j + 1): x for j, x in enumerate(e) if x}): rat(2, 3) for e in orbit}), False))
+    return out
+
+
+def test_crgist_through_orbit_systems_decides_as_through_full_ones(monkeypatch):
+    # every (mu, kind, delta) canonized both ways: the same GistResult at
+    # the first reduce, the one that follows and a later one
+    rng = random.Random(34)
+    decided = 0
+    for mu, kind, delta in _orbit_cases():
+        results = {}
+        for on in (False, True):
+            monkeypatch.setattr(symfun, "orbit_rule", lambda kind, delta, mu, on=on: on)
+            clear_memo()
+            system = canonical_system(mu, delta, kind)
+            assert system.at_reps is on
+            if not on:
+                inputs = _orbit_inputs(rng, mu, kind, delta, system.dense.lts)
+            results[on] = []
+            for F, symmetric in inputs:
+                system.swaps = system.view = None  # as canonize leaves it
+                calls = [crgist(F, mu, kind) for _ in range(3)]
+                assert [c.symmetric for c in calls] == [symmetric] * 3, (mu, kind, delta, str(F))
+                results[on].append(calls)
+        assert results[True] == results[False], (mu, kind, delta)
+        decided += len(inputs)
+    assert decided > 1000
     clear_memo()

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from conftest import oracle_basis_element, oracle_generator, oracle_monomial, oracle_subdiscriminant, substitute
+from conftest import (
+    degree_monomials,
+    oracle_basis_element,
+    oracle_generator,
+    oracle_monomial,
+    oracle_subdiscriminant,
+    orbit_representative,
+    substitute,
+)
 from musym import symfun
 from musym.polys import Polynomial, homogeneous_parts, parse_poly, rat, term_from_exps
 from musym.reduction import canonize
@@ -532,3 +540,55 @@ def test_cross_basis_spans_agree():
                 for k2 in families:
                     joint = canonize(families[k1] + families[k2])
                     assert len(joint.sequence) == dim
+
+
+# -- members over S_mu-orbit representatives -------------------------------
+
+ORBIT_SHAPES = [p for n in range(1, 6) for p in all_partitions(n)] + [(2, 2, 2), (1, 1, 1, 1, 1, 1)]
+
+
+def _pack(m, exps):
+    return symfun._root_ring(m).pack(list(exps[::-1]))
+
+
+def test_orbit_members_are_the_full_members_at_representatives():
+    # called at every degree, below the rule's threshold too, from a cold
+    # memo in ascending and in descending degree order
+    for parts in ORBIT_SHAPES:
+        mu = Partition(parts)
+        top = 6 if mu.n == 6 else 8
+        reps = {
+            delta: {_pack(mu.m, e) for e in degree_monomials(mu.m, delta) if orbit_representative(parts, e) == e}
+            for delta in range(1, top + 1)
+        }
+        for degrees in (range(1, top + 1), range(top, 0, -1)):
+            symfun.clear_caches()
+            for kind in "epc":
+                for delta in degrees:
+                    alphas, full = spec_basis(kind, delta, mu)
+                    orbit_alphas, members = symfun.orbit_basis(kind, delta, mu)
+                    assert orbit_alphas == alphas
+                    for f, member in zip(full, members):
+                        assert member == {mon: c for mon, c in f.items() if mon in reps[delta]}, (parts, kind, delta)
+                        assert symfun.orbit_tables(mu).expand(member) == f
+    symfun.clear_caches()
+
+
+def test_orbit_rule_picks_representatives_exactly_at_the_ratio():
+    R = symfun.ORBIT_RATIO
+    assert R == 16
+    for parts in [*ORBIT_SHAPES, (3, 3, 1, 1, 1, 1)]:
+        mu = Partition(parts)
+        for delta in range(1, 13):
+            monomials = degree_monomials(mu.m, delta)
+            orbits = {orbit_representative(parts, e) for e in monomials}
+            used = len(monomials) >= R * len(orbits)
+            for kind in "epcm":
+                assert symfun.orbit_rule(kind, delta, mu) is (used and kind != "m"), (parts, delta, kind)
+    # where the rule holds on the shapes of ROADMAP item 3
+    rule = symfun.orbit_rule
+    assert [d for d in range(1, 13) if rule("e", d, Partition.of(1, 1, 1, 1, 1))] == list(range(5, 13))
+    assert not any(rule("e", d, Partition.of(1, 1, 1, 1)) for d in range(1, 11))
+    assert not rule("e", 12, Partition.of(2, 2, 2)) and not rule("e", 10, Partition.of(2, 2, 1))
+    with pytest.raises(ValueError, match="kinds e, p, c only"):
+        symfun.orbit_basis("m", 6, Partition.of(1, 1, 1, 1, 1))
