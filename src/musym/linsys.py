@@ -6,19 +6,21 @@ candidate gist with indeterminate coefficients and matching
 coefficients monomial by monomial produces a linear system A k = b;
 solvability decides symmetry and any solution assembles a gist.
 
-A depends only on (mu, delta, kind); only b comes from F.  ``lsgist``
-keeps one layout per shape: the basis indices, the distinct rows of A
-with the monomials that share each, A's rank profile, the pivot rows R
-and pivot columns P, and an order of A_RP's columns.  One routine,
-``_solve``, serves every call.  The first call for a shape eliminates
-[A | b] on every distinct row of A and reads R and P off that
-elimination; the second records the order, sparsest column first as
-the elimination meets them, and it and every later call eliminate
-only the square pivot subsystem [A_RP | b_R] with the columns in that
-order, afresh.  Either way x is back-substituted over ints and
-accepted only after checking A x = b exactly on every monomial's row:
-the system is consistent exactly when that check passes, and then x,
-with the free variables 0, is the solution a full elimination gives.
+A depends only on (mu, delta, kind); only b comes from F.  Every member
+is S_mu-invariant, so A's row at a monomial is its row at the orbit's
+representative.  ``lsgist`` keeps one layout per shape: the basis
+indices, A's rows at the representatives (``symfun.system_basis``),
+A's rank profile, the pivot rows R and pivot columns P, and an order
+of A_RP's columns.  One routine, ``_solve``, serves every call.  The
+first call for a shape eliminates [A | b] on every row and reads R and
+P off that elimination; the second records the order, sparsest column
+first as the elimination meets them, and it and every later call
+eliminate only the square pivot subsystem [A_RP | b_R] with the
+columns in that order, afresh.  Either way x is back-substituted over
+ints and accepted only after checking A x = b exactly on every row and
+that b is S_mu-invariant: the system is consistent exactly when both
+hold, and then x, with the free variables 0, is the solution a full
+elimination gives.
 
 Elimination is fraction-free (Bareiss) on Python ints, with a lazy
 level per row: a row the step's pivot column misses is left alone, not
@@ -34,6 +36,7 @@ from itertools import compress
 from operator import mul
 
 from . import symfun
+from ._packed import FIELD
 from .gistresult import GistResult
 from .polys import Polynomial, Term, rat, term_from_exps
 
@@ -227,43 +230,44 @@ def build_system(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> Linear
         raise ValueError("a linear system needs a homogeneous F of degree 1 or more")
     ((delta, f, den),) = parts
     layout = _layout(mu, delta, kind)
-    row_of = {mon: row for row, mons in zip(layout.rows, layout.groups) for mon in mons}
-    A = [list(row_of[mon]) for mon in layout.monomials]
-    return LinearSystem(A, [rat(f.get(mon, 0), den) for mon in layout.monomials], list(layout.alphas), mu.m, delta)
+    ring, rep = symfun._root_ring(mu.m), symfun.orbit_tables(mu).rep
+    # the terms of degree_terms(mu.m, delta), packed
+    monomials = [ring.pack(exps[::-1]) for exps in symfun._compositions(delta, (delta,) * mu.m)]
+    A = [list(layout.rows[rep(mon)]) for mon in monomials]
+    return LinearSystem(A, [rat(f.get(mon, 0), den) for mon in monomials], list(layout.alphas), mu.m, delta)
 
 
 @dataclass
 class _Layout:
     """What every ls system of one (mu, delta, kind) shares.
 
-    ``rows`` are the distinct rows of A and ``groups[i]`` the packed
-    degree-delta monomials whose row is ``rows[i]``; ``monomials`` are
-    all of them in ``degree_terms`` order.  ``profile``, recorded by the
-    first solve, is A's rank profile: the pivot rows R (indices into
-    ``rows``) and the pivot columns P.  ``plan``, recorded by the second,
-    is what every later solve reads [A_RP | b_R] off: P in the order
-    ``_sparsest_first`` gives A_RP's columns, A_RP's rows with their
-    columns in that order, and the first monomial of each pivot row.
+    ``rows`` maps each degree-delta representative of mu's orbit tables
+    to A's row there, in the order ``degree_terms`` meets the orbits;
+    A's row at any monomial is its representative's.
+    ``profile``, recorded by the first solve, is A's rank profile: the
+    pivot rows R (their representatives) and the pivot columns P.
+    ``plan``, recorded by the second, is what every later solve reads
+    [A_RP | b_R] off: P in the order ``_sparsest_first`` gives A_RP's
+    columns, A_RP's rows with their columns in that order, and R.
     """
 
     alphas: list[tuple[int, ...]]
-    monomials: list[int]
-    rows: list[tuple[int, ...]]
-    groups: list[list[int]]
+    rows: dict[int, tuple[int, ...]]
+    mu: symfun.Partition
+    delta: int
     profile: tuple[list[int], list[int]] | None = None
     plan: tuple[list[int], list[list[int]], list[int]] | None = None
 
 
 @lru_cache(maxsize=None)
 def _layout(mu: symfun.Partition, delta: int, kind: str) -> _Layout:
-    alphas, basis = symfun.spec_basis(kind, delta, mu)
-    ring = symfun._root_ring(mu.m)
-    # the terms of degree_terms(mu.m, delta), packed
-    monomials = [ring.pack(exps[::-1]) for exps in symfun._compositions(delta, (delta,) * mu.m)]
-    groups: dict[tuple, list[int]] = {}
-    for mon in monomials:
-        groups.setdefault(tuple(g.get(mon, 0) for g in basis), []).append(mon)
-    return _Layout(alphas, monomials, list(groups), list(groups.values()))
+    alphas, basis, _ = symfun.system_basis(kind, delta, mu)
+    tables = symfun.orbit_tables(mu)
+    # in the order degree_terms meets the orbits: a block's fields, read from
+    # the top, are the exponents of the orbit's first monomial there
+    fields = [(tables.shifts[lo], (1 << FIELD * (hi - lo)) - 1) for lo, hi in tables.blocks]
+    reps = sorted(tables.representatives(delta), key=lambda rep: [rep >> s & mask for s, mask in fields], reverse=True)
+    return _Layout(alphas, {rep: tuple(g.get(rep, 0) for g in basis) for rep in reps}, mu, delta)
 
 
 def lsgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
@@ -290,28 +294,27 @@ def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
     """(D x, D) for the solution x of A x = b with the free variables 0,
     or None when A x = b has no solution.
 
-    The first call for a layout eliminates [A | b] on every distinct row
-    of A and records A's rank profile from that elimination: A's columns
-    come first, so their pivots do not depend on b.  The second records
-    the plan, A_RP's columns sparsest first; it and every later call
+    The first call for a layout eliminates [A | b] on every row and
+    records A's rank profile from that elimination: A's columns come
+    first, so their pivots do not depend on b.  The second records the
+    plan, A_RP's columns sparsest first; it and every later call
     eliminate only [A_RP | b_R] with the columns in that order, afresh.
     A_RP is nonsingular, so the order leaves x unchanged.  Either way x
     solves the pivot subsystem, and it is accepted only if A x = b holds
-    exactly on the row of every monomial.
+    exactly on every row and b is S_mu-invariant, as A x is.
     """
     profile = layout.profile
     if profile is None:
-        P = range(len(layout.alphas))
-        rows, heads = layout.rows, [mons[0] for mons in layout.groups]
+        P, rows, heads = range(len(layout.alphas)), layout.rows.values(), list(layout.rows)
     else:
         if layout.plan is None:
             R, P = profile
-            a = [[layout.rows[i][j] for j in P] for i in R]
+            a = [[layout.rows[rep][j] for j in P] for rep in R]
             cols = _sparsest_first(a)
-            layout.plan = [P[c] for c in cols], [[row[c] for c in cols] for row in a], [layout.groups[i][0] for i in R]
+            layout.plan = [P[c] for c in cols], [[row[c] for c in cols] for row in a], R
         P, rows, heads = layout.plan
     m = [[*row, b.get(head, 0)] for row, head in zip(rows, heads)]
-    order = list(range(len(m)))
+    order = list(heads)
     pivots = [c for c in _bareiss(m, order) if c < len(P)]
     if profile is None:
         layout.profile = order[: len(pivots)], pivots
@@ -319,9 +322,5 @@ def _solve(layout: _Layout, b: dict) -> tuple[list[int], int] | None:
     dx = [0] * len(layout.alphas)
     for c, v in zip(P, _cramer(m, pivots, det, len(P))):
         dx[c] = v
-    for row, mons in zip(layout.rows, layout.groups):
-        s = sum(map(mul, row, dx))
-        for mon in mons:
-            if b.get(mon, 0) * det != s:
-                return None
-    return dx, det
+    consistent = all(b.get(rep, 0) * det == sum(map(mul, row, dx)) for rep, row in layout.rows.items())
+    return (dx, det) if consistent and symfun.orbit_tables(layout.mu).invariant(b, layout.delta) else None

@@ -27,14 +27,14 @@ written to disk.  Every specialized member is fixed by S_mu, so the
 second crgist reduce on a system records the members restricted to
 orbit representatives, and every later one sweeps F's representative
 terms against those, then checks that F is S_mu-invariant
-(``_OrbitView``).  Where the orbits compress the degree
-(``symfun.orbit_rule``), the system is canonized from members built at
-representatives only (``symfun.orbit_basis``): the restriction is
-injective on S_mu-invariant polynomials, every lead is a
-representative and each step reads only lead entries, so the leads,
-the restricted members, their tags and the rank are the full canonize's.
-Its first reduce records the view, and ``sequence`` expands each member
-over its orbits.
+(``_OrbitView``, on ``symfun._Orbits``).  Where the orbits compress
+the degree (``symfun.orbit_rule``), the system is canonized from
+members built at representatives only (``symfun.orbit_basis``): the
+restriction is injective on S_mu-invariant polynomials, every lead is
+a representative and each step reads only lead entries, so the leads,
+the restricted members, their tags and the rank are the full
+canonize's.  Its first reduce records the view, and ``sequence``
+expands each member over its orbits.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from . import symfun
-from ._packed import FIELD, FIELD_MASK, GUARD_BIT, Basis, cancel, ring_for, submul
+from ._packed import Basis, cancel, ring_for, submul
 from .gistresult import GistResult
 from .polys import Polynomial, leading, rat
 
@@ -227,51 +227,26 @@ class _OrbitView:
     """The members of a canonical system restricted to S_mu-orbit
     representatives, which a reduce after the second sweeps instead.
 
-    Swapping two roots of equal multiplicity fixes every specialized
-    basis member, so every member is S_mu-invariant.  A member is then
-    fixed by its coefficients at one monomial per orbit, the orbit's
-    largest, whose exponents rise with the root index inside each block
-    of equal multiplicities; every lead is one.  ``tables`` are mu's
-    ``symfun._Orbits``.  ``orbits`` maps each representative in a member
-    to its orbit, and the members' supports are unions of whole orbits.
-    ``members`` lists, from the largest lead down, each member's lead,
-    its terms at representatives with their full coefficients, and its
-    tags.
+    Every specialized member is S_mu-invariant, so it is fixed by its
+    coefficients at the degree's representatives in mu's orbit tables,
+    ``tables``; every lead is one.  ``members`` lists, from the largest
+    lead down, each member's lead, its terms at representatives with
+    their full coefficients, and its tags.
     """
 
-    __slots__ = ("members", "orbits")
+    __slots__ = ("members", "tables", "delta")
 
-    def __init__(self, dense: Basis, tables: symfun._Orbits):
-        swaps = tables.swaps
-        mask = sum(FIELD_MASK << s for s in swaps)
-        guard = sum(GUARD_BIT << s for s in swaps)
-        # one borrow test says for every pair whether r_j+1's field is at least r_j's
-        reps = {m for d in dense.polys for m in d if m >= 0 and ((m >> FIELD & mask | guard) - (m & mask)) & guard == guard}
-        self.orbits = {rep: tables.orbit(rep) for rep in reps}
+    def __init__(self, dense: Basis, tables: symfun._Orbits, delta: int):
+        self.tables, self.delta = tables, delta
         self.members = [
             (lt, self.restrict(d), {m: c for m, c in d.items() if m < 0})
             for lt, d in zip(reversed(dense.lts), reversed(dense.polys))
         ]
 
     def restrict(self, work: dict) -> dict:
-        """work's terms at the representatives in ``orbits``."""
-        orbits = self.orbits
-        return {m: c for m, c in work.items() if m in orbits}
-
-    def invariant(self, work: dict) -> bool:
-        """Whether work, with no tags, is S_mu-invariant and supported on
-        the members' orbits: its terms at representatives, each spread
-        over its orbit, make up all of work."""
-        get, orbits = work.get, self.orbits
-        size = 0
-        for mon, c in work.items():
-            orbit = orbits.get(mon)
-            if orbit is not None:
-                size += len(orbit)
-                for other in orbit:
-                    if get(other) != c:
-                        return False
-        return size == len(work)
+        """work's terms at representatives."""
+        reps = self.tables.representatives(self.delta)
+        return {m: c for m, c in work.items() if m in reps}
 
     def decide(self, work: dict, den: int) -> tuple[dict, int] | None:
         """The tags and den ``_reduce_packed`` leaves when work/den is in
@@ -281,8 +256,9 @@ class _OrbitView:
         the largest down, each step recorded.  On an invariant work the
         steps are the full sweep's, as restriction is injective on
         invariant polynomials; so work is in the span exactly when
-        nothing is left and ``invariant(work)`` holds, checked after the
-        sweep.  The tags are summed from the steps only then.
+        nothing is left and work is S_mu-invariant (``tables.invariant``),
+        checked after the sweep.  The tags are summed from the steps only
+        then.
         """
         rep = self.restrict(work)
         steps = []
@@ -293,7 +269,7 @@ class _OrbitView:
                 steps.append((tags, a * scale // poly[lt], scale))
                 if not rep:
                     break
-        if rep or not self.invariant(work):
+        if rep or not self.tables.invariant(work, self.delta):
             return None
         out: dict = {}
         factor = 1  # the scales of the steps after this one
@@ -341,8 +317,7 @@ class CanonicalSystem:
 
 @lru_cache(maxsize=None)
 def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
-    at_reps = symfun.orbit_rule(kind, delta, mu)
-    alphas, basis = (symfun.orbit_basis if at_reps else symfun.spec_basis)(kind, delta, mu)
+    alphas, basis, at_reps = symfun.system_basis(kind, delta, mu)
     return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis), at_reps)
 
 
@@ -379,7 +354,7 @@ def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: s
     if first:
         system.swaps = symfun.orbit_tables(mu).swaps
     if system.view is None and system.swaps and (system.at_reps or not first):
-        system.view = _OrbitView(system.dense, symfun.orbit_tables(mu))
+        system.view = _OrbitView(system.dense, symfun.orbit_tables(mu), delta)
     if system.view is None:
         remainder, den, _ = _reduce_packed(work, system.dense, den)
         if max(remainder) >= 0:

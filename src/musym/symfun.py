@@ -12,9 +12,9 @@ renames x_i to r_i, so the families in x1..xn (``generator``,
 those builders at 1^n, read back in x.
 Every specialized member, of all four kinds, lives in ``_spec_products``:
 the Groebner seeds and the cr and ls bases read the same dicts.  Where
-the S_mu orbits compress a degree (``orbit_rule``), canonical systems
-are built instead from ``orbit_basis``: each e/p/c member evaluated at
-one monomial per S_mu orbit, which fixes an S_mu-invariant member.
+the S_mu orbits compress a degree (``orbit_rule``), cr and ls read
+``orbit_basis`` instead (``system_basis`` picks): each e/p/c member at
+one monomial per orbit of mu's ``_Orbits``, which fixes the member.
 """
 
 from __future__ import annotations
@@ -330,9 +330,9 @@ class _Orbits:
     """The S_mu-orbit tables of one mu, filled as they are read.
 
     Swapping two roots of equal multiplicity fixes every specialized
-    member of kinds e, p and c, so a member is fixed by its coefficients
-    at one monomial per S_mu orbit: the orbit's largest, whose exponents
-    rise with the root index inside each block of equal multiplicities.
+    member, so a member is fixed by its coefficients at one monomial per
+    S_mu orbit: the orbit's largest, whose exponents rise with the root
+    index inside each block of equal multiplicities.
     ``swaps`` gives the field shift of r_j for each adjacent pair r_j,
     r_j+1 of equal multiplicity.  Memoized: ``rules`` (``rule`` per
     degree), ``reps`` (the representatives per degree), ``rep_of``
@@ -349,7 +349,7 @@ class _Orbits:
         ends = list(itertools.accumulate(len(list(g)) for _, g in itertools.groupby(mu.parts)))
         self.blocks = list(zip([0, *ends], ends))  # the roots of each block of equal multiplicities
         self.rules: dict[int, bool] = {}
-        self.reps: dict[int, list[int]] = {}
+        self.reps: dict[int, dict[int, None]] = {}
         self.rep_of: dict[int, int] = {}
         self.orbits: dict[int, tuple[int, ...]] = {}
         self.members: dict[str, dict] = {}
@@ -371,20 +371,20 @@ class _Orbits:
             used = self.rules.setdefault(delta, math.comb(delta + m - 1, m - 1) >= ORBIT_RATIO * orbits[delta])
         return used
 
-    def representatives(self, delta: int) -> list[int]:
-        """The degree-delta representatives, packed.  Depth-first over the
-        roots: inside a block the exponents rise, so a root takes at most
-        its share of what is left for it and the block's later roots."""
+    def representatives(self, delta: int) -> dict[int, None]:
+        """The degree-delta representatives, packed, as dict keys.  Depth-first
+        over the roots: inside a block the exponents rise, so a root takes at
+        most its share of what is left for it and the block's later roots."""
         reps = self.reps.get(delta)
         if reps is None:
             shifts, last = self.shifts, len(self.shifts) - 1
             share = [hi - j for lo, hi in self.blocks for j in range(lo, hi)]  # roots from r_j to its block's end
-            reps = []
+            reps = {}
             stack = [(0, 0, delta, 0)]  # root index, packed so far, degree left, least exponent
             while stack:
                 j, mon, rest, low = stack.pop()
                 if j == last:
-                    reps.append(mon + (rest << shifts[j]))
+                    reps[mon + (rest << shifts[j])] = None
                     continue
                 for e in range(low, rest // share[j] + 1):
                     stack.append((j + 1, mon + (e << shifts[j]), rest - e, e if share[j] > 1 else 0))
@@ -417,6 +417,23 @@ class _Orbits:
                 ]
             orbit = self.orbits.setdefault(rep, tuple(orbit))
         return orbit
+
+    def invariant(self, d: dict, delta: int) -> bool:
+        """Whether d, of degree delta and with no tags, is S_mu-invariant:
+        its terms at representatives, each spread over its orbit, make up
+        all of d."""
+        if not self.swaps:
+            return True
+        reps, get = self.representatives(delta), d.get
+        size = 0
+        for mon, c in d.items():
+            if mon in reps:
+                orbit = self.orbit(mon)
+                size += len(orbit)
+                for other in orbit:
+                    if get(other) != c:
+                        return False
+        return size == len(d)
 
     def expand(self, d: dict) -> dict:
         """The whole S_mu-invariant polynomial that d holds at
@@ -464,7 +481,7 @@ def orbit_tables(mu: Partition) -> _Orbits:
 
 
 def orbit_rule(kind: str, delta: int, mu: Partition) -> bool:
-    """Whether the canonical system of (mu, delta, kind) is built over
+    """Whether cr and ls build the degree-delta members of (mu, kind) over
     orbit representatives: for kinds e, p and c, when the degree-delta
     monomials number at least ORBIT_RATIO times the orbits.  An orbit
     has at most (r + 1)! monomials, r being m less the number of distinct
@@ -547,6 +564,14 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
     _check_degree(delta)
     alphas = weak_partitions(delta, mu.n, index_flavor(kind))
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
+
+
+def system_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict], bool]:
+    """``orbit_basis`` where ``orbit_rule`` holds, else ``spec_basis``, and
+    whether it was the first: the members canonize and ls read."""
+    at_reps = orbit_rule(kind, delta, mu)
+    alphas, basis = (orbit_basis if at_reps else spec_basis)(kind, delta, mu)
+    return alphas, basis, at_reps
 
 
 def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, dict, int]]:

@@ -256,3 +256,29 @@ def orbit_representative(parts, exps):
         out += sorted(exps[i:i + k])
         i += k
     return tuple(out)
+
+
+def mu_permutations(parts):
+    """Every permutation of r1..rm that keeps mu = parts: p[i] is the
+    index of the root that r_(i+1) goes to, of the same multiplicity."""
+    m = len(parts)
+    return [p for p in itertools.permutations(range(m)) if all(parts[p[i]] == parts[i] for i in range(m))]
+
+
+def permuted(exps, p):
+    """The exponent tuple exps with r_(i+1)'s exponent moved to root p[i]."""
+    out = [0] * len(exps)
+    for i, e in enumerate(exps):
+        out[p[i]] = e
+    return tuple(out)
+
+
+def mu_invariant(parts, coeffs, swaps_only=False):
+    """Whether coeffs, exponent tuples (e_1, ..., e_m) to coefficients,
+    is fixed by every permutation of the roots that keeps mu = parts:
+    brute force over all of them, apart from the library's orbit tables.
+    ``swaps_only`` tries only the swaps of two roots, which generate them."""
+    perms = mu_permutations(parts)
+    if swaps_only:
+        perms = [p for p in perms if sum(j != i for i, j in enumerate(p)) == 2]
+    return all({permuted(e, p): c for e, c in coeffs.items()} == coeffs for p in perms)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import _rref_kernel, reference_bareiss, rref, substitute
+from conftest import _rref_kernel, degree_monomials, mu_invariant, mu_permutations, permuted, reference_bareiss, rref, substitute
 
 from musym import linsys, symfun
 from musym.gistresult import GistResult
@@ -333,23 +333,18 @@ def _full_solve_part(delta, ints, den, mu, kind):
     return GistResult.from_coeffs(mu, kind, alphas, k)
 
 
-def _swaps(mu):
-    """The substitutions that swap two roots of equal multiplicity."""
-    return [
-        {("r", i + 1): P(f"r{j + 1}"), ("r", j + 1): P(f"r{i + 1}")}
-        for i, j in itertools.combinations(range(mu.m), 2)
-        if mu.parts[i] == mu.parts[j]
-    ]
+def _exps(term, m):
+    out = [0] * m
+    for _, i, e in term:
+        out[i - 1] = e
+    return tuple(out)
 
 
 def _orbit_sum(term, mu):
-    """The sum of a term's images under the swaps of equal multiplicities."""
-    orbit = {term}
-    while True:
-        more = {t for s in _swaps(mu) for u in orbit for t in substitute(Polynomial.monomial(u), s).support()}
-        if more <= orbit:
-            return Polynomial({t: rat(1) for t in orbit})
-        orbit |= more
+    """The sum of a term's images under the permutations of equal multiplicities."""
+    exps = _exps(term, mu.m)
+    orbit = {permuted(exps, p) for p in mu_permutations(mu.parts)}
+    return Polynomial({term_from_exps({("r", j + 1): x for j, x in enumerate(e) if x}): rat(1) for e in orbit})
 
 
 def _random_symmetric(rng, mu, kind, delta):
@@ -360,6 +355,10 @@ def _random_symmetric(rng, mu, kind, delta):
     return out
 
 
+# blocks of three or more equal roots; (1,1,1,1,1) reads orbit members from delta = 5
+LS_SHAPES = [*SHAPES, (2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
+
+
 def test_ls_matches_a_full_solve():
     # each (shape, kind, delta) is decided cold once, then warm twice on new
     # inputs; the gist must be the full system's particular solution, and
@@ -367,7 +366,7 @@ def test_ls_matches_a_full_solve():
     # multiplicities moves F
     rng = random.Random(14)
     seen = set()
-    for parts, kind in itertools.product(SHAPES, "epcm"):
+    for parts, kind in itertools.product(LS_SHAPES, "epcm"):
         mu = Partition(parts)
         for delta in range(1, 11):
             linsys._layout.cache_clear()
@@ -383,17 +382,66 @@ def test_ls_matches_a_full_solve():
                     F = F + (_random_symmetric(rng, mu, kind, low) if low else Polynomial.constant(rat(1, 3)))
                 expected = GistResult.from_parts(F, mu, kind, _full_solve_part)
                 assert linsys.lsgist(F, mu, kind) == expected, (parts, kind, delta, str(F))
-                fixed = all(substitute(F, s) == F for s in _swaps(mu))
+                fixed = mu_invariant(mu.parts, {_exps(t, mu.m): c for t, c in F.items()}, swaps_only=True)
                 verdict = "positive" if expected.symmetric else "swap-fixed negative" if fixed else "swap negative"
                 seen |= {verdict, (call, verdict), parts, kind, delta}
                 if any(c.denominator > 1 for _, c in F.items()):
                     seen.add("rational")
                 if len(symfun.root_parts(F, mu)) > 1:
                     seen.add("non-homogeneous")
-    cases = {"rational", "non-homogeneous", *SHAPES, *"epcm", *range(1, 11)}
+    cases = {"rational", "non-homogeneous", *LS_SHAPES, *"epcm", *range(1, 11)}
     for verdict in ("positive", "swap negative", "swap-fixed negative"):
         cases |= {verdict, ("cold", verdict), ("warm", verdict)}
     assert cases <= seen, cases - seen
+
+
+def test_only_the_invariance_test_rejects_a_non_representative_term(monkeypatch):
+    # r1^9*r2 is no orbit representative at (2,2,1): F agrees with dplus at
+    # every representative, so the x that solves the pivot subsystem solves
+    # every row of A, and only the test that b is S_mu-invariant (here under
+    # the swap r1 <-> r2) rejects F, cold, when planning and later
+    mu, delta = Partition.of(2, 2, 1), 10
+    pos = dplus(mu)
+    F = pos + P(f"r1^{delta - 1}*r2")
+    symfun.clear_caches()
+    layout = linsys._layout(mu, delta, "e")
+    ((_, work, _),) = symfun.root_parts(F, mu)
+    ((_, pos_work, _),) = symfun.root_parts(pos, mu)
+    assert [work.get(rep) for rep in layout.rows] == [pos_work.get(rep) for rep in layout.rows] and work != pos_work
+    for _ in range(3):
+        assert not lsgist(F, mu).symmetric and lsgist(pos, mu).symmetric
+    tables = symfun.orbit_tables(mu)
+    assert not tables.invariant(work, delta) and tables.invariant(pos_work, delta)
+    monkeypatch.setattr(symfun._Orbits, "invariant", lambda self, d, delta: True)
+    assert linsys._solve(layout, work) == linsys._solve(layout, pos_work) is not None
+    symfun.clear_caches()
+
+
+def test_build_system_matches_the_full_members():
+    # A's row at each monomial of degree_terms holds every full member's
+    # coefficient there, and b holds F's, also where the layout reads
+    # members at representatives only ((1,1,1,1,1) from delta = 5)
+    rng = random.Random(35)
+    cases = [((2, 2, 1), kind, delta) for kind in "epcm" for delta in range(1, 7)]
+    cases += [((1, 1, 1, 1, 1), kind, delta) for kind in "epcm" for delta in (5, 6)]
+    symfun.clear_caches()
+    for parts, kind, delta in cases:
+        mu = Partition(parts)
+        assert symfun.orbit_rule(kind, delta, mu) is (mu.m == 5 and kind != "m")
+        ring = symfun._root_ring(mu.m)
+        monomials = [ring.pack(list(e[::-1])) for e in degree_monomials(mu.m, delta)]
+        alphas, members = symfun.spec_basis(kind, delta, mu)
+        pos = Polynomial.zero()
+        while pos.is_zero:
+            pos = _random_symmetric(rng, mu, kind, delta)
+        for F in (pos / 3, pos + P(f"r1^{delta}")):
+            system = build_system(F, mu, kind)
+            ((_, f, den),) = symfun.root_parts(F, mu)
+            rows = {mon: ([g.get(mon, 0) for g in members], rat(f.get(mon, 0), den)) for mon in monomials}
+            assert system.column_index == alphas and len(system.A) == len(rows)
+            for term, row, bv in zip(system.row_index, system.A, system.b):
+                assert (row, bv) == rows[ring.pack(list(_exps(term, mu.m)[::-1]))], (parts, kind, delta)
+    symfun.clear_caches()
 
 
 def test_cr_and_ls_return_one_vector():

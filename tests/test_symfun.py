@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import (
     degree_monomials,
+    mu_invariant,
     oracle_basis_element,
     oracle_generator,
     oracle_monomial,
@@ -571,6 +573,39 @@ def test_orbit_members_are_the_full_members_at_representatives():
                     for f, member in zip(full, members):
                         assert member == {mon: c for mon, c in f.items() if mon in reps[delta]}, (parts, kind, delta)
                         assert symfun.orbit_tables(mu).expand(member) == f
+    symfun.clear_caches()
+
+
+def test_orbit_invariance_test_matches_the_brute_force_check():
+    # random packed sums of whole orbits, every mu with n <= 5: each passes
+    # the tables' invariance test, and the same dict with one term moved to a
+    # monomial it lacks, off an orbit of two or more where it has one, fails
+    # it; both as the check over every permutation of equal multiplicities says
+    rng = random.Random(36)
+    moved = 0
+    symfun.clear_caches()
+    for parts in [p for n in range(1, 6) for p in all_partitions(n)]:
+        mu = Partition(parts)
+        tables = symfun.orbit_tables(mu)
+        for delta in range(1, 8):
+            orbits: dict = {}
+            for e in degree_monomials(mu.m, delta):
+                orbits.setdefault(orbit_representative(parts, e), []).append(e)
+            for _ in range(6):
+                chosen = rng.sample(list(orbits.values()), rng.randint(1, len(orbits)))
+                coeffs = {e: c for orbit, c in zip(chosen, (rng.choice((-3, -1, 1, 2, 7)) for _ in chosen)) for e in orbit}
+                d = {_pack(mu.m, e): c for e, c in coeffs.items()}
+                assert mu_invariant(parts, coeffs) and tables.invariant(d, delta), (parts, delta)
+                lacking = [e for e in degree_monomials(mu.m, delta) if e not in coeffs]
+                nontrivial = [e for e in coeffs if len(orbits[orbit_representative(parts, e)]) > 1]
+                if lacking:
+                    old, new = rng.choice(nontrivial or list(coeffs)), rng.choice(lacking)
+                    coeffs[new] = coeffs.pop(old)
+                    d = {_pack(mu.m, e): c for e, c in coeffs.items()}
+                    invariant = mu_invariant(parts, coeffs)
+                    assert tables.invariant(d, delta) is invariant and not (nontrivial and invariant), (parts, delta, old, new)
+                    moved += bool(nontrivial)
+    assert moved > 200, moved
     symfun.clear_caches()
 
 
