@@ -90,6 +90,12 @@ CALLS = [
         "r1^6 + r2^5*r3",
         "(r1^2+r2^2+r3^2+r4^2+r5^2)^3/7 - 2*(r1*r2*r3*r4*r5)*(r1+r2+r3+r4+r5)/3",
     )
+] + [
+    # distinct parts: every monomial is its own orbit representative
+    ["canonize", "--mu", "3,2,1", "--delta", "6", "--json"],
+] + [
+    ["gist", f, "--mu", "3,2,1", "--algo", "cr"]
+    for f in ("(3*r1+2*r2+r3)^6 - 2*(3*r1^2+2*r2^2+r3^2)^3/5", "(3*r1+2*r2+r3)^6 + r1^5*r2")
 ]
 
 
