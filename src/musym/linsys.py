@@ -261,7 +261,7 @@ class _Layout:
 
 @lru_cache(maxsize=None)
 def _layout(mu: symfun.Partition, delta: int, kind: str) -> _Layout:
-    alphas, basis, _ = symfun.system_basis(kind, delta, mu)
+    alphas, basis = symfun.system_basis(kind, delta, mu)
     tables = symfun.orbit_tables(mu)
     # in the order degree_terms meets the orbits: a block's fields, read from
     # the top, are the exponents of the orbit's first monomial there

@@ -23,18 +23,17 @@ against the members so far; the work dict is never made dense.
 ``canonical_system`` canonizes the specialized basis of one (mu, delta,
 kind) once per process and shares the result with every later input;
 that in-process memo is the only cache, and nothing is read from or
-written to disk.  Every specialized member is fixed by S_mu, so the
-second crgist reduce on a system records the members restricted to
-orbit representatives, and every later one sweeps F's representative
-terms against those, then checks that F is S_mu-invariant
-(``_OrbitView``, on ``symfun._Orbits``).  Where the orbits compress
+written to disk.  Every specialized member is fixed by S_mu, so a
+system's first crgist reduce records the members restricted to orbit
+representatives (``CanonicalSystem.view``, on ``symfun._Orbits``), and
+every reduce, that one included, sweeps F's representative terms against
+those, then checks that F is S_mu-invariant.  Where the orbits compress
 the degree (``symfun.orbit_rule``), the system is canonized from
 members built at representatives only (``symfun.orbit_basis``): the
 restriction is injective on S_mu-invariant polynomials, every lead is
 a representative and each step reads only lead entries, so the leads,
 the restricted members, their tags and the rank are the full
-canonize's.  Its first reduce records the view, and ``sequence``
-expands each member over its orbits.
+canonize's.  ``sequence`` expands each member over its orbits.
 """
 
 from __future__ import annotations
@@ -223,76 +222,17 @@ def nreduce(
 # -- canonical systems with memoization ----------------------------------
 
 
-class _OrbitView:
-    """The members of a canonical system restricted to S_mu-orbit
-    representatives, which a reduce after the second sweeps instead.
-
-    Every specialized member is S_mu-invariant, so it is fixed by its
-    coefficients at the degree's representatives in mu's orbit tables,
-    ``tables``; every lead is one.  ``members`` lists, from the largest
-    lead down, each member's lead, its terms at representatives with
-    their full coefficients, and its tags.
-    """
-
-    __slots__ = ("members", "tables", "delta")
-
-    def __init__(self, dense: Basis, tables: symfun._Orbits, delta: int):
-        self.tables, self.delta = tables, delta
-        self.members = [
-            (lt, self.restrict(d), {m: c for m, c in d.items() if m < 0})
-            for lt, d in zip(reversed(dense.lts), reversed(dense.polys))
-        ]
-
-    def restrict(self, work: dict) -> dict:
-        """work's terms at representatives."""
-        reps = self.tables.representatives(self.delta)
-        return {m: c for m, c in work.items() if m in reps}
-
-    def decide(self, work: dict, den: int) -> tuple[dict, int] | None:
-        """The tags and den ``_reduce_packed`` leaves when work/den is in
-        the members' span, else None; work is left unchanged.
-
-        One ``cancel`` at each lead that ``restrict(work)`` holds, from
-        the largest down, each step recorded.  On an invariant work the
-        steps are the full sweep's, as restriction is injective on
-        invariant polynomials; so work is in the span exactly when
-        nothing is left and work is S_mu-invariant (``tables.invariant``),
-        checked after the sweep.  The tags are summed from the steps only
-        then.
-        """
-        rep = self.restrict(work)
-        steps = []
-        for lt, poly, tags in self.members:
-            a = rep.pop(lt, None)
-            if a:
-                scale = cancel(rep, lt, a, lt, poly, None, {})
-                steps.append((tags, a * scale // poly[lt], scale))
-                if not rep:
-                    break
-        if rep or not self.tables.invariant(work, self.delta):
-            return None
-        out: dict = {}
-        factor = 1  # the scales of the steps after this one
-        for tags, q, scale in reversed(steps):
-            submul(out, q * factor, 0, tags)
-            factor *= scale
-        return out, den * factor
-
-
-@dataclass
+@dataclass(frozen=True)
 class CanonicalSystem:
     """Canonize output for one (mu, delta, kind), reusable across inputs.
 
     ``dense`` holds the canonical sequence packed in the root ring
     ``symfun._root_ring(mu.m)`` as ``_canonize_packed`` leaves it:
     primitive integer dicts with positive leads, where the tag ~k stands
-    for basis element k.  With ``at_reps`` its members hold only their
-    terms at S_mu-orbit representatives (``symfun.orbit_basis``).
-    ``sequence`` and ``qmatrix`` are derived from it on first read, the
-    sequence expanded over the orbits.  The first reduce records
-    ``swaps``, the generators of S_mu (see ``_OrbitView``); the second,
-    or with ``at_reps`` the first, records ``view`` when there are any,
-    and every later reduce sweeps it.
+    for basis element k.  Where ``symfun.orbit_rule`` holds its members
+    hold only their terms at S_mu-orbit representatives
+    (``symfun.orbit_basis``).  ``sequence``, ``qmatrix`` and ``view`` are
+    derived from it on first read, the sequence expanded over the orbits.
     """
 
     mu: symfun.Partition
@@ -300,25 +240,32 @@ class CanonicalSystem:
     kind: str
     alphas: list[tuple[int, ...]]
     dense: Basis
-    at_reps: bool = False
-    swaps: list[int] | None = None
-    view: _OrbitView | None = None
 
     @cached_property
     def sequence(self) -> list[Polynomial]:
-        ring = symfun._root_ring(self.mu.m)
-        tables = symfun.orbit_tables(self.mu) if self.at_reps else None
-        return [ring.undensify(tables.expand(d) if tables else d, d[min(d)]) for d in self.dense.polys]
+        ring, tables = symfun._root_ring(self.mu.m), symfun.orbit_tables(self.mu)
+        return [ring.undensify(tables.expand(tables.restrict(d, self.delta)), d[min(d)]) for d in self.dense.polys]
 
     @cached_property
     def qmatrix(self) -> list[list]:
         return _quotients(self.dense, len(self.alphas))
 
+    @cached_property
+    def view(self) -> list[tuple[int, dict, dict]]:
+        """What crgist sweeps: from the largest lead down, each member's
+        lead, its terms at the degree's orbit representatives and its tags.
+        Every member is S_mu-invariant, so those terms fix it."""
+        tables = symfun.orbit_tables(self.mu)
+        return [
+            (lt, tables.restrict(d, self.delta), {m: c for m, c in d.items() if m < 0})
+            for lt, d in zip(reversed(self.dense.lts), reversed(self.dense.polys))
+        ]
+
 
 @lru_cache(maxsize=None)
 def _canonical_system(mu: symfun.Partition, delta: int, kind: str) -> CanonicalSystem:
-    alphas, basis, at_reps = symfun.system_basis(kind, delta, mu)
-    return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis), at_reps)
+    alphas, basis = symfun.system_basis(kind, delta, mu)
+    return CanonicalSystem(mu, delta, kind, alphas, _canonize_packed(basis))
 
 
 def canonical_system(mu: symfun.Partition, delta: int, kind: str = "e") -> CanonicalSystem:
@@ -349,20 +296,29 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 
 def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
-    system = canonical_system(mu, delta, kind)
-    first = system.swaps is None
-    if first:
-        system.swaps = symfun.orbit_tables(mu).swaps
-    if system.view is None and system.swaps and (system.at_reps or not first):
-        system.view = _OrbitView(system.dense, symfun.orbit_tables(mu), delta)
-    if system.view is None:
-        remainder, den, _ = _reduce_packed(work, system.dense, den)
-        if max(remainder) >= 0:
-            return GistResult.not_symmetric(mu, kind)
-    else:
-        decided = system.view.decide(work, den)
-        if decided is None:
-            return GistResult.not_symmetric(mu, kind)
-        remainder, den = decided
+    """One ``cancel`` at each lead of the system's ``view`` that work's
+    terms at representatives hold, from the largest down, each step
+    recorded.  On an invariant work the steps are ``_reduce_packed``'s, as
+    restriction is injective on invariant polynomials; so work is in the
+    span exactly when nothing is left and work is S_mu-invariant, checked
+    after the sweep.  The tags are summed from the steps only then."""
+    system, tables = canonical_system(mu, delta, kind), symfun.orbit_tables(mu)
+    rep = tables.restrict(work, delta)
+    steps = []
+    for lt, poly, tags in system.view:
+        a = rep.pop(lt, None)
+        if a:
+            scale = cancel(rep, lt, a, lt, poly, None, {})
+            steps.append((tags, a * scale // poly[lt], scale))
+            if not rep:
+                break
+    if rep or not tables.invariant(work, delta):
+        return GistResult.not_symmetric(mu, kind)
+    remainder: dict = {}
+    factor = 1  # the scales of the steps after this one
+    for tags, q, scale in reversed(steps):
+        submul(remainder, q * factor, 0, tags)
+        factor *= scale
+    den *= factor
     tags = sorted(remainder, reverse=True)  # ~k for the basis indices k, ascending
     return GistResult.from_coeffs(mu, kind, [system.alphas[~t] for t in tags], [rat(-remainder[t], den) for t in tags])

@@ -334,11 +334,12 @@ class _Orbits:
     S_mu orbit: the orbit's largest, whose exponents rise with the root
     index inside each block of equal multiplicities.
     ``swaps`` gives the field shift of r_j for each adjacent pair r_j,
-    r_j+1 of equal multiplicity.  Memoized: ``rules`` (``rule`` per
-    degree), ``reps`` (the representatives per degree), ``rep_of``
-    (``rep``), ``orbits`` (``orbit``), ``members`` (each kind's members
-    at representatives, keyed by counts as ``_spec_products`` keys them)
-    and ``gathers`` (the index lists of ``gather``).
+    r_j+1 of equal multiplicity; where mu's parts are distinct there are
+    none, and each monomial is its own orbit.  Memoized: ``rules``
+    (``rule`` per degree), ``reps`` (the representatives per degree),
+    ``rep_of`` (``rep``), ``orbits`` (``orbit``), ``members`` (each kind's
+    members at representatives, keyed by counts as ``_spec_products``
+    keys them) and ``gathers`` (the index lists of ``gather``).
     """
 
     def __init__(self, mu: Partition):
@@ -403,18 +404,17 @@ class _Orbits:
         return rep
 
     def orbit(self, rep: int) -> tuple[int, ...]:
-        """The monomials of rep's orbit, memoized: each block's exponents
-        in every distinct order."""
+        """The monomials of rep's orbit, memoized: its closure under
+        ``swaps``, which generate S_mu."""
         orbit = self.orbits.get(rep)
         if orbit is None:
-            exps = [rep >> s & _packed.FIELD_MASK for s in self.shifts]
-            orbit = [0]
-            for lo, hi in self.blocks:
-                orbit = [
-                    mon + sum(e << s for e, s in zip(perm, self.shifts[lo:hi]))
-                    for mon in orbit
-                    for perm in distinct_permutations(exps[lo:hi])
-                ]
+            field, mask, orbit, seen = _packed.FIELD, _packed.FIELD_MASK, [rep], {rep}
+            for mon in orbit:
+                for s in self.swaps:  # the exponents of r_j and r_j+1 exchanged
+                    other = mon + ((mon >> s & mask) - (mon >> s + field & mask)) * ((1 << s + field) - (1 << s))
+                    if other not in seen:
+                        seen.add(other)
+                        orbit.append(other)
             orbit = self.orbits.setdefault(rep, tuple(orbit))
         return orbit
 
@@ -434,6 +434,12 @@ class _Orbits:
                     if get(other) != c:
                         return False
         return size == len(d)
+
+    def restrict(self, d: dict, delta: int) -> dict:
+        """d's terms at the degree-delta representatives, every monomial
+        where mu's parts are distinct; tags are left out."""
+        reps = self.representatives(delta)
+        return {mon: c for mon, c in d.items() if mon in reps}
 
     def expand(self, d: dict) -> dict:
         """The whole S_mu-invariant polynomial that d holds at
@@ -485,7 +491,7 @@ def orbit_rule(kind: str, delta: int, mu: Partition) -> bool:
     orbit representatives: for kinds e, p and c, when the degree-delta
     monomials number at least ORBIT_RATIO times the orbits.  An orbit
     has at most (r + 1)! monomials, r being m less the number of distinct
-    parts, so where (r + 1)! < ORBIT_RATIO no table is built."""
+    parts, so where (r + 1)! < ORBIT_RATIO the rule cannot hold."""
     _check_degree(delta)
     if kind == "m" or math.factorial(mu.m - len(set(mu.parts)) + 1) < ORBIT_RATIO:
         return False
@@ -566,12 +572,11 @@ def spec_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ..
     return alphas, [_spec_packed(kind, alpha, mu) for alpha in alphas]
 
 
-def system_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict], bool]:
-    """``orbit_basis`` where ``orbit_rule`` holds, else ``spec_basis``, and
-    whether it was the first: the members canonize and ls read."""
-    at_reps = orbit_rule(kind, delta, mu)
-    alphas, basis = (orbit_basis if at_reps else spec_basis)(kind, delta, mu)
-    return alphas, basis, at_reps
+def system_basis(kind: str, delta: int, mu: Partition) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """``orbit_basis`` where ``orbit_rule`` holds, else ``spec_basis``: the
+    members canonize and ls read.  Either way each member's terms at the
+    degree-delta representatives are the same, and they fix it."""
+    return (orbit_basis if orbit_rule(kind, delta, mu) else spec_basis)(kind, delta, mu)
 
 
 def root_parts(F: Polynomial, mu: Partition) -> list[tuple[int, dict, int]]:

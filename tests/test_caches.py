@@ -206,7 +206,7 @@ def test_clear_functions_drop_the_orbit_tables(monkeypatch):
     ):
         symfun.clear_caches()
         reduction.clear_memo()
-        assert symfun.sym_dimensions(mu, 6) == (10, 10) and reduction.canonical_system(mu, 6).at_reps
+        assert symfun.sym_dimensions(mu, 6) == (10, 10) and symfun.orbit_rule("e", 6, mu)
         tables = symfun._orbit_tables[mu]
         members = dict(tables.members["e"])
         assert members and tables.reps[6] and tables.rep_of and tables.gathers

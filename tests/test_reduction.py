@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import chain
@@ -6,6 +7,7 @@ import pytest
 from conftest import degree_monomials, orbit_representative, rref
 
 from musym import cli, gists, reduction, symfun
+from musym.gistresult import GistResult
 from musym.polys import (
     Polynomial,
     Rational,
@@ -538,28 +540,40 @@ def _swap_asymmetric_terms(mu, delta):
     return []
 
 
-def test_view_calls_match_the_first_full_sweep():
-    # the first call sweeps the full members, the second records the orbit
-    # view and sweeps it, a later one reads it: the same GistResult each
-    # time, on positives and on negatives a swap of equal multiplicities moves
+def _full_sweep_part(delta, work, den, mu, kind):
+    """A part decided by ``_reduce_packed`` over the full canonical members:
+    system.dense, or where it holds only terms at representatives, the
+    canonize of the full specialized basis."""
+    system = canonical_system(mu, delta, kind)
+    dense = system.dense
+    if symfun.orbit_rule(kind, delta, mu):
+        dense = reduction._canonize_packed(symfun.spec_basis(kind, delta, mu)[1])
+    remainder, den, _ = reduction._reduce_packed(work, dense, den)
+    if max(remainder) >= 0:
+        return GistResult.not_symmetric(mu, kind)
+    tags = sorted(remainder, reverse=True)
+    return GistResult.from_coeffs(mu, kind, [system.alphas[~t] for t in tags], [rat(-remainder[t], den) for t in tags])
+
+
+def test_view_calls_match_the_full_sweep():
+    # the first call builds the orbit view and sweeps it, the second and a
+    # later one read it: each gives the GistResult of the full heap sweep,
+    # on positives and on negatives a swap of equal multiplicities moves
     rng = random.Random(33)
     shapes = [parts for n in range(1, 6) for parts in symfun._partitions_bounded(n, n, n)]  # every mu with n <= 5
     clear_memo()
-    viewed = 0
+    decided = 0
     for parts in [*shapes, (2, 2, 2)]:
         mu = Partition(parts)
         for kind in "epcm":
             for delta in range(1, 9):
-                system = canonical_system(mu, delta, kind)
                 pos = _random_positive(rng, mu, kind, delta)
                 for F, symmetric in [(pos, True)] + [(pos + t, False) for t in _swap_asymmetric_terms(mu, delta)]:
-                    system.swaps = system.view = None  # as canonize leaves it
-                    first, recording, later = (crgist(F, mu, kind) for _ in range(3))
-                    assert first.symmetric is symmetric, (parts, kind, delta, str(F))
-                    assert first == recording == later, (parts, kind, delta, str(F))
-                    assert (system.view is not None) is (len(set(parts)) < len(parts))
-                    viewed += system.view is not None
-    assert viewed > 500
+                    swept = GistResult.from_parts(F, mu, kind, _full_sweep_part)
+                    assert swept.symmetric is symmetric, (parts, kind, delta, str(F))
+                    assert [crgist(F, mu, kind) for _ in range(3)] == [swept] * 3, (parts, kind, delta, str(F))
+                    decided += 1
+    assert decided > 1000
     clear_memo()
 
 
@@ -573,11 +587,11 @@ def test_only_the_invariance_check_rejects_a_non_representative_term():
     F = pos + P(f"r1^{delta - 1}*r2")
     for _ in range(2):
         assert crgist(pos, mu).symmetric
-    view = canonical_system(mu, delta).view
+    tables = symfun.orbit_tables(mu)
     ((_, work, _),) = symfun.root_parts(F, mu)
     ((_, pos_work, _),) = symfun.root_parts(pos, mu)
-    assert view.restrict(work) == view.restrict(pos_work) and work != pos_work
-    assert not symfun.orbit_tables(mu).invariant(work, delta)
+    assert tables.restrict(work, delta) == tables.restrict(pos_work, delta) and work != pos_work
+    assert not tables.invariant(work, delta)
     assert not crgist(F, mu).symmetric
     clear_memo()
 
@@ -594,19 +608,24 @@ def test_view_rejects_an_input_with_no_representative_term():
     clear_memo()
 
 
-def test_one_shot_cr_builds_no_view_and_distinct_parts_never_do():
+def test_canonical_systems_are_frozen_and_the_first_call_builds_the_view():
+    # a shared system is never written after canonize; its view is derived
+    # at the first reduce, where mu's parts are distinct too: there every
+    # monomial is a representative and the view holds the whole members
     clear_memo()
-    mu = Partition.of(2, 2, 1)
-    crgist(dplus(mu), mu)
-    system = canonical_system(mu, 10)
-    assert system.swaps == [0] and system.view is None
-    crgist(dplus(mu), mu)
-    assert system.view is not None
-    mu = Partition.of(3, 2, 1)
-    for _ in range(3):
+    for parts in ((2, 2, 1), (3, 2, 1)):
+        mu = Partition(parts)
+        system = canonical_system(mu, symfun.root_parts(dplus(mu), mu)[0][0])
+        for field in dataclasses.fields(system):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(system, field.name, None)
+        assert "view" not in vars(system)
         assert crgist(dplus(mu), mu).symmetric
-    system = canonical_system(mu, symfun.root_parts(dplus(mu), mu)[0][0])
-    assert system.swaps == [] and system.view is None
+        view = vars(system)["view"]
+        assert [lt for lt, _, _ in view] == system.dense.lts[::-1]
+        whole = [{m: c for m, c in d.items() if m >= 0} for d in reversed(system.dense.polys)]
+        assert ([poly for _, poly, _ in view] == whole) is (len(set(parts)) == len(parts))
+        assert crgist(dplus(mu), mu).symmetric and system.view is view
     clear_memo()
 
 
@@ -648,11 +667,11 @@ def test_orbit_systems_equal_the_full_canonize():
         reps = _representatives(mu, delta)
         assert orbit_alphas == alphas and dense.lts == full.lts, (mu, kind, delta)
         assert dense.polys == [{k: v for k, v in d.items() if k < 0 or k in reps} for d in full.polys]
-        at_reps = reduction.CanonicalSystem(mu, delta, kind, alphas, dense, True)
+        restricted = reduction.CanonicalSystem(mu, delta, kind, alphas, dense)
         whole = reduction.CanonicalSystem(mu, delta, kind, alphas, full)
-        assert at_reps.sequence == whole.sequence and at_reps.qmatrix == whole.qmatrix, (mu, kind, delta)
+        assert restricted.sequence == whole.sequence and restricted.qmatrix == whole.qmatrix, (mu, kind, delta)
         system = canonical_system(mu, delta, kind)
-        assert system.at_reps is symfun.orbit_rule(kind, delta, mu)
+        assert system.dense.polys == (dense if symfun.orbit_rule(kind, delta, mu) else full).polys
         assert system.dense.lts == full.lts and system.sequence == whole.sequence
     clear_memo()
 
@@ -684,12 +703,12 @@ def test_crgist_through_orbit_systems_decides_as_through_full_ones(monkeypatch):
             monkeypatch.setattr(symfun, "orbit_rule", lambda kind, delta, mu, on=on: on)
             clear_memo()
             system = canonical_system(mu, delta, kind)
-            assert system.at_reps is on
+            reps = symfun.orbit_tables(mu).representatives(delta)
+            assert not on or all(m < 0 or m in reps for d in system.dense.polys for m in d)
             if not on:
                 inputs = _orbit_inputs(rng, mu, kind, delta, system.dense.lts)
             results[on] = []
             for F, symmetric in inputs:
-                system.swaps = system.view = None  # as canonize leaves it
                 calls = [crgist(F, mu, kind) for _ in range(3)]
                 assert [c.symmetric for c in calls] == [symmetric] * 3, (mu, kind, delta, str(F))
                 results[on].append(calls)

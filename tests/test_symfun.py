@@ -7,11 +7,13 @@ import pytest
 from conftest import (
     degree_monomials,
     mu_invariant,
+    mu_permutations,
     oracle_basis_element,
     oracle_generator,
     oracle_monomial,
     oracle_subdiscriminant,
     orbit_representative,
+    permuted,
     substitute,
 )
 from musym import symfun
@@ -606,6 +608,24 @@ def test_orbit_invariance_test_matches_the_brute_force_check():
                     assert tables.invariant(d, delta) is invariant and not (nontrivial and invariant), (parts, delta, old, new)
                     moved += bool(nontrivial)
     assert moved > 200, moved
+    symfun.clear_caches()
+
+
+def test_orbits_list_each_monomial_of_the_brute_force_orbit_once():
+    # the closure of each representative under the swaps of adjacent equal
+    # multiplicities is its image under every permutation that keeps mu
+    symfun.clear_caches()
+    for parts in ORBIT_SHAPES:
+        mu = Partition(parts)
+        tables = symfun.orbit_tables(mu)
+        perms = mu_permutations(parts)
+        for delta in range(9):
+            reps = [e for e in degree_monomials(mu.m, delta) if orbit_representative(parts, e) == e]
+            assert {_pack(mu.m, e) for e in reps} == set(tables.representatives(delta)), (parts, delta)
+            for e in reps:
+                orbit = tables.orbit(_pack(mu.m, e))
+                brute = {_pack(mu.m, permuted(e, p)) for p in perms}
+                assert len(orbit) == len(brute) and set(orbit) == brute, (parts, e)
     symfun.clear_caches()
 
 
