@@ -176,8 +176,11 @@ def content(values) -> int:
 
 
 def integer_form(d: dict) -> tuple[dict, int]:
-    """A packed dict with rational coefficients as (ints, den), d = ints/den."""
+    """A packed dict with rational coefficients as (ints, den), d = ints/den;
+    with den 1 each numerator is taken as it is."""
     den = math.lcm(*(c.denominator for c in d.values()))
+    if den == 1:
+        return {m: c.numerator for m, c in d.items()}, 1
     return {m: c.numerator * (den // c.denominator) for m, c in d.items()}, den
 
 

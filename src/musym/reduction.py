@@ -24,10 +24,13 @@ against the members so far; the work dict is never made dense.
 kind) once per process and shares the result with every later input;
 that in-process memo is the only cache, and nothing is read from or
 written to disk.  Every specialized member is fixed by S_mu, so a
-system's first crgist reduce records the members restricted to orbit
-representatives (``CanonicalSystem.view``, on ``symfun._Orbits``), and
-every reduce, that one included, sweeps F's representative terms against
-those, then checks that F is S_mu-invariant.  Where the orbits compress
+system's first crgist reduce records each member's coefficients at the
+degree's orbit representatives as one list of ints
+(``CanonicalSystem.view``, on ``symfun._Orbits``), and every reduce, that
+one included, reads F's coefficients there into one list, cancels the
+leads on it with fraction-free list updates (``_sweep``), then checks
+that F is S_mu-invariant; canonize, ``reduce`` and the Groebner engine
+keep the dict step ``_packed.cancel``.  Where the orbits compress
 the degree (``symfun.orbit_rule``), the system is canonized from
 members built at representatives only (``symfun.orbit_basis``): the
 restriction is injective on S_mu-invariant polynomials, every lead is
@@ -39,6 +42,7 @@ canonize's.  ``sequence`` expands each member over its orbits.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -232,7 +236,8 @@ class CanonicalSystem:
     for basis element k.  Where ``symfun.orbit_rule`` holds its members
     hold only their terms at S_mu-orbit representatives
     (``symfun.orbit_basis``).  ``sequence``, ``qmatrix`` and ``view`` are
-    derived from it on first read, the sequence expanded over the orbits.
+    derived from it on first read, the sequence expanded over the orbits
+    and the view as rows of ints over the representatives.
     """
 
     mu: symfun.Partition
@@ -251,15 +256,26 @@ class CanonicalSystem:
         return _quotients(self.dense, len(self.alphas))
 
     @cached_property
-    def view(self) -> list[tuple[int, dict, dict]]:
-        """What crgist sweeps: from the largest lead down, each member's
-        lead, its terms at the degree's orbit representatives and its tags.
-        Every member is S_mu-invariant, so those terms fix it."""
-        tables = symfun.orbit_tables(self.mu)
-        return [
-            (lt, tables.restrict(d, self.delta), {m: c for m, c in d.items() if m < 0})
-            for lt, d in zip(reversed(self.dense.lts), reversed(self.dense.polys))
-        ]
+    def view(self) -> tuple[list[int], list[tuple[int, list[int], dict]]]:
+        """What crgist sweeps: the degree's orbit representatives in
+        descending order, and from the largest lead down each member's lead
+        column, its coefficients at every representative as one list and
+        its tags, read in one pass over the member.  Every member is
+        S_mu-invariant, so those coefficients fix it."""
+        reps = sorted(symfun.orbit_tables(self.mu).representatives(self.delta), reverse=True)
+        col = {m: j for j, m in enumerate(reps)}
+        rows = []
+        for lt, d in zip(reversed(self.dense.lts), reversed(self.dense.polys)):
+            row, tags = [0] * len(reps), {}
+            for m, c in d.items():
+                if m < 0:
+                    tags[m] = c
+                else:
+                    j = col.get(m)
+                    if j is not None:
+                        row[j] = c
+            rows.append((col[lt], row, tags))
+        return reps, rows
 
 
 @lru_cache(maxsize=None)
@@ -296,23 +312,14 @@ def crgist(F: Polynomial, mu: symfun.Partition, kind: str = "e") -> GistResult:
 
 
 def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: str) -> GistResult:
-    """One ``cancel`` at each lead of the system's ``view`` that work's
-    terms at representatives hold, from the largest down, each step
-    recorded.  On an invariant work the steps are ``_reduce_packed``'s, as
-    restriction is injective on invariant polynomials; so work is in the
-    span exactly when nothing is left and work is S_mu-invariant, checked
-    after the sweep.  The tags are summed from the steps only then."""
-    system, tables = canonical_system(mu, delta, kind), symfun.orbit_tables(mu)
-    rep = tables.restrict(work, delta)
-    steps = []
-    for lt, poly, tags in system.view:
-        a = rep.pop(lt, None)
-        if a:
-            scale = cancel(rep, lt, a, lt, poly, None, {})
-            steps.append((tags, a * scale // poly[lt], scale))
-            if not rep:
-                break
-    if rep or not tables.invariant(work, delta):
+    """``_sweep`` work over the system's ``view``.  On an invariant work the
+    steps are ``_reduce_packed``'s, as restriction to the representatives
+    is injective on invariant polynomials; so work is in the span exactly
+    when nothing is left and work is S_mu-invariant, checked after the
+    sweep.  The tags are summed from the steps only then."""
+    system = canonical_system(mu, delta, kind)
+    steps, left = _sweep(system.view, work)
+    if left or not symfun.orbit_tables(mu).invariant(work, delta):
         return GistResult.not_symmetric(mu, kind)
     remainder: dict = {}
     factor = 1  # the scales of the steps after this one
@@ -322,3 +329,31 @@ def _crgist_part(delta: int, work: dict, den: int, mu: symfun.Partition, kind: s
     den *= factor
     tags = sorted(remainder, reverse=True)  # ~k for the basis indices k, ascending
     return GistResult.from_coeffs(mu, kind, [system.alphas[~t] for t in tags], [rat(-remainder[t], den) for t in tags])
+
+
+def _sweep(view, work: dict) -> tuple[list, bool]:
+    """work's coefficients at the view's representatives, as one list, with
+    each member's lead cancelled from the largest down, fraction-free
+    (Bareiss, Math. Comp. 22, 1968): with a the entry at the lead, lc the
+    lead coefficient, g = gcd(a, lc), s = lc/g and q = a/g, the list from
+    the lead's column on becomes s * list - q * row.  These are the steps
+    ``_packed.cancel`` makes on the restricted dicts.  The columns left of
+    the lead, where the row is 0, are not scaled: no later step reads them,
+    and a scale s != 0 leaves each of them zero or not.  Returns the steps
+    as (tags, q, s) and whether anything is left."""
+    reps, rows = view
+    get = work.get
+    vec = [get(m, 0) for m in reps]
+    steps = []
+    for j, row, tags in rows:
+        a = vec[j]
+        if a:
+            lc = row[j]
+            g = math.gcd(a, lc)
+            s, q = lc // g, a // g
+            if s == 1:
+                vec[j:] = [x - q * y for x, y in zip(vec[j:], row[j:])]
+            else:
+                vec[j:] = [s * x - q * y for x, y in zip(vec[j:], row[j:])]
+            steps.append((tags, q, s))
+    return steps, any(vec)

@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 from conftest import degree_monomials, orbit_representative, rref
 
-from musym import cli, gists, reduction, symfun
+from musym import _packed, cli, gists, reduction, symfun
 from musym.gistresult import GistResult
 from musym.polys import (
     Polynomial,
@@ -611,21 +611,72 @@ def test_view_rejects_an_input_with_no_representative_term():
 def test_canonical_systems_are_frozen_and_the_first_call_builds_the_view():
     # a shared system is never written after canonize; its view is derived
     # at the first reduce, where mu's parts are distinct too: there every
-    # monomial is a representative and the view holds the whole members
+    # monomial is a column and the rows hold the whole members
     clear_memo()
     for parts in ((2, 2, 1), (3, 2, 1)):
         mu = Partition(parts)
-        system = canonical_system(mu, symfun.root_parts(dplus(mu), mu)[0][0])
+        delta = symfun.root_parts(dplus(mu), mu)[0][0]
+        system = canonical_system(mu, delta)
         for field in dataclasses.fields(system):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(system, field.name, None)
         assert "view" not in vars(system)
         assert crgist(dplus(mu), mu).symmetric
         view = vars(system)["view"]
-        assert [lt for lt, _, _ in view] == system.dense.lts[::-1]
-        whole = [{m: c for m, c in d.items() if m >= 0} for d in reversed(system.dense.polys)]
-        assert ([poly for _, poly, _ in view] == whole) is (len(set(parts)) == len(parts))
+        reps, rows = view
+        assert reps == sorted(reps, reverse=True)
+        assert [reps[j] for j, _, _ in rows] == system.dense.lts[::-1]
+        assert all(len(row) == len(reps) for _, row, _ in rows)
+        held = [{**{m: c for m, c in zip(reps, row) if c}, **tags} for _, row, tags in rows]
+        distinct = len(set(parts)) == len(parts)
+        assert (len(reps) == math.comb(delta + mu.m - 1, mu.m - 1)) is distinct
+        assert (held == system.dense.polys[::-1]) is distinct
         assert crgist(dplus(mu), mu).symmetric and system.view is view
+    clear_memo()
+
+
+def _restricted_sweep(system, work):
+    """The sweep on dicts: ``_packed.cancel`` at each lead of the members
+    restricted to the representatives, from the largest down, each step
+    recorded as (tags, q, s), and whether anything is left."""
+    tables = symfun.orbit_tables(system.mu)
+    rep = tables.restrict(work, system.delta)
+    steps = []
+    for lt, d in zip(reversed(system.dense.lts), reversed(system.dense.polys)):
+        a = rep.pop(lt, None)
+        if a:
+            poly = tables.restrict(d, system.delta)
+            scale = _packed.cancel(rep, lt, a, lt, poly, None, {})
+            steps.append(({m: c for m, c in d.items() if m < 0}, a * scale // poly[lt], scale))
+    return steps, bool(rep)
+
+
+def test_dense_sweep_records_the_steps_of_cancel_on_restricted_dicts():
+    # every (q, s) step and the verdict of the list sweep are those of
+    # cancel on the restricted dicts, on positives and on negatives a swap
+    # of equal multiplicities moves
+    rng = random.Random(37)
+    shapes = [parts for n in range(1, 6) for parts in symfun._partitions_bounded(n, n, n)]  # every mu with n <= 5
+    clear_memo()
+    decided = scaled = 0
+    for parts in [*shapes, (2, 2, 2)]:
+        mu = Partition(parts)
+        tables = symfun.orbit_tables(mu)
+        for kind in "epcm":
+            for delta in range(1, 9):
+                pos = _random_positive(rng, mu, kind, delta) / 7
+                for F, symmetric in [(pos, True)] + [(pos + t, False) for t in _swap_asymmetric_terms(mu, delta)]:
+                    if F.is_zero:  # the basis combination cancelled
+                        continue
+                    system = canonical_system(mu, delta, kind)
+                    ((_, work, _),) = symfun.root_parts(F, mu)
+                    steps, left = reduction._sweep(system.view, work)
+                    assert (steps, left) == _restricted_sweep(system, work), (parts, kind, delta, str(F))
+                    verdict = not left and tables.invariant(work, delta)
+                    assert verdict is symmetric is crgist(F, mu, kind).symmetric, (parts, kind, delta, str(F))
+                    decided += 1
+                    scaled += any(s != 1 for _, _, s in steps)
+    assert decided > 1000 and scaled > 100
     clear_memo()
 
 
